@@ -148,6 +148,11 @@ def cmd_compare(args) -> int:
     scenario_path = Path(args.scenario)
     sc = load_scenario(scenario_path)
     result = compare(sc, n_seeds=args.seeds)
+    if result.summary["speedup"] is None:
+        raise CliError(
+            f"no seed met the objective in both {result.mode_a} and "
+            f"{result.mode_b} within horizon_ms={sc.horizon_ms}; "
+            f"nothing to compare (raise horizon_ms)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "comparison.csv"

@@ -389,8 +389,9 @@ class Hub:
 
         Replay stops at the last complete record: a record is complete when
         its line is newline-terminated, parses as JSON with the fixed field
-        set, and continues the sequence. The result reports how far replay
-        got so a caller can see exactly what a crash cut off.
+        set, continues the sequence, and its body applies to the state built
+        so far. The result reports how far replay got so a caller can see
+        exactly what a crash cut off.
         """
         hub = cls(policy or HeartbeatPolicy(1, 1))
         offset = 0
@@ -402,7 +403,7 @@ class Hub:
                 break
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # not JSON or UTF-8, too deep
                 truncated = True
                 break
             if (not isinstance(rec, dict) or set(rec) != _JOURNAL_FIELDS
@@ -410,7 +411,16 @@ class Hub:
                     or rec["record_kind"] not in RECORD_KINDS):
                 truncated = True
                 break
-            hub._apply(rec)
+            try:
+                hub._apply(rec)
+            except (KeyError, TypeError, ValueError):
+                # A well-framed record whose body does not fit the state (a
+                # missing field, an unknown agent). The failed apply may have
+                # changed part of that state, so rebuild it from the records
+                # before this one.
+                hub = cls.recover(journal_bytes[:offset], policy).hub
+                truncated = True
+                break
             hub.journal.append(rec)
             applied += 1
             offset += len(raw)

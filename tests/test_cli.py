@@ -202,6 +202,22 @@ def test_compare_rejects_two_seeds(scenario_file, tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+def test_compare_without_any_met_objective_exits_one(tmp_path, capsys):
+    text = default_scenario_text()
+    scenario = tmp_path / "short.ini"
+    scenario.write_text(text.replace(
+        next(line for line in text.splitlines()
+             if line.startswith("horizon_ms")), "horizon_ms = 1000"),
+        encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario),
+                 "--seeds", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no seed met the objective" in err and "horizon_ms=1000" in err
+    assert not (out / "comparison.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "x"])  # missing --out

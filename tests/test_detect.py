@@ -1,19 +1,25 @@
 """Detector component checks against independent oracles.
 
-The ACF comparison uses a direct O(n^2) reimplementation and the AUC
-comparison uses the integer Mann-Whitney statistic, so the fast paths are
+The ACF comparison uses a direct O(n^2) reimplementation, the periodogram
+comparison a direct O(k*M) DFT over the occupied bins, and the AUC
+comparison the integer Mann-Whitney statistic, so the fast paths are
 validated against slow unambiguous math rather than against themselves.
+Both ACF methods and both periodogram methods (sparse over event positions,
+dense by FFT) are checked, and so is the choice between them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from c2sim import detect
 from c2sim.detect import (
     BeaconScore,
     ChannelSeries,
@@ -182,6 +188,83 @@ def test_acf_matches_bruteforce_oracle_on_random_series():
             assert abs(got_p // bin_ms - want_k) <= 1
 
 
+def _random_sparse_arrivals(rnd, bin_ms=1000):
+    n_bins = rnd.randrange(200, 5000)
+    return sorted(rnd.sample(range(n_bins * bin_ms), rnd.randrange(5, 80)))
+
+
+def _dense_arrivals(rnd, bin_ms=1000):
+    """An arrival in nine bins of ten: here the FFT methods are the cheaper."""
+    n_bins = rnd.randrange(600, 1500)
+    return [b * bin_ms + rnd.randrange(bin_ms) for b in range(n_bins)
+            if rnd.random() < 0.9]
+
+
+def _assert_acf_matches_oracle(arrivals, max_lag, got_s, got_p):
+    want_s, want_k = _acf_oracle(arrivals, 1000, max_lag, min_lag=1)
+    assert got_s == pytest.approx(want_s, abs=1e-9)
+    # the lag must be the oracle's peak, up to ties within the tolerance
+    at_got, _ = _acf_oracle(arrivals, 1000, got_p // 1000, got_p // 1000)
+    assert got_p // 1000 == want_k or at_got == pytest.approx(want_s, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [_random_sparse_arrivals, _dense_arrivals])
+def test_acf_methods_match_oracle(shape):
+    rnd = random.Random(4242)
+    for _ in range(4):
+        arrivals = shape(rnd)
+        bins, counts, n = detect._occupancy(arrivals, 1000)
+        mean = counts.sum() / n
+        denom = float(np.sum((counts - mean) ** 2)
+                      + (n - len(bins)) * mean * mean)
+        windows = [method(bins, counts, n, 1, 64) / denom
+                   for method in (detect._autocov_sparse,
+                                  detect._autocov_dense)]
+        for window in windows:
+            strength = min(1.0, max(0.0, float(window.max())))
+            lag = int(np.argmax(window)) + 1
+            _assert_acf_matches_oracle(arrivals, 64, strength, lag * 1000)
+        # every lag, not just the peak, agrees between the two methods
+        assert np.max(np.abs(windows[0] - windows[1])) <= 1e-9
+        got_s, got_p = acf_period(_series(arrivals), 1000, 64,
+                                  min_lag_bins=1, period_floor=0.0)
+        _assert_acf_matches_oracle(arrivals, 64, got_s, got_p)
+
+
+def _fail(*args):
+    raise AssertionError("the cost model picked the costlier method")
+
+
+def test_cost_model_scores_sparse_series_from_event_positions(monkeypatch):
+    monkeypatch.setattr(detect, "_autocov_dense", _fail)
+    monkeypatch.setattr(detect, "_band_power_dense", _fail)
+    rnd = random.Random(8)
+    for count, span_ms in ((100, 604_800_000), (500, 172_800_000)):
+        series = _series(sorted(rnd.sample(range(span_ms), count)))
+        acf_period(series, 1000, 64, min_lag_bins=1)
+        periodogram_strength(series, 1000, 512, min_lag_bins=4)
+
+
+def test_cost_model_scores_dense_series_by_fft(monkeypatch):
+    monkeypatch.setattr(detect, "_autocov_sparse", _fail)
+    monkeypatch.setattr(detect, "_band_power_sparse", _fail)
+    rnd = random.Random(9)
+    for series in (_series(range(0, 3_000_000, 1000)),
+                   _series(_dense_arrivals(rnd))):
+        acf_period(series, 1000, 64, min_lag_bins=1)
+        periodogram_strength(series, 1000, 512, min_lag_bins=4)
+
+
+def test_cost_model_splits_a_minute_beacon_over_days(monkeypatch):
+    # few lags per event keep the ACF sparse; thousands of events times
+    # thousands of band bins send the periodogram to the rfft
+    monkeypatch.setattr(detect, "_autocov_dense", _fail)
+    monkeypatch.setattr(detect, "_band_power_sparse", _fail)
+    series = _series(range(0, 2000 * 60_000, 60_000))
+    assert acf_period(series, 1000, 4096)[1] == 60_000
+    assert periodogram_strength(series, 1000, 4096) == 1.0
+
+
 def test_acf_period_floor_suppresses_weak_periods():
     rnd = random.Random(5)
     arrivals = sorted(rnd.sample(range(86_400_000), 300))
@@ -191,6 +274,79 @@ def test_acf_period_floor_suppresses_weak_periods():
 
 
 # -- periodogram -------------------------------------------------------------------
+
+
+def _pgram_oracle(arrivals, bin_ms, max_lag, min_lag, null_scale=8.0):
+    """Direct O(k*M) DFT over the k occupied bins, one band frequency at a time.
+
+    The demeaned series' transform equals the raw counts' at every band
+    frequency f in (0, n), where the mean's own transform is exactly zero.
+    Phases are reduced as exact integers, (f * b) mod n, before the complex
+    exponential, so the oracle's error does not grow with the span.
+    """
+    bins = {}
+    for t in arrivals:
+        b = (t - arrivals[0]) // bin_ms
+        bins[b] = bins.get(b, 0) + 1
+    n = max(bins) + 1
+    k_lo, k_hi = max(1, -(-n // max_lag)), min(n // 2, n // min_lag)
+    power = []
+    for f in range(k_lo, k_hi + 1):
+        x = sum(c * cmath.exp(-2j * math.pi * (f * b % n) / n)
+                for b, c in bins.items())
+        power.append(abs(x) ** 2)
+    g = max(power) / sum(power)
+    m = len(power)
+    g_null = (math.log(m) + 0.5772156649015329) / m if m > 1 else 1.0
+    return power, min(1.0, g / (g_null * null_scale)), (k_lo, k_hi)
+
+
+@pytest.mark.parametrize("shape", [_random_sparse_arrivals, _dense_arrivals])
+def test_periodogram_methods_match_oracle(shape):
+    rnd = random.Random(1717)
+    for _ in range(3):
+        arrivals = shape(rnd)
+        want_power, want, (k_lo, k_hi) = _pgram_oracle(arrivals, 1000, 512, 4)
+        bins, counts, n = detect._occupancy(arrivals, 1000)
+        for method in (detect._band_power_sparse, detect._band_power_dense):
+            got_power = method(bins, counts, n, k_lo, k_hi)
+            assert (np.max(np.abs(got_power - want_power))
+                    <= 1e-9 * max(want_power))
+        got = periodogram_strength(_series(arrivals), 1000, 512,
+                                   min_lag_bins=4)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_periodogram_matches_oracle_on_long_sparse_span():
+    rnd = random.Random(31)
+    arrivals = sorted(rnd.sample(range(5 * 86_400_000), 40))
+    _, want, _ = _pgram_oracle(arrivals, 1000, 4096, 10)
+    got = periodogram_strength(_series(arrivals), 1000, 4096)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["_band_power_sparse", "_band_power_dense"])
+def test_periodogram_of_constant_series_is_zero(monkeypatch, method):
+    # one arrival in every bin: no spectrum, whichever method runs
+    monkeypatch.setattr(detect, "_band_power", getattr(detect, method))
+    for seconds in (30, 40, 49):
+        series = _series(range(0, seconds * 1000, 1000))
+        assert periodogram_strength(series, 1000, 4096) == 0.0
+
+
+def test_score_cost_follows_events_not_span():
+    series = _series([0, 3_000_000_000, 7_000_000_123, 10_000_000_000],
+                     sizes=[100, 120, 100, 90])
+    tracemalloc.start()
+    try:
+        score = score_channel(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert all(math.isfinite(v) for v in (
+        score.regularity, score.acf_strength, score.periodogram,
+        score.size_uniformity, score.combined))
 
 
 def test_periodogram_dominant_line_for_clean_train():

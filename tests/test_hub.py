@@ -439,6 +439,39 @@ def test_recovery_rejects_garbage_line_midstream():
     assert rec.truncated and rec.records_applied == 4
 
 
+@pytest.mark.parametrize("body", [
+    {"task_ids": []},                                   # no agent_id
+    {"agent_id": "agent-99", "task_ids": []},           # unknown agent
+    {"agent_id": "agent-1", "task_ids": ["t-1", "t-404"]},  # unknown task
+    {"agent_id": "agent-1", "task_ids": 7},             # wrong type
+    [],                                                 # not an object
+])
+def test_recovery_stops_at_fetch_with_bad_body(body):
+    hub = _scripted_hub()
+    lines = journal_lines(hub.journal).splitlines(keepends=True)
+    keep = next(i for i, r in enumerate(hub.journal)
+                if r["record_kind"] == "fetch")
+    bad = {"seq": keep, "time_ms": 40, "record_kind": "fetch", "body": body}
+    prefix = b"".join(lines[:keep])
+    blob = prefix + journal_lines([bad]) + b"".join(lines[keep + 1:])
+    rec = Hub.recover(blob)
+    assert rec.truncated
+    assert rec.records_applied == keep
+    assert rec.stopped_at_byte == len(prefix)
+    # the rejected record leaves no partial trace in the recovered state
+    assert _project(rec.hub) == _reference_replay(hub.journal[:keep])
+    assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
+
+
+@pytest.mark.parametrize("line", [b"\xff\xfe\n", b"[" * 100_000 + b"\n"],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_recovery_stops_at_line_json_cannot_read(line):
+    hub = _scripted_hub()
+    lines = journal_lines(hub.journal).splitlines(keepends=True)
+    rec = Hub.recover(b"".join(lines[:3]) + line + lines[3])
+    assert rec.truncated and rec.records_applied == 3
+
+
 def test_acked_submissions_survive_any_later_crash():
     hub = _scripted_hub()
     blob = journal_lines(hub.journal)
