@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 SimTime = int  # milliseconds of virtual time since scenario start
@@ -43,15 +43,15 @@ class ParameterError(ValueError):
     """Raised for invalid distribution names or parameters."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SimEvent:
-    """One scheduled occurrence. Ordering is (time, seq) and nothing else."""
+    """One scheduled occurrence. The queue orders events by (time, seq)."""
 
     time: SimTime
     seq: int
-    entity: str = field(compare=False)
-    kind: str = field(compare=False)
-    payload: object = field(compare=False, default=None)
+    entity: str
+    kind: str
+    payload: object = None
 
 
 _DIST_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
@@ -75,11 +75,10 @@ class Dist:
             params = tuple(float(p) for p in raw.split(",")) if raw else ()
         except ValueError as exc:
             raise ParameterError(f"bad numeric parameter in {text!r}") from exc
-        dist = cls(name, params)
-        dist.validate()
-        return dist
+        return cls(name, params)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # frozen, so a Dist checked here stays valid for every draw
         n, p = self.name, self.params
         if n == "uniform":
             if len(p) != 2 or p[0] > p[1]:
@@ -127,7 +126,6 @@ def draw(stream: RngStream, dist: Dist) -> float:
 
     choice(...) returns a float-valued index; callers int() it.
     """
-    dist.validate()
     name, p = dist.name, dist.params
     if name == "uniform":
         a, b = p
@@ -150,7 +148,6 @@ def draw(stream: RngStream, dist: Dist) -> float:
             if target < acc:
                 return float(i)
         return float(len(p) - 1)  # guard for target == total under rounding
-    raise ParameterError(f"unknown distribution {name!r}")
 
 
 class Simulator:
@@ -159,11 +156,11 @@ class Simulator:
     def __init__(self, seed: int):
         self.seed = seed
         self.clock: SimTime = 0
-        self._queue: list[SimEvent] = []
+        # (time, seq, event) tuples: seq is unique, so no event is compared
+        self._queue: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable[[SimEvent], None]] = {}
         self._streams: dict[str, RngStream] = {}
-        self.emissions: list = []
 
     # -- random streams ----------------------------------------------------
 
@@ -194,17 +191,13 @@ class Simulator:
             )
         ev = SimEvent(time=int(time), seq=next(self._seq), entity=entity,
                       kind=kind, payload=payload)
-        heapq.heappush(self._queue, ev)
+        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
         return ev
 
-    def emit(self, record) -> None:
-        """Append a record to the emission log at the current clock."""
-        self.emissions.append(record)
-
     def next_event_time(self) -> SimTime | None:
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
-    def run_until(self, t_end: SimTime) -> list:
+    def run_until(self, t_end: SimTime) -> None:
         """Dispatch every event with time <= t_end in order; clock ends at t_end.
 
         A handler that schedules into the past aborts the run by raising
@@ -212,11 +205,10 @@ class Simulator:
         """
         if t_end < self.clock:
             raise SchedulingError(f"run_until({t_end}) is before clock {self.clock}")
-        while self._queue and self._queue[0].time <= t_end:
-            ev = heapq.heappop(self._queue)
-            self.clock = ev.time
-            handler = self._handlers.get(ev.kind)
+        queue, handlers = self._queue, self._handlers
+        while queue and queue[0][0] <= t_end:
+            self.clock, _, ev = heapq.heappop(queue)
+            handler = handlers.get(ev.kind)
             if handler is not None:
                 handler(ev)
         self.clock = t_end
-        return self.emissions

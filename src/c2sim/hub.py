@@ -36,6 +36,9 @@ RECORD_KINDS = ("register", "task_issue", "fetch", "submit", "task_close",
 
 _JOURNAL_FIELDS = {"seq", "time_ms", "record_kind", "body"}
 
+# one encoder for every journal line; json.dumps(**opts) builds one per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class HubError(RuntimeError):
     pass
@@ -91,6 +94,14 @@ class Task:
     closed_at: int | None = None
     work_model: str = ""
     meta: dict = field(default_factory=dict)
+
+
+def _eligible(task: Task, agent: AgentRecord) -> bool:
+    """The matching rule: a queued task goes to its assignee or, unassigned,
+    to any agent holding every capability it requires."""
+    return task.state == TASK_QUEUED and (
+        task.assigned_to == agent.agent_id
+        or (task.assigned_to is None and task.requires <= agent.capabilities))
 
 
 @dataclass
@@ -155,6 +166,8 @@ class Hub:
         self.policy = policy
         self.roster: dict[str, AgentRecord] = {}
         self.tasks: dict[str, Task] = {}
+        # queued tasks in issue order, kept by _apply so replay rebuilds it
+        self._queued: dict[str, Task] = {}
         self.context = SharedContext()
         self.journal: list[dict] = []
         self._by_entity: dict[str, str] = {}
@@ -175,7 +188,7 @@ class Hub:
         self._seq += 1
         # durability before acknowledgment: persist, then mutate
         if self._fh:
-            self._fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            self._fh.write(_encode(rec) + "\n")
             self._fh.flush()
         self.journal.append(rec)
         return self._apply(rec)
@@ -200,11 +213,13 @@ class Hub:
                         assigned_to=body["assigned_to"], created_at=t,
                         work_model=body["work_model"], meta=dict(body["meta"]))
             self.tasks[task.task_id] = task
+            self._queued[task.task_id] = task
             return {}
         if kind == "fetch":
             agent = self.roster[body["agent_id"]]
             for tid in body["task_ids"]:
                 task = self.tasks[tid]
+                self._queued.pop(tid, None)  # the one way out of the queue
                 task.state = TASK_FETCHED
                 task.fetched_at = t
                 # first fetch wins an unassigned task
@@ -287,14 +302,16 @@ class Hub:
         agent = self._require(agent_id)
         if agent.status == AGENT_RETIRED:
             raise RetiredAgentError(f"{agent_id} is retired")
-        matched = [t for t in self.tasks.values()
-                   if t.state == TASK_QUEUED
-                   and (t.assigned_to == agent_id
-                        or (t.assigned_to is None and t.requires <= agent.capabilities))]
+        matched = [t for t in self._queued.values() if _eligible(t, agent)]
         self._record(now, "fetch", {
             "agent_id": agent_id, "task_ids": [t.task_id for t in matched],
         })
         return matched
+
+    def has_work_for(self, agent_id: str) -> bool:
+        """Whether agent_id's next poll would fetch anything."""
+        agent = self._require(agent_id)
+        return any(_eligible(t, agent) for t in self._queued.values())
 
     def submit_intelligence(self, agent_id: str, items: Iterable[IntelItem],
                             now: int) -> SubmitResult:
@@ -431,6 +448,4 @@ class Hub:
 
 def journal_lines(records: list[dict]) -> bytes:
     """Serialize journal records exactly as the hub writes them."""
-    return b"".join(
-        (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n").encode()
-        for r in records)
+    return b"".join((_encode(r) + "\n").encode() for r in records)

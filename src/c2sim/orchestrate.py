@@ -21,9 +21,10 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .engine import Simulator
-from .hub import TASK_COMPLETED, TASK_QUEUED, Hub, IntelItem, Task
+from .hub import TASK_COMPLETED, Hub, IntelItem, Task
 from .scenario import MODES, AgentSpec, Scenario, Topology
 from .traffic import (
     ChaffModel,
@@ -226,7 +227,6 @@ class _RunBase:
             intel_items=len(self.hub.context.items),
             pivots_executed=self.pivots)
         trace = self._trace(window)
-        self.hub.close()
         return ScenarioRun(scenario=self.sc, metrics=metrics, hub=self.hub,
                            sessions=self.sessions, trace=trace)
 
@@ -330,15 +330,8 @@ class _SwarmRun(_RunBase):
         if planned.kind == "pivot":
             self.pivots += 1
         self._check_objective(now)
-        if self.done_at is None and self._has_work_for(agent_id):
+        if self.done_at is None and self.hub.has_work_for(agent_id):
             self._dispatch(entity, now)
-
-    def _has_work_for(self, agent_id: str) -> bool:
-        caps = self.hub.roster[agent_id].capabilities
-        return any(t.state == TASK_QUEUED
-                   and (t.assigned_to == agent_id
-                        or (t.assigned_to is None and t.requires <= caps))
-                   for t in self.hub.tasks.values())
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile
@@ -380,7 +373,7 @@ class _ManualRun(_RunBase):
         self.queue: deque[_Action] = deque()
         self.queued_hosts: set[str] = set()
         self.queued_pivots: set[str] = set()
-        self.ticks: dict[str, list[int]] = {}
+        self.ticks: dict[str, Iterator[int]] = {}
         self.fired: dict[str, list[int]] = {spec.entity: []
                                             for spec in sc.agents}
         # (entity, task_id, completion time) of the one task in flight
@@ -394,11 +387,9 @@ class _ManualRun(_RunBase):
         for spec in self.sc.agents:
             cfg = self.sc.beacon.config(src=spec.entity, dst="hub",
                                         horizon_ms=self.sc.horizon_ms)
-            schedule = beacon_ticks(cfg, self.sim.stream(f"{spec.entity}/beacon"))
-            self.ticks[spec.entity] = schedule
-            if schedule:
-                self.sim.schedule(schedule[0], spec.entity, "agent-checkin",
-                                  payload=0)
+            self.ticks[spec.entity] = beacon_ticks(
+                cfg, self.sim.stream(f"{spec.entity}/beacon"))
+            self._schedule_tick(spec.entity)
         reachable = set()
         for spec in self.sc.agents:
             reachable |= spec.capabilities
@@ -408,6 +399,11 @@ class _ManualRun(_RunBase):
         self._think_next(0)
         self._drain()
         return self._finish()
+
+    def _schedule_tick(self, entity: str) -> None:
+        t = next(self.ticks[entity], None)
+        if t is not None:
+            self.sim.schedule(t, entity, "agent-checkin")
 
     def _queue_probes(self, subnet: str) -> None:
         for host in self.sc.topology.hosts(subnet):
@@ -447,7 +443,6 @@ class _ManualRun(_RunBase):
     def _on_tick(self, ev) -> None:
         now = self.sim.clock
         entity = ev.entity
-        index: int = ev.payload
         self.fired[entity].append(now)
         agent_id = self.hub.agent_id_for(entity)
         # upload leg: results ride the beacon that follows completion
@@ -461,10 +456,7 @@ class _ManualRun(_RunBase):
             dur = _round_ms(self.sim.draw(f"{entity}/work",
                                           self.sc.timing.task_duration))
             self.executing = (entity, task.task_id, now + dur)
-        nxt = index + 1
-        if nxt < len(self.ticks[entity]):
-            self.sim.schedule(self.ticks[entity][nxt], entity,
-                              "agent-checkin", payload=nxt)
+        self._schedule_tick(entity)
 
     def _upload(self, entity: str, agent_id: str, task_id: str,
                 now: int) -> None:
@@ -507,11 +499,14 @@ class _ManualRun(_RunBase):
 
 
 def run_scenario(scenario: Scenario, journal_path=None) -> ScenarioRun:
-    if scenario.mode == MODE_SWARM:
-        return _SwarmRun(scenario, journal_path).run()
-    if scenario.mode == MODE_MANUAL:
-        return _ManualRun(scenario, journal_path).run()
-    raise ValueError(f"unknown mode {scenario.mode!r}")
+    kind = {MODE_SWARM: _SwarmRun, MODE_MANUAL: _ManualRun}.get(scenario.mode)
+    if kind is None:
+        raise ValueError(f"unknown mode {scenario.mode!r}")
+    runner = kind(scenario, journal_path)
+    try:
+        return runner.run()
+    finally:
+        runner.hub.close()  # also when a handler raises mid-run
 
 
 @dataclass

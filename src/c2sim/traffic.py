@@ -19,7 +19,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .engine import Dist, RngStream, draw
 
@@ -157,27 +157,24 @@ def _dur(stream: RngStream, dist: Dist) -> int:
 # -- beacons -------------------------------------------------------------------
 
 
-def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> list[int]:
+def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> Iterator[int]:
     """Anchored jittered schedule: tick k sits at k*interval + delta_k with
     |delta_k| <= jitter*interval/2.
 
     Anchoring each tick to its grid slot (instead of accumulating per-gap
     noise) keeps every inter-arrival inside interval*(1 +/- jitter) and pins
-    the tick count to floor(horizon/interval) plus or minus one.
+    the tick count to floor(horizon/interval) plus or minus one. Ticks are
+    drawn as they are consumed, one draw per grid slot, so a run that stops
+    early never draws the rest of the horizon.
     """
     half = cfg.jitter_fraction * cfg.interval_ms / 2.0
-    ticks = []
-    k = 1
-    while True:
+    for k in itertools.count(1):
         anchor = k * cfg.interval_ms
         if anchor > cfg.horizon_ms + half:
-            break
-        delta = int(round((2.0 * stream.unit() - 1.0) * half))
-        t = anchor + delta
+            return
+        t = anchor + int(round((2.0 * stream.unit() - 1.0) * half))
         if 0 <= t <= cfg.horizon_ms:
-            ticks.append(t)
-        k += 1
-    return ticks
+            yield t
 
 
 def flows_at_ticks(ticks: Iterable[int], cfg: BeaconConfig,
@@ -191,7 +188,8 @@ def flows_at_ticks(ticks: Iterable[int], cfg: BeaconConfig,
 
 
 def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> list[FlowRecord]:
-    return flows_at_ticks(beacon_ticks(cfg, stream), cfg, stream)
+    # every tick is drawn before any flow size: both come from one stream
+    return flows_at_ticks(list(beacon_ticks(cfg, stream)), cfg, stream)
 
 
 # -- event-driven hub contact ----------------------------------------------------
@@ -326,6 +324,7 @@ def synth_background(n_users: int, model: WorkdayModel,
     days = max(1, -(-model.horizon_ms // _DAY_MS))  # ceil division
     work_start = model.workday_start_hour * _HOUR_MS
     work_len = (model.workday_end_hour - model.workday_start_hour) * _HOUR_MS
+    pick_dst = Dist("choice", (0.4,) + (0.2,) * (len(model.destinations) - 1))
     for i in range(n_users):
         st = streams(f"user-{i}/background")
         src = f"user-{i}"
@@ -350,8 +349,7 @@ def synth_background(n_users: int, model: WorkdayModel,
                     start_in_day = work_start + int(st.unit() * work_len)
                     window_end = work_start + work_len
                     is_off = False
-                dst = model.destinations[
-                    int(draw(st, Dist("choice", (0.4,) + (0.2,) * (len(model.destinations) - 1))))]
+                dst = model.destinations[int(draw(st, pick_dst))]
                 dst_class = DST_PLANNER if dst == DST_PLANNER else DST_BENIGN
                 t = day_base + start_in_day
                 end = day_base + window_end

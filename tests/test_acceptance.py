@@ -184,7 +184,7 @@ def test_criterion_4_reasoning_session_shapes():
         jitter = meta.unit() * 0.2
         cfg = BeaconConfig(interval_ms=interval, jitter_fraction=jitter,
                            horizon_ms=6 * HOUR_MS, src="b", dst="c2")
-        ticks = beacon_ticks(cfg, RngStream(600 + i, f"acc/4b-ticks-{i}"))
+        ticks = list(beacon_ticks(cfg, RngStream(600 + i, f"acc/4b-ticks-{i}")))
         series = ChannelSeries(("b", "c2"), ticks, [0] * len(ticks),
                                len(ticks), "beacon_c2")
         beacon_reg.append(interval_regularity(series))

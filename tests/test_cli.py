@@ -222,3 +222,66 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "x"])  # missing --out
     assert exc.value.code == 2
+
+
+_PIVOT_CHAIN = """\
+[scenario]
+seed = 5
+mode = manual_baseline
+horizon_ms = 604800000
+
+[topology]
+subnets = z0, z1, z2, z3
+hosts_per_subnet = 3
+intel =
+    credential c0 @ z0/host-1
+    credential c1 @ z1/host-1
+    credential c2 @ z2/host-1
+    share target @ z3/host-2
+pivot_edges =
+    c0: z0 -> z1
+    c1: z1 -> z2
+    c2: z2 -> z3
+required_intel = share:target
+
+[agents]
+count = 5
+capabilities =
+    implant-1: z0
+    implant-2: z1
+    implant-3: z2
+    implant-4: z0
+    implant-5: z1
+"""
+
+# sha256 of (trace.csv, journal.ndjson, metrics.json). A change that moves
+# any of these changes what the simulator produces and must say why.
+_PINNED = {
+    "default-swarm": (
+        "55d88aceabf3c92da04bfa5a1302c37175d4ea53ebc006b508fb62a79f8059bf",
+        "1d6aeb6ad8ee1dbf96c7cf19d463d65f930ee152b022d3485dc4050145c016ca",
+        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+    "default-manual": (
+        "16814fc89bef526dd1e07577e2f02ac5fcdcd867267b6a64194ab3aceb121e58",
+        "a950b5241f78251474c438acd84d85e43f8bfa891d1e002f19aca85c4efbaaf5",
+        "6171f34670c5fbd68cfad29184ec5d67234e21f646156640d2f94783b07728ca"),
+    "pivot-chain": (
+        "8203f38ea95294c56b014283844b0fb2c9a9f5630a06ee48dc293b825a9f784f",
+        "73afe8b2121b5503937ccdf1e7c53c6d4f48f351fc61f87a0dadfb7656848312",
+        "392cb795a856e1821eef4349f6fb9e8df42935179b11f256b61369657020f443"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_simulate_artifact_bytes_are_pinned(case, tmp_path):
+    text = _PIVOT_CHAIN if case == "pivot-chain" else default_scenario_text()
+    if case == "default-manual":
+        text = text.replace("mode = autonomous_swarm", "mode = manual_baseline")
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("trace.csv", "journal.ndjson", "metrics.json"))
+    assert got == _PINNED[case]

@@ -37,27 +37,29 @@ def test_checkin_loop_emits_at_exact_multiples():
     # an entity re-scheduling itself every 60000 ms, run to t=200000
     sim = Simulator(seed=7)
     interval = 60_000
+    log = []
 
     def checkin(ev):
-        sim.emit((ev.entity, sim.clock))
+        log.append((ev.entity, sim.clock))
         sim.schedule(sim.clock + interval, ev.entity, "agent-checkin")
 
     sim.on("agent-checkin", checkin)
     sim.schedule(interval, "agent-1", "agent-checkin")
-    log = sim.run_until(200_000)
+    sim.run_until(200_000)
     assert log == [("agent-1", 60_000), ("agent-1", 120_000), ("agent-1", 180_000)]
     assert sim.clock == 200_000
 
 
 def test_run_until_is_resumable_and_clock_lands_on_t_end():
     sim = Simulator(seed=3)
-    sim.on("planner-turn", lambda ev: sim.emit(sim.clock))
+    seen = []
+    sim.on("planner-turn", lambda ev: seen.append(sim.clock))
     sim.schedule(10, "x", "planner-turn")
     sim.schedule(30, "x", "planner-turn")
     sim.run_until(20)
-    assert sim.emissions == [10] and sim.clock == 20
+    assert seen == [10] and sim.clock == 20
     sim.run_until(50)
-    assert sim.emissions == [10, 30] and sim.clock == 50
+    assert seen == [10, 30] and sim.clock == 50
 
 
 def test_schedule_into_past_is_rejected_with_context():
@@ -186,6 +188,17 @@ def test_choice_frequencies_track_weights():
 def test_invalid_distributions_raise(text):
     with pytest.raises(ParameterError):
         Dist.parse(text)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("uniform", (9.0, 2.0)),
+    ("exponential", (0.0,)),
+    ("choice", (0.0, 0.0)),
+    ("normal", (0.0, 1.0)),
+])
+def test_invalid_dist_is_rejected_at_construction(name, params):
+    with pytest.raises(ParameterError):
+        Dist(name, params)
 
 
 def test_dist_round_trips_through_str():

@@ -12,6 +12,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim.engine import Simulator
 from c2sim.hub import (
@@ -22,6 +24,7 @@ from c2sim.hub import (
     Hub,
     HubError,
     IntelItem,
+    TASK_FETCHED,
     RetiredAgentError,
     Task,
     TaskStateError,
@@ -505,3 +508,69 @@ def test_state_dict_is_json_serializable_snapshot():
     again = json.loads(json.dumps(hub.state_dict(), sort_keys=True))
     assert snap == again
     assert copy.deepcopy(snap) == snap
+
+
+# -- queued-task index against a full scan ---------------------------------------
+
+
+def _scan(hub, agent_id):
+    """The matching rule as a scan of every task ever issued: the slow
+    reference for the hub's queued-task index."""
+    caps = hub.roster[agent_id].capabilities
+    return [t.task_id for t in hub.tasks.values()
+            if t.state == "queued"
+            and (t.assigned_to == agent_id
+                 or (t.assigned_to is None and t.requires <= caps))]
+
+
+_CAPS = st.frozensets(st.sampled_from(("a", "b", "c")))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("register"), _CAPS.filter(bool)),
+    # (assignee index or None, requires, capability granted on completion)
+    st.tuples(st.just("issue"), st.none() | st.integers(0, 7), _CAPS,
+              st.none() | st.sampled_from(("a", "b", "c"))),
+    st.tuples(st.just("poll"), st.integers(0, 7)),
+    st.tuples(st.just("close"), st.integers(0, 63),
+              st.sampled_from(("completed", "failed"))),
+    st.tuples(st.just("submit"), st.integers(0, 7), st.integers(0, 3)),
+), max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ops=_OPS)
+def test_queued_index_matches_full_scan_live_and_replayed(ops):
+    hub = _hub()
+    agents: list[str] = []
+    for now, op in enumerate(ops, start=1):
+        kind = op[0]
+        if kind == "register":
+            agents.append(hub.register_agent(f"implant-{len(agents)}",
+                                             sorted(op[1]), now))
+        elif kind == "issue":
+            _, who, requires, grants = op
+            assigned = (agents[who % len(agents)]
+                        if who is not None and agents else None)
+            hub.issue_task(_task(f"t-{len(hub.tasks)}", requires, assigned,
+                                 {"grants": grants} if grants else None), now)
+        elif kind == "close":
+            fetched = [t.task_id for t in hub.tasks.values()
+                       if t.state == TASK_FETCHED]
+            if fetched:
+                hub.close_task(fetched[op[1] % len(fetched)], op[2], now)
+        elif agents:
+            aid = agents[op[1] % len(agents)]
+            if kind == "poll":
+                want = _scan(hub, aid)
+                assert [t.task_id for t in hub.get_tasks(aid, now)] == want
+            else:
+                hub.submit_intelligence(
+                    aid, [_intel(f"i-{now}", aid, name=f"h-{op[2]}")], now)
+        for aid in agents:
+            assert hub.has_work_for(aid) == bool(_scan(hub, aid))
+    rebuilt = Hub.recover(journal_lines(hub.journal)).hub
+    assert rebuilt.state_dict() == hub.state_dict()
+    now = len(ops) + 1
+    for aid in agents:
+        assert rebuilt.has_work_for(aid) == hub.has_work_for(aid)
+        assert ([t.task_id for t in rebuilt.get_tasks(aid, now)]
+                == [t.task_id for t in hub.get_tasks(aid, now)])

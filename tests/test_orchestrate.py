@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from c2sim.hub import journal_lines
+from c2sim import orchestrate
+from c2sim.hub import Hub, journal_lines
 from c2sim.orchestrate import (
     MODE_MANUAL,
     MODE_SWARM,
@@ -292,3 +293,22 @@ def test_compare_rejects_too_few_seeds():
         compare(default_scenario(), n_seeds=2)
     with pytest.raises(ValueError):
         compare(default_scenario(), n_seeds=3, modes=("autonomous_swarm", "x"))
+
+
+def test_journal_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
+    handles = []
+
+    class RecordingHub(Hub):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            handles.append(self._fh)
+
+    def fail(self, ev):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(orchestrate, "Hub", RecordingHub)
+    monkeypatch.setattr(orchestrate._SwarmRun, "_on_checkin", fail)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        run_scenario(default_scenario(), journal_path=tmp_path / "j.ndjson")
+    assert len(handles) == 1 and handles[0].closed
+    assert (tmp_path / "j.ndjson").read_bytes()  # records before the failure

@@ -70,7 +70,7 @@ def test_jitter_band_and_count_hold_universally():
         horizon = rnd.randrange(interval, interval * 200)
         cfg = BeaconConfig(interval_ms=interval, jitter_fraction=jitter,
                            horizon_ms=horizon, src="imp", dst="c2")
-        ticks = beacon_ticks(cfg, _stream(seed=trial))
+        ticks = list(beacon_ticks(cfg, _stream(seed=trial)))
         assert all(0 <= t <= horizon for t in ticks)
         gaps = [b - a for a, b in zip(ticks, ticks[1:])]
         lo = interval * (1 - jitter) - 1  # integer rounding slack
