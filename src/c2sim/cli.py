@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -102,7 +103,7 @@ def cmd_simulate(args) -> int:
     run = run_scenario(sc, journal_path=journal_path)
     write_trace(trace_path, run.trace, fmt=args.format)
     with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(run.metrics.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(run.metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(manifest_path, "simulate", _scenario_input(scenario_path),
                     sc.seed, [trace_path, journal_path, metrics_path], started)

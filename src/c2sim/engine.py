@@ -27,11 +27,7 @@ EVENT_KINDS = frozenset({
     "agent-checkin",
     "task-issued",
     "task-complete",
-    "intel-submitted",
     "planner-turn",
-    "chaff-emit",
-    "background-emit",
-    "heartbeat-deadline",
 })
 
 

@@ -1,10 +1,12 @@
 """Coordination hub: agent registry, pull-based tasking, intelligence fusion,
 jittered-window liveness, and an append-only journal.
 
-Every state change is journaled before it is applied or acknowledged, and the
-same reducer that applies live records replays them during recovery, so a
-rebuilt hub is structurally identical to the one that wrote the journal. The
-hub never contacts agents on its own; all communication is agent-initiated.
+Every state change is checked and journaled before it is applied or
+acknowledged, and the same check and reducer that handle live records replay
+them during recovery, so a rebuilt hub is structurally identical to the one
+that wrote the journal, and replay stops at any record the live hub would have
+refused. The hub never contacts agents on its own; all communication is
+agent-initiated.
 
 Journal framing: one JSON object per line with fixed fields
 {"seq": int, "time_ms": int, "record_kind": str, "body": {...}}. Record kinds:
@@ -183,6 +185,7 @@ class Hub:
     # -- journaling --------------------------------------------------------
 
     def _record(self, time_ms: int, record_kind: str, body: dict) -> dict:
+        self._check(record_kind, body)
         rec = {"seq": self._seq, "time_ms": int(time_ms),
                "record_kind": record_kind, "body": body}
         self._seq += 1
@@ -192,6 +195,34 @@ class Hub:
             self._fh.flush()
         self.journal.append(rec)
         return self._apply(rec)
+
+    def _check(self, kind: str, body: dict) -> None:
+        """The task state machine, shared by live ops and replay: a task is
+        issued once, fetched only while queued and eligible for the fetching
+        agent, and closed once, from fetched, as completed or failed."""
+        if kind == "task_issue":
+            if body["task_id"] in self.tasks:
+                raise TaskStateError(f"task {body['task_id']!r} already issued")
+            assignee = body["assigned_to"]
+            if assignee is not None and assignee not in self.roster:
+                raise UnknownAgentError(f"assignee {assignee!r} not registered")
+        elif kind == "fetch":
+            agent = self._require(body["agent_id"])
+            for tid in body["task_ids"]:
+                task = self._queued.get(tid)
+                if task is None or not _eligible(task, agent):
+                    raise TaskStateError(
+                        f"task {tid!r} is not queued for {agent.agent_id}")
+        elif kind == "task_close":
+            task = self.tasks.get(body["task_id"])
+            if task is None:
+                raise TaskStateError(f"unknown task {body['task_id']!r}")
+            if body["state"] not in (TASK_COMPLETED, TASK_FAILED):
+                raise TaskStateError("close state must be completed or failed, "
+                                     f"got {body['state']!r}")
+            if task.state != TASK_FETCHED:
+                raise TaskStateError(f"task {task.task_id!r} is {task.state}; "
+                                     "only fetched tasks close")
 
     def _apply(self, rec: dict) -> dict:
         """Reducer shared by live ops and replay. Returns op-result info."""
@@ -285,12 +316,8 @@ class Hub:
         return agent_id
 
     def issue_task(self, task: Task, now: int) -> None:
-        if task.task_id in self.tasks:
-            raise TaskStateError(f"task {task.task_id!r} already issued")
         if task.state != TASK_QUEUED:
             raise TaskStateError(f"new task must be queued, got {task.state!r}")
-        if task.assigned_to is not None and task.assigned_to not in self.roster:
-            raise UnknownAgentError(f"assignee {task.assigned_to!r} not registered")
         self._record(now, "task_issue", {
             "task_id": task.task_id, "objective_ref": task.objective_ref,
             "description": task.description, "requires": sorted(task.requires),
@@ -338,14 +365,6 @@ class Hub:
                             deduplicated=info["deduplicated"], rejected=rejected)
 
     def close_task(self, task_id: str, state: str, now: int) -> None:
-        task = self.tasks.get(task_id)
-        if task is None:
-            raise TaskStateError(f"unknown task {task_id!r}")
-        if state not in (TASK_COMPLETED, TASK_FAILED):
-            raise TaskStateError(f"close state must be completed or failed, got {state!r}")
-        if task.state != TASK_FETCHED:
-            raise TaskStateError(
-                f"task {task_id!r} is {task.state}; only fetched tasks close")
         self._record(now, "task_close", {"task_id": task_id, "state": state})
 
     def sweep_liveness(self, now: int) -> list[str]:
@@ -406,9 +425,10 @@ class Hub:
 
         Replay stops at the last complete record: a record is complete when
         its line is newline-terminated, parses as JSON with the fixed field
-        set, continues the sequence, and its body applies to the state built
-        so far. The result reports how far replay got so a caller can see
-        exactly what a crash cut off.
+        set, continues the sequence, is a record the live hub would write
+        (see _check), and its body applies to the state built so far. The
+        result reports how far replay got so a caller can see exactly what a
+        crash cut off.
         """
         hub = cls(policy or HeartbeatPolicy(1, 1))
         offset = 0
@@ -429,12 +449,13 @@ class Hub:
                 truncated = True
                 break
             try:
+                hub._check(rec["record_kind"], rec["body"])
                 hub._apply(rec)
-            except (KeyError, TypeError, ValueError):
-                # A well-framed record whose body does not fit the state (a
-                # missing field, an unknown agent). The failed apply may have
-                # changed part of that state, so rebuild it from the records
-                # before this one.
+            except (HubError, KeyError, TypeError, ValueError):
+                # A well-framed record the live hub would refuse, or whose
+                # body does not fit the state (a missing field, an unknown
+                # agent). A failed apply may have changed part of that state,
+                # so rebuild it from the records before this one.
                 hub = cls.recover(journal_bytes[:offset], policy).hub
                 truncated = True
                 break

@@ -18,6 +18,7 @@ shared context, so time-to-objective is exact rather than sampled.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
@@ -80,19 +81,6 @@ class RunMetrics:
     tasks_completed: int
     intel_items: int
     pivots_executed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode, "seed": self.seed,
-            "objective_met": self.objective_met,
-            "time_to_objective_ms": self.time_to_objective_ms,
-            "window_ms": self.window_ms,
-            "operator_actions": self.operator_actions,
-            "tasks_issued": self.tasks_issued,
-            "tasks_completed": self.tasks_completed,
-            "intel_items": self.intel_items,
-            "pivots_executed": self.pivots_executed,
-        }
 
 
 @dataclass
@@ -214,16 +202,14 @@ class _RunBase:
 
     def _finish(self) -> ScenarioRun:
         window = self.done_at if self.done_at is not None else self.sc.horizon_ms
-        journal = self.hub.journal
+        tasks = self.hub.tasks.values()
         metrics = RunMetrics(
             mode=self.sc.mode, seed=self.sc.seed,
             objective_met=self.done_at is not None,
             time_to_objective_ms=self.done_at, window_ms=window,
             operator_actions=self.operator_actions,
-            tasks_issued=sum(r["record_kind"] == "task_issue" for r in journal),
-            tasks_completed=sum(
-                r["record_kind"] == "task_close"
-                and r["body"]["state"] == TASK_COMPLETED for r in journal),
+            tasks_issued=len(tasks),
+            tasks_completed=sum(t.state == TASK_COMPLETED for t in tasks),
             intel_items=len(self.hub.context.items),
             pivots_executed=self.pivots)
         trace = self._trace(window)
@@ -233,10 +219,9 @@ class _RunBase:
     def _background(self) -> list[FlowRecord]:
         """Benign cover traffic spans the whole observation horizon; only
         attacker-origin flows stop when the engagement does."""
-        if self.sc.background.n_users == 0:
+        if self.sc.n_users == 0:
             return []
-        return synth_background(self.sc.background.n_users,
-                                self.sc.background.model(self.sc.horizon_ms),
+        return synth_background(self.sc.n_users, self.sc.background,
                                 self.sim.stream)
 
     def _trace(self, window: int) -> list[FlowRecord]:
@@ -385,8 +370,7 @@ class _ManualRun(_RunBase):
     def run(self) -> ScenarioRun:
         _register_all(self.sc, self.hub)
         for spec in self.sc.agents:
-            cfg = self.sc.beacon.config(src=spec.entity, dst="hub",
-                                        horizon_ms=self.sc.horizon_ms)
+            cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
             self.ticks[spec.entity] = beacon_ticks(
                 cfg, self.sim.stream(f"{spec.entity}/beacon"))
             self._schedule_tick(spec.entity)
@@ -489,8 +473,7 @@ class _ManualRun(_RunBase):
     def _trace(self, window: int) -> list[FlowRecord]:
         parts = []
         for spec in self.sc.agents:
-            cfg = self.sc.beacon.config(src=spec.entity, dst="hub",
-                                        horizon_ms=window)
+            cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
             fired = [t for t in self.fired[spec.entity] if t <= window]
             parts.append(flows_at_ticks(
                 fired, cfg, self.sim.stream(f"{spec.entity}/beacon-bytes")))

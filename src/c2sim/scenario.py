@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import Dist, ParameterError
 from .hub import HeartbeatPolicy, make_content_key
-from .traffic import BeaconConfig, ChannelProfile, WorkdayModel
+from .traffic import DST_HUB, BeaconConfig, ChannelProfile, WorkdayModel
 
 MODES = ("autonomous_swarm", "manual_baseline")
 
@@ -59,9 +60,6 @@ class Topology:
     def hosts(self, subnet: str) -> list[str]:
         return [f"{subnet}/host-{i}" for i in range(self.hosts_per_subnet)]
 
-    def host_key(self, host: str) -> str:
-        return make_content_key("host", {"name": host})
-
     def recon_yield(self, subnet: str) -> list[tuple[str, str]]:
         """(kind, name) pairs a full sweep of the subnet discovers."""
         found = [("host", h) for h in self.hosts(subnet)]
@@ -84,29 +82,12 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Timing:
-    task_duration: Dist
-    planner_turns: Dist
-    planner_turn_latency: Dist
-    event_dispatch_latency: Dist
-    manual_think_time: Dist
     heartbeat: HeartbeatPolicy
-
-
-@dataclass(frozen=True)
-class BeaconParams:
-    interval_ms: int = 60_000
-    jitter_fraction: float = 0.1
-    request_size: Dist = Dist("uniform", (580.0, 620.0))
-    response_size: Dist = Dist("uniform", (280.0, 320.0))
-    duration: Dist = Dist("uniform", (40.0, 120.0))
-
-    def config(self, src: str, dst: str, horizon_ms: int) -> BeaconConfig:
-        return BeaconConfig(interval_ms=self.interval_ms,
-                            jitter_fraction=self.jitter_fraction,
-                            horizon_ms=horizon_ms, src=src, dst=dst,
-                            request_size=self.request_size,
-                            response_size=self.response_size,
-                            duration=self.duration)
+    task_duration: Dist = Dist("lognormal", (10.9, 0.35))
+    planner_turns: Dist = Dist("uniform", (2.0, 6.0))
+    planner_turn_latency: Dist = Dist("lognormal", (9.0, 0.4))
+    event_dispatch_latency: Dist = Dist("uniform", (200.0, 1500.0))
+    manual_think_time: Dist = Dist("lognormal", (10.3, 0.4))
 
 
 @dataclass(frozen=True)
@@ -117,32 +98,6 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class BackgroundParams:
-    n_users: int = 0
-    sessions_per_day: Dist = Dist("uniform", (3.0, 7.0))
-    flows_per_session: Dist = Dist("uniform", (3.0, 12.0))
-    flow_gap: Dist = Dist("exponential", (20000.0,))
-    request_size: Dist = Dist("lognormal", (7.5, 0.9))
-    response_size: Dist = Dist("lognormal", (9.0, 1.1))
-    duration: Dist = Dist("lognormal", (7.0, 0.8))
-    workday_start_hour: int = 9
-    workday_end_hour: int = 17
-    off_hours_fraction: float = 0.1
-
-    def model(self, horizon_ms: int) -> WorkdayModel:
-        return WorkdayModel(horizon_ms=horizon_ms,
-                            sessions_per_day=self.sessions_per_day,
-                            flows_per_session=self.flows_per_session,
-                            flow_gap=self.flow_gap,
-                            request_size=self.request_size,
-                            response_size=self.response_size,
-                            duration=self.duration,
-                            workday_start_hour=self.workday_start_hour,
-                            workday_end_hour=self.workday_end_hour,
-                            off_hours_fraction=self.off_hours_fraction)
-
-
-@dataclass(frozen=True)
 class Scenario:
     seed: int
     mode: str
@@ -150,9 +105,10 @@ class Scenario:
     topology: Topology
     agents: tuple[AgentSpec, ...]
     timing: Timing
-    beacon: BeaconParams
+    beacon: BeaconConfig  # src is set per agent by the runner
     channels: ChannelParams
-    background: BackgroundParams
+    background: WorkdayModel
+    n_users: int
 
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, seed=seed)
@@ -179,22 +135,13 @@ _SECTIONS = {
                "response_size", "duration"},
     "channels": {"request_size", "response_size", "duration", "context_growth",
                  "turn_gap", "summary_response", "burst_count",
-                 "burst_interval", "burst_size", "streaming", "chaff_per_hour",
-                 "tls_profile"},
+                 "burst_interval", "burst_size", "streaming", "chaff_per_hour"},
     "background": {"n_users", "sessions_per_day", "flows_per_session",
                    "flow_gap", "request_size", "response_size", "duration",
                    "workday_start_hour", "workday_end_hour",
                    "off_hours_fraction"},
 }
 _REQUIRED_SECTIONS = ("scenario", "topology", "agents")
-
-_TIMING_DEFAULTS = {
-    "task_duration": "lognormal(10.9, 0.35)",
-    "planner_turns": "uniform(2, 6)",
-    "planner_turn_latency": "lognormal(9.0, 0.4)",
-    "event_dispatch_latency": "uniform(200, 1500)",
-    "manual_think_time": "lognormal(10.3, 0.4)",
-}
 
 
 class _Reader:
@@ -228,9 +175,9 @@ class _Reader:
                 return i
         return None
 
-    def get(self, section: str, key: str, default=None) -> str | None:
+    def get(self, section: str, key: str) -> str | None:
         if not self.cp.has_section(section) or not self.cp.has_option(section, key):
-            return default
+            return None
         return self.cp.get(section, key)
 
     def get_int(self, section: str, key: str, default: int,
@@ -260,7 +207,9 @@ class _Reader:
         try:
             value = float(raw)
         except ValueError:
-            self.fail(section, key, f"expected a number, got {raw!r}")
+            value = math.nan
+        if not math.isfinite(value):  # nan would pass every bound below
+            self.fail(section, key, f"expected a finite number, got {raw!r}")
             return default
         if lo is not None and value < lo:
             self.fail(section, key, f"must be >= {lo}, got {value}")
@@ -282,13 +231,25 @@ class _Reader:
         self.fail(section, key, f"expected true or false, got {raw!r}")
         return default
 
-    def get_dist(self, section: str, key: str, default: str) -> Dist:
-        raw = self.get(section, key, default)
+    def get_dist(self, section: str, key: str, default: Dist) -> Dist:
+        raw = self.get(section, key)
+        if raw is None:
+            return default
         try:
             return Dist.parse(raw)
         except ParameterError as exc:
             self.fail(section, key, str(exc))
-            return Dist.parse(default)
+            return default
+
+    def get_fields(self, section: str, cls, **limits: dict) -> dict:
+        """Each field of cls that the section accepts, in field order, read
+        as the type of the field's default, which is also its fallback.
+        limits[name] holds the bounds of that field's key."""
+        getters = {Dist: self.get_dist, bool: self.get_bool,
+                   int: self.get_int, float: self.get_float}
+        return {f.name: getters[type(f.default)](section, f.name, f.default,
+                                                 **limits.get(f.name, {}))
+                for f in dataclasses.fields(cls) if f.name in _SECTIONS[section]}
 
     def multiline(self, section: str, key: str) -> list[str]:
         raw = self.get(section, key)
@@ -443,8 +404,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                    for e in entities)
 
     # [timing]
-    timing_dists = {key: r.get_dist("timing", key, default)
-                    for key, default in _TIMING_DEFAULTS.items()}
+    timing_dists = r.get_fields("timing", Timing)
     hb_min = r.get_int("timing", "heartbeat_min_window_ms", 3_600_000, minimum=1)
     hb_max = r.get_int("timing", "heartbeat_max_window_ms", 172_800_000, minimum=1)
     if hb_min > hb_max:
@@ -453,49 +413,33 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         hb_min = hb_max
 
     # [beacon]
-    beacon = BeaconParams(
-        interval_ms=r.get_int("beacon", "interval_ms", 60_000, minimum=1),
-        jitter_fraction=r.get_float("beacon", "jitter_fraction", 0.1,
-                                    lo=0.0, hi=1.0, hi_open=True),
-        request_size=r.get_dist("beacon", "request_size", "uniform(580, 620)"),
-        response_size=r.get_dist("beacon", "response_size", "uniform(280, 320)"),
-        duration=r.get_dist("beacon", "duration", "uniform(40, 120)"))
+    beacon = BeaconConfig(
+        horizon_ms=horizon, src="", dst=DST_HUB,
+        **r.get_fields("beacon", BeaconConfig, interval_ms={"minimum": 1},
+                       jitter_fraction={"lo": 0.0, "hi": 1.0, "hi_open": True}))
 
     # [channels]
-    profile = ChannelProfile(
-        request_size=r.get_dist("channels", "request_size", "lognormal(7.2, 0.4)"),
-        response_size=r.get_dist("channels", "response_size", "lognormal(8.5, 0.6)"),
-        duration=r.get_dist("channels", "duration", "lognormal(6.9, 0.5)"),
-        context_growth=r.get_dist("channels", "context_growth", "lognormal(7.8, 0.7)"),
-        turn_gap=r.get_dist("channels", "turn_gap", "exponential(9000)"),
-        summary_response=r.get_dist("channels", "summary_response", "lognormal(10.4, 0.4)"),
-        burst_count=r.get_dist("channels", "burst_count", "uniform(8, 40)"),
-        burst_interval=r.get_dist("channels", "burst_interval", "lognormal(8.0, 1.2)"),
-        burst_size=r.get_dist("channels", "burst_size", "lognormal(6.5, 1.0)"),
-        tls_profile=r.get("channels", "tls_profile", "generic-tls-client"))
     channels = ChannelParams(
-        profile=profile,
-        streaming=r.get_bool("channels", "streaming", False),
-        chaff_per_hour=r.get_float("channels", "chaff_per_hour", 0.0, lo=0.0))
+        profile=ChannelProfile(**r.get_fields("channels", ChannelProfile)),
+        **r.get_fields("channels", ChannelParams, chaff_per_hour={"lo": 0.0}))
 
     # [background]
-    start_h = r.get_int("background", "workday_start_hour", 9, minimum=0, maximum=23)
-    end_h = r.get_int("background", "workday_end_hour", 17, minimum=1, maximum=24)
+    workday = r.get_fields("background", WorkdayModel,
+                           workday_start_hour={"minimum": 0, "maximum": 23},
+                           workday_end_hour={"minimum": 1, "maximum": 24},
+                           off_hours_fraction={"lo": 0.0, "hi": 1.0})
+    start_h, end_h = workday["workday_start_hour"], workday["workday_end_hour"]
     if start_h >= end_h:
         r.fail("background", "workday_start_hour",
                f"start hour {start_h} must precede end hour {end_h}")
-        start_h, end_h = 9, 17
-    background = BackgroundParams(
-        n_users=r.get_int("background", "n_users", 0, minimum=0),
-        sessions_per_day=r.get_dist("background", "sessions_per_day", "uniform(3, 7)"),
-        flows_per_session=r.get_dist("background", "flows_per_session", "uniform(3, 12)"),
-        flow_gap=r.get_dist("background", "flow_gap", "exponential(20000)"),
-        request_size=r.get_dist("background", "request_size", "lognormal(7.5, 0.9)"),
-        response_size=r.get_dist("background", "response_size", "lognormal(9.0, 1.1)"),
-        duration=r.get_dist("background", "duration", "lognormal(7.0, 0.8)"),
-        workday_start_hour=start_h, workday_end_hour=end_h,
-        off_hours_fraction=r.get_float("background", "off_hours_fraction", 0.1,
-                                       lo=0.0, hi=1.0))
+        # fall back to WorkdayModel's own hours
+        del workday["workday_start_hour"], workday["workday_end_hour"]
+    background = WorkdayModel(horizon_ms=horizon, **workday)
+    n_users = r.get_int("background", "n_users", 0, minimum=0)
+
+    topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
+                        intel=tuple(intel), pivot_edges=tuple(edges),
+                        required_keys=tuple(required))
 
     # reachability: every required item must be collectable by some agent
     # through the declared pivot chain
@@ -507,16 +451,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         while changed:
             changed = False
             for edge in edges:
-                placement = next((i.subnet for i in intel
-                                  if i.content_key == edge.credential_key), None)
                 if (edge.to_subnet not in reachable
                         and edge.from_subnet in reachable
-                        and placement in reachable):
+                        and topology.placement_subnet(edge.credential_key)
+                        in reachable):
                     reachable.add(edge.to_subnet)
                     changed = True
         for key in required:
-            spec = next((i for i in intel if i.content_key == key), None)
-            subnet = spec.subnet if spec else key.split("name=", 1)[1].split("/")[0]
+            subnet = topology.placement_subnet(key)
             if subnet not in reachable:
                 r.fail("topology", "required_intel",
                        f"{key!r} sits in {subnet!r}, which no agent can reach")
@@ -524,13 +466,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     if r.diagnostics:
         raise ScenarioError(r.diagnostics)
 
-    topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
-                        intel=tuple(intel), pivot_edges=tuple(edges),
-                        required_keys=tuple(required))
     timing = Timing(heartbeat=HeartbeatPolicy(hb_min, hb_max), **timing_dists)
     return Scenario(seed=seed, mode=mode, horizon_ms=horizon,
                     topology=topology, agents=agents, timing=timing,
-                    beacon=beacon, channels=channels, background=background)
+                    beacon=beacon, channels=channels, background=background,
+                    n_users=n_users)
 
 
 def load_scenario(path) -> Scenario:

@@ -41,6 +41,7 @@ LABELS = (LABEL_BEACON, LABEL_EVENT, LABEL_CHAFF, LABEL_BENIGN)
 
 TRACE_COLUMNS = ("ts_start_ms", "duration_ms", "src", "dst", "dst_class",
                  "bytes_init", "bytes_resp", "leg", "label")
+_COLUMN_SET = frozenset(TRACE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,11 @@ class FlowRecord:
 
 @dataclass(frozen=True)
 class BeaconConfig:
-    interval_ms: int
-    jitter_fraction: float
     horizon_ms: int
     src: str
     dst: str
+    interval_ms: int = 60_000
+    jitter_fraction: float = 0.1
     request_size: Dist = Dist("uniform", (580.0, 620.0))
     response_size: Dist = Dist("uniform", (280.0, 320.0))
     duration: Dist = Dist("uniform", (40.0, 120.0))
@@ -108,8 +109,6 @@ class ChannelProfile:
     tasking_request: Dist = Dist("lognormal", (6.9, 0.3))
     tasking_response: Dist = Dist("lognormal", (8.0, 0.5))
     tasking_duration: Dist = Dist("lognormal", (5.3, 0.4))
-    # fingerprint tag kept at profile level; trace columns stay byte counts
-    tls_profile: str = "generic-tls-client"
 
 
 @dataclass(frozen=True)
@@ -431,6 +430,9 @@ def read_trace(path) -> list[FlowRecord]:
                     values = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"malformed trace row {i}: {exc}") from exc
+                if not isinstance(values, dict) or values.keys() != _COLUMN_SET:
+                    raise ValueError(f"malformed trace row {i}: expected an "
+                                     f"object with the keys {TRACE_COLUMNS}")
                 flows.append(_parse_row(values, i))
             return flows
         reader = csv.reader(fh)
@@ -440,5 +442,10 @@ def read_trace(path) -> list[FlowRecord]:
             return []
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"malformed trace row 1: header {header!r}")
-        return [_parse_row(dict(zip(TRACE_COLUMNS, row)), i)
-                for i, row in enumerate(reader, start=2)]
+        flows = []
+        for i, row in enumerate(reader, start=2):
+            if len(row) != len(TRACE_COLUMNS):
+                raise ValueError(f"malformed trace row {i}: {len(row)} fields, "
+                                 f"expected {len(TRACE_COLUMNS)}")
+            flows.append(_parse_row(dict(zip(TRACE_COLUMNS, row)), i))
+        return flows

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from c2sim.cli import main
 from c2sim.engine import RngStream
 from c2sim.scenario import default_scenario_text
 from c2sim.traffic import (
+    TRACE_COLUMNS,
     BeaconConfig,
     WorkdayModel,
     read_trace,
@@ -56,6 +59,16 @@ def test_validate_diagnostics(tmp_path, capsys):
                  encoding="utf-8")
     assert main(["validate", str(p)]) == 1
     assert "mode" in capsys.readouterr().err
+
+
+def test_readme_scenario_example_validates(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert example is not None, "README.md has no ```ini example"
+    p = tmp_path / "readme.ini"
+    p.write_text(example.group(1), encoding="utf-8")
+    assert main(["validate", str(p)]) == 0, capsys.readouterr().err
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -184,6 +197,28 @@ def test_detect_malformed_trace(tmp_path, capsys):
     assert "malformed trace row 3" in capsys.readouterr().err
 
 
+_ROW = dict(zip(TRACE_COLUMNS, (0, 10, "a", "b", "hub", 5, 5, "tasking",
+                                "beacon_c2")))
+
+
+@pytest.mark.parametrize("fmt,second", [
+    ("csv", {**_ROW, "note": "x"}),          # a tenth field
+    ("csv", {k: _ROW[k] for k in TRACE_COLUMNS[:-1]}),  # an eighth
+    ("jsonl", {**_ROW, "note": "x"}),        # a tenth key
+])
+def test_detect_rejects_rows_of_the_wrong_shape(fmt, second, tmp_path, capsys):
+    p = tmp_path / f"bad.{fmt}"
+    if fmt == "csv":
+        rows = [TRACE_COLUMNS, _ROW.values(), second.values()]
+        text = "".join(",".join(map(str, r)) + "\n" for r in rows)
+    else:
+        text = json.dumps(_ROW) + "\n" + json.dumps(second) + "\n"
+    p.write_text(text, encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
+    row = 3 if fmt == "csv" else 2  # a CSV trace's first row is its header
+    assert f"malformed trace row {row}" in capsys.readouterr().err
+
+
 def test_compare_table(scenario_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", str(scenario_file),
@@ -254,6 +289,47 @@ capabilities =
     implant-5: z1
 """
 
+
+def _default_with(*edits: tuple[str, str]) -> str:
+    text = default_scenario_text()
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
+_MANUAL = ("mode = autonomous_swarm", "mode = manual_baseline")
+_CHAFF_USERS = (("chaff_per_hour = 0", "chaff_per_hour = 60"),
+                ("n_users = 0", "n_users = 3"))
+
+# Each case runs through defaults the scenario parser fills in: [timing] and
+# [channels] distributions, the [beacon] sizes and the [background] model.
+_PINNED_TEXT = {
+    "default-swarm": _default_with(),
+    "default-manual": _default_with(_MANUAL),
+    "pivot-chain": _PIVOT_CHAIN,
+    "chaff-users-swarm": _default_with(*_CHAFF_USERS),
+    "chaff-users-manual": _default_with(_MANUAL, *_CHAFF_USERS),
+    "streaming-overrides": _default_with(
+        ("streaming = false", "streaming = true\n"
+         "burst_interval = lognormal(7.5, 1.0)\n"
+         "request_size = lognormal(7.0, 0.3)"),
+        ("n_users = 0", "n_users = 2\n"
+         "sessions_per_day = uniform(2, 4)\n"
+         "flow_gap = exponential(15000)\n"
+         "workday_start_hour = 8\n"
+         "workday_end_hour = 18\n"
+         "off_hours_fraction = 0.3")),
+    "beacon-overrides-manual": _default_with(
+        _MANUAL,
+        ("interval_ms = 60000\njitter_fraction = 0.1",
+         "interval_ms = 45000\njitter_fraction = 0.2\n"
+         "request_size = uniform(400, 500)\n"
+         "response_size = uniform(200, 260)\n"
+         "duration = uniform(30, 90)"),
+        ("n_users = 0", "n_users = 1")),
+}
+
 # sha256 of (trace.csv, journal.ndjson, metrics.json). A change that moves
 # any of these changes what the simulator produces and must say why.
 _PINNED = {
@@ -269,16 +345,29 @@ _PINNED = {
         "8203f38ea95294c56b014283844b0fb2c9a9f5630a06ee48dc293b825a9f784f",
         "73afe8b2121b5503937ccdf1e7c53c6d4f48f351fc61f87a0dadfb7656848312",
         "392cb795a856e1821eef4349f6fb9e8df42935179b11f256b61369657020f443"),
+    "chaff-users-swarm": (
+        "e8addcfa9c0175afbae64812648b21023eb033137b74316d4498d23eb18f5a3b",
+        "1d6aeb6ad8ee1dbf96c7cf19d463d65f930ee152b022d3485dc4050145c016ca",
+        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+    "chaff-users-manual": (
+        "6af5eed5005a65167e501cd118fd1e5e87908de19ad35570f352cc8677591d19",
+        "a950b5241f78251474c438acd84d85e43f8bfa891d1e002f19aca85c4efbaaf5",
+        "6171f34670c5fbd68cfad29184ec5d67234e21f646156640d2f94783b07728ca"),
+    "streaming-overrides": (
+        "c5d8e46e928681be16a666abaf5e56ad084580f234443d0641fac6df73715606",
+        "d7721e4564a075cf0914af5af1c2755aebcf3f757e233458b248e3ca773603a6",
+        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+    "beacon-overrides-manual": (
+        "3c86b9317f65ee032d1d2eaf540c279ffbe13803a05fe83c79ee9890d67b51d1",
+        "bc76413dc63e9e0bbe43d0f9540ce22511acfaa7aa19015c726e1e859ebb2447",
+        "1ee332481f9d3b6a9421da09df5c0a80d5c0518e3e8d55f0a3a52f3c2cbfbdde"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_simulate_artifact_bytes_are_pinned(case, tmp_path):
-    text = _PIVOT_CHAIN if case == "pivot-chain" else default_scenario_text()
-    if case == "default-manual":
-        text = text.replace("mode = autonomous_swarm", "mode = manual_baseline")
     scenario = tmp_path / "scenario.ini"
-    scenario.write_text(text, encoding="utf-8")
+    scenario.write_text(_PINNED_TEXT[case], encoding="utf-8")
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(scenario),
                  "--out", str(out)]) == 0

@@ -102,8 +102,8 @@ def test_randomized_event_order_matches_sorted_time_seq():
     for _ in range(25):
         sim = Simulator(seed=0)
         seen: list[tuple[int, int]] = []
-        sim.on("background-emit", lambda ev: seen.append((ev.time, ev.seq)))
-        events = [sim.schedule(rnd.randrange(0, 500), "e", "background-emit")
+        sim.on("agent-checkin", lambda ev: seen.append((ev.time, ev.seq)))
+        events = [sim.schedule(rnd.randrange(0, 500), "e", "agent-checkin")
                   for _ in range(40)]
         sim.run_until(500)
         assert seen == sorted((e.time, e.seq) for e in events)

@@ -8,6 +8,7 @@ rests on the code under test alone.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import random
 
@@ -32,6 +33,8 @@ from c2sim.hub import (
     journal_lines,
     make_content_key,
 )
+from c2sim.orchestrate import MODE_MANUAL, run_scenario
+from c2sim.scenario import default_scenario
 
 POLICY = HeartbeatPolicy(min_window_ms=3_600_000, max_window_ms=172_800_000)
 
@@ -473,6 +476,71 @@ def test_recovery_stops_at_line_json_cannot_read(line):
     lines = journal_lines(hub.journal).splitlines(keepends=True)
     rec = Hub.recover(b"".join(lines[:3]) + line + lines[3])
     assert rec.truncated and rec.records_applied == 3
+
+
+def _lifecycle(steps):
+    """Journal of one agent and task t-1 taken through the first `steps` of
+    issue, fetch and close, all written by the live hub."""
+    hub = _hub()
+    aid = hub.register_agent("implant-1", ["a"], now=0)
+    ops = [lambda: hub.issue_task(_task("t-1", assigned=aid), now=1),
+           lambda: hub.get_tasks(aid, now=2),
+           lambda: hub.close_task("t-1", "completed", now=3)]
+    for op in ops[:steps]:
+        op()
+    return hub.journal
+
+
+# (live steps before it, record kind, body) of a record the live hub refuses
+_REFUSED = {
+    "close-to-queued": (2, "task_close", {"task_id": "t-1", "state": "queued"}),
+    "close-never-fetched": (1, "task_close",
+                            {"task_id": "t-1", "state": "completed"}),
+    "re-issue": (1, "task_issue", {
+        "task_id": "t-1", "objective_ref": "obj-1", "description": "again",
+        "requires": [], "assigned_to": None, "work_model": "", "meta": {}}),
+    "fetch-completed": (3, "fetch", {"agent_id": "agent-1",
+                                     "task_ids": ["t-1"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_recovery_stops_at_a_transition_the_live_hub_refuses(case):
+    steps, kind, body = _REFUSED[case]
+    records = _lifecycle(steps)
+    prefix = journal_lines(records)
+    bad = {"seq": len(records), "time_ms": 9, "record_kind": kind, "body": body}
+    rec = Hub.recover(prefix + journal_lines([bad]))
+    assert rec.truncated
+    assert rec.records_applied == len(records)
+    assert rec.stopped_at_byte == len(prefix)
+    assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
+
+
+@functools.cache
+def _run_journal() -> bytes:
+    sc = default_scenario().with_mode(MODE_MANUAL)
+    return journal_lines(run_scenario(sc).journal)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_recovery_of_damaged_run_journal_stops_cleanly(data):
+    blob = bytearray(_run_journal())
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=3))
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    cut = data.draw(st.integers(0, len(blob)))
+    damaged = bytes(blob[:cut])
+    rec = Hub.recover(damaged)  # must not raise
+    stop = rec.stopped_at_byte
+    assert stop == 0 or damaged[stop - 1:stop] == b"\n"
+    again = Hub.recover(damaged[:stop])
+    assert not again.truncated
+    assert again.records_applied == rec.records_applied
+    assert again.hub.state_dict() == rec.hub.state_dict()
 
 
 def test_acked_submissions_survive_any_later_crash():

@@ -58,7 +58,7 @@ def test_minimal_scenario_defaults():
     assert sc.agents[0].capabilities == frozenset({"alpha"})
     assert sc.timing.heartbeat.min_window_ms == 3_600_000
     assert sc.channels.streaming is False
-    assert sc.background.n_users == 0
+    assert sc.n_users == 0
     assert str(sc.timing.task_duration) == "lognormal(10.9, 0.35)"
 
 
@@ -196,6 +196,14 @@ def test_diagnostics_accumulate():
             .replace("count = 1", "count = 0"))
     diags = _diags(text)
     assert len(diags) == 3
+    # a bad value elsewhere must not stop the reachability check
+    text = (MINIMAL.replace("subnets = alpha", "subnets = alpha, vault")
+            .replace("@ alpha/host-0", "@ vault/host-0")
+            + "\n[timing]\ntask_duration = triangle(1, 2)\n")
+    diags = _diags(text)
+    assert len(diags) == 2
+    assert "[timing] task_duration" in diags[0]
+    assert "no agent can reach" in diags[1] and "'vault'" in diags[1]
 
 
 def test_unreachable_required_intel():
@@ -258,6 +266,18 @@ def test_bad_dist_reports_section_and_key():
     assert any("[timing] task_duration" in d for d in diags)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("beacon", "jitter_fraction", "nan"),
+    ("channels", "chaff_per_hour", "inf"),
+    ("background", "off_hours_fraction", "NaN"),
+    ("background", "off_hours_fraction", "often"),
+])
+def test_float_keys_need_a_finite_number(section, key, value):
+    diags = _diags(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+    assert diags == [f"[{section}] {key}: expected a finite number, "
+                     f"got {value!r} (line 15)"]
+
+
 def test_workday_hours_validated():
     text = MINIMAL + "\n[background]\nworkday_start_hour = 18\nworkday_end_hour = 9\n"
     assert any("must precede end hour" in d for d in _diags(text))
@@ -276,7 +296,6 @@ def test_channels_and_background_overrides():
 [channels]
 streaming = true
 chaff_per_hour = 12.5
-tls_profile = embedded-agent
 
 [background]
 n_users = 6
@@ -285,11 +304,8 @@ off_hours_fraction = 0.25
     sc = parse_scenario(text)
     assert sc.channels.streaming is True
     assert sc.channels.chaff_per_hour == 12.5
-    assert sc.channels.profile.tls_profile == "embedded-agent"
-    assert sc.background.n_users == 6
-    model = sc.background.model(86_400_000)
-    assert model.off_hours_fraction == 0.25
-    assert model.horizon_ms == 86_400_000
+    assert sc.n_users == 6
+    assert sc.background.off_hours_fraction == 0.25
 
 
 def test_unparseable_file():
