@@ -40,6 +40,8 @@ _JOURNAL_FIELDS = {"seq", "time_ms", "record_kind", "body"}
 
 # one encoder for every journal line; json.dumps(**opts) builds one per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# and one decoder: journal lines are UTF-8, so json.loads' sniffing is waste
+_decode = json.JSONDecoder().decode
 
 
 class HubError(RuntimeError):
@@ -104,6 +106,15 @@ def _eligible(task: Task, agent: AgentRecord) -> bool:
     return task.state == TASK_QUEUED and (
         task.assigned_to == agent.agent_id
         or (task.assigned_to is None and task.requires <= agent.capabilities))
+
+
+def _valid_item(kind, payload, content_key) -> bool:
+    """The intel item rule: a known kind, a non-empty payload, and the
+    content key those two determine."""
+    try:
+        return content_key == make_content_key(kind, payload)
+    except ValueError:
+        return False
 
 
 @dataclass
@@ -197,10 +208,25 @@ class Hub:
         return self._apply(rec)
 
     def _check(self, kind: str, body: dict) -> None:
-        """The task state machine, shared by live ops and replay: a task is
-        issued once, fetched only while queued and eligible for the fetching
-        agent, and closed once, from fetched, as completed or failed."""
-        if kind == "task_issue":
+        """Every rule a record must meet, shared by live ops and replay.
+
+        An agent registers once, under a new id, with some capability; a
+        task is issued once, fetched only by an agent that is not retired
+        while the task is queued and eligible for it, and closed once, from
+        fetched, as completed or failed; a submit carries only valid items;
+        a liveness mark names a known agent and a status the hub sets.
+        """
+        if kind == "register":
+            if not body["capabilities"]:
+                raise HubError("registration needs at least one capability tag")
+            if body["entity"] in self._by_entity:
+                raise DuplicateAgentError(
+                    f"entity {body['entity']!r} already registered as "
+                    f"{self._by_entity[body['entity']]}")
+            if body["agent_id"] in self.roster:
+                raise DuplicateAgentError(
+                    f"agent id {body['agent_id']!r} already registered")
+        elif kind == "task_issue":
             if body["task_id"] in self.tasks:
                 raise TaskStateError(f"task {body['task_id']!r} already issued")
             assignee = body["assigned_to"]
@@ -208,6 +234,8 @@ class Hub:
                 raise UnknownAgentError(f"assignee {assignee!r} not registered")
         elif kind == "fetch":
             agent = self._require(body["agent_id"])
+            if agent.status == AGENT_RETIRED:
+                raise RetiredAgentError(f"{agent.agent_id} is retired")
             for tid in body["task_ids"]:
                 task = self._queued.get(tid)
                 if task is None or not _eligible(task, agent):
@@ -223,6 +251,16 @@ class Hub:
             if task.state != TASK_FETCHED:
                 raise TaskStateError(f"task {task.task_id!r} is {task.state}; "
                                      "only fetched tasks close")
+        elif kind == "submit":
+            self._require(body["agent_id"])
+            for raw in body["items"]:
+                if not _valid_item(raw["kind"], raw["payload"],
+                                   raw["content_key"]):
+                    raise HubError(f"invalid intel item {raw['intel_id']!r}")
+        elif kind == "liveness_mark":
+            self._require(body["agent_id"])
+            if body["status"] not in (AGENT_POTENTIALLY_LOST, AGENT_RETIRED):
+                raise HubError(f"unknown liveness status {body['status']!r}")
 
     def _apply(self, rec: dict) -> dict:
         """Reducer shared by live ops and replay. Returns op-result info."""
@@ -297,11 +335,6 @@ class Hub:
 
     def register_agent(self, entity: str, capabilities: Iterable[str], now: int) -> str:
         caps = sorted(set(capabilities))
-        if not caps:
-            raise HubError("registration needs at least one capability tag")
-        if entity in self._by_entity:
-            raise DuplicateAgentError(
-                f"entity {entity!r} already registered as {self._by_entity[entity]}")
         agent_id = f"agent-{len(self.roster) + 1}"
         if self._streams is not None:
             u = self._streams(f"{entity}/heartbeat").unit()
@@ -327,8 +360,6 @@ class Hub:
 
     def get_tasks(self, agent_id: str, now: int) -> list[Task]:
         agent = self._require(agent_id)
-        if agent.status == AGENT_RETIRED:
-            raise RetiredAgentError(f"{agent_id} is retired")
         matched = [t for t in self._queued.values() if _eligible(t, agent)]
         self._record(now, "fetch", {
             "agent_id": agent_id, "task_ids": [t.task_id for t in matched],
@@ -342,16 +373,10 @@ class Hub:
 
     def submit_intelligence(self, agent_id: str, items: Iterable[IntelItem],
                             now: int) -> SubmitResult:
-        agent = self._require(agent_id)
         good: list[IntelItem] = []
         rejected: list[str] = []
         for item in items:
-            try:
-                ok = (item.kind in INTEL_KINDS and bool(item.payload)
-                      and item.content_key == make_content_key(item.kind, item.payload))
-            except ValueError:
-                ok = False
-            if ok:
+            if _valid_item(item.kind, item.payload, item.content_key):
                 good.append(item)
             else:
                 rejected.append(item.intel_id)
@@ -377,7 +402,6 @@ class Hub:
         return flagged
 
     def retire_agent(self, agent_id: str, now: int) -> None:
-        self._require(agent_id)
         self._record(now, "liveness_mark",
                      {"agent_id": agent_id, "status": AGENT_RETIRED})
 
@@ -419,8 +443,7 @@ class Hub:
         }
 
     @classmethod
-    def recover(cls, journal_bytes: bytes, policy: HeartbeatPolicy | None = None
-                ) -> RecoveryResult:
+    def recover(cls, journal_bytes: bytes) -> RecoveryResult:
         """Rebuild hub state from raw journal bytes.
 
         Replay stops at the last complete record: a record is complete when
@@ -430,7 +453,7 @@ class Hub:
         result reports how far replay got so a caller can see exactly what a
         crash cut off.
         """
-        hub = cls(policy or HeartbeatPolicy(1, 1))
+        hub = cls(HeartbeatPolicy(1, 1))
         offset = 0
         applied = 0
         truncated = False
@@ -439,7 +462,7 @@ class Hub:
                 truncated = True
                 break
             try:
-                rec = json.loads(raw)
+                rec = _decode(raw.decode())
             except (ValueError, RecursionError):  # not JSON or UTF-8, too deep
                 truncated = True
                 break
@@ -456,7 +479,7 @@ class Hub:
                 # body does not fit the state (a missing field, an unknown
                 # agent). A failed apply may have changed part of that state,
                 # so rebuild it from the records before this one.
-                hub = cls.recover(journal_bytes[:offset], policy).hub
+                hub = cls.recover(journal_bytes[:offset]).hub
                 truncated = True
                 break
             hub.journal.append(rec)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import Simulator
@@ -48,14 +48,31 @@ OBJECTIVE_REF = "objective-1"
 
 @dataclass(frozen=True)
 class PlannedTask:
-    """Planner output: one task the hub should issue."""
+    """One task the hub should issue, in either mode: a survey of a subnet
+    (swarm), a probe of one host (manual), or a pivot from subnet that
+    opens grants."""
 
-    kind: str  # "recon" or "pivot"
-    description: str
-    requires: frozenset[str]
-    assignee: str | None  # entity name, None leaves the task up for grabs
+    kind: str  # "recon", "probe" or "pivot"
     subnet: str
-    meta: dict = field(default_factory=dict)
+    assignee: str | None = None  # entity name, None leaves it up for grabs
+    host: str | None = None
+    grants: str | None = None
+
+    @property
+    def requires(self) -> frozenset[str]:
+        return frozenset({self.subnet})
+
+    @property
+    def meta(self) -> dict:
+        return {"grants": self.grants} if self.grants else {}
+
+    @property
+    def description(self) -> str:
+        if self.kind == "recon":
+            return f"survey {self.subnet}"
+        if self.kind == "probe":
+            return f"probe {self.host}"
+        return f"use credential to open {self.grants}"
 
 
 @dataclass
@@ -98,9 +115,13 @@ class ScenarioRun:
 
 def _least_loaded(candidates: list[AgentSpec], load: dict[str, int],
                   roster: tuple[AgentSpec, ...]) -> str:
+    """The least-loaded candidate, roster order breaking ties; its load
+    goes up by the task it is handed."""
     order = {spec.entity: i for i, spec in enumerate(roster)}
-    return min(candidates,
-               key=lambda s: (load.get(s.entity, 0), order[s.entity])).entity
+    entity = min(candidates,
+                 key=lambda s: (load.get(s.entity, 0), order[s.entity])).entity
+    load[entity] = load.get(entity, 0) + 1
+    return entity
 
 
 def decompose(topology: Topology, agents: tuple[AgentSpec, ...],
@@ -113,12 +134,9 @@ def decompose(topology: Topology, agents: tuple[AgentSpec, ...],
     planned = []
     for subnet in topology.subnets:
         capable = [a for a in agents if subnet in a.capabilities]
-        assignee = _least_loaded(capable, load, agents) if capable else None
-        if assignee is not None:
-            load[assignee] = load.get(assignee, 0) + 1
         planned.append(PlannedTask(
-            kind="recon", description=f"survey {subnet}",
-            requires=frozenset({subnet}), assignee=assignee, subnet=subnet))
+            kind="recon", subnet=subnet,
+            assignee=_least_loaded(capable, load, agents) if capable else None))
     return planned
 
 
@@ -143,20 +161,12 @@ def follow_up(topology: Topology, context_keys: set[str],
         capable = [a for a in agents if edge.from_subnet in a.capabilities]
         if not capable:
             continue
-        assignee = _least_loaded(capable, load, agents)
-        load[assignee] = load.get(assignee, 0) + 1
         issued_pivots.add(edge.credential_key)
         planned.append(PlannedTask(
-            kind="pivot",
-            description=f"use credential to open {edge.to_subnet}",
-            requires=frozenset({edge.from_subnet}), assignee=assignee,
-            subnet=edge.from_subnet, meta={"grants": edge.to_subnet}))
+            kind="pivot", subnet=edge.from_subnet,
+            assignee=_least_loaded(capable, load, agents),
+            grants=edge.to_subnet))
     return planned
-
-
-def _register_all(sc: Scenario, hub: Hub) -> None:
-    for spec in sc.agents:
-        hub.register_agent(spec.entity, sorted(spec.capabilities), 0)
 
 
 def _round_ms(x: float) -> int:
@@ -164,6 +174,12 @@ def _round_ms(x: float) -> int:
 
 
 class _RunBase:
+    """The engagement both modes share: one task record, one issue path, one
+    completion path, one run loop and one trace merge. A runner adds its
+    contact discipline: how tasks reach agents and results come back."""
+
+    work_model: str  # the Task.work_model of every task a runner issues
+
     def __init__(self, sc: Scenario, journal_path=None):
         self.sc = sc
         self.sim = Simulator(sc.seed)
@@ -173,32 +189,55 @@ class _RunBase:
         self.sessions: list[Session] = []
         self.operator_actions = 0
         self.pivots = 0
-        self._task_no = 0
-        self.task_kind: dict[str, PlannedTask] = {}
+        self.plans: dict[str, PlannedTask] = {}  # by task id, issue order
         self.required = set(sc.topology.required_keys)
 
-    def _next_task_id(self) -> str:
-        self._task_no += 1
-        return f"task-{self._task_no}"
-
-    def _check_objective(self, now: int) -> None:
-        if self.done_at is None and self.required <= self.hub.context.keys():
-            self.done_at = now
-
-    def _drain(self) -> None:
+    def run(self) -> ScenarioRun:
+        for spec in self.sc.agents:
+            self.hub.register_agent(spec.entity, sorted(spec.capabilities), 0)
+        self._start()
         horizon = self.sc.horizon_ms
         while self.done_at is None:
             nt = self.sim.next_event_time()
             if nt is None or nt > horizon:
                 break
             self.sim.run_until(nt)
+        return self._finish()
 
-    def _submit(self, agent_id: str, task_id: str,
-                found: list[tuple[str, str]], now: int) -> None:
+    def _issue(self, p: PlannedTask, now: int) -> None:
+        task_id = f"task-{len(self.plans) + 1}"
+        self.hub.issue_task(Task(
+            task_id=task_id, objective_ref=OBJECTIVE_REF,
+            description=p.description, requires=p.requires,
+            assigned_to=(self.hub.agent_id_for(p.assignee)
+                         if p.assignee is not None else None),
+            work_model=self.work_model, meta=p.meta), now)
+        self.plans[task_id] = p
+
+    def _complete(self, agent_id: str, task_id: str,
+                  now: int) -> tuple[PlannedTask, set[str]]:
+        """Submit what the task found, close it, count a pivot and check the
+        objective. Returns the plan and the content keys submitted."""
+        p = self.plans[task_id]
+        topology = self.sc.topology
+        if p.kind == "recon":
+            found = topology.recon_yield(p.subnet)
+        elif p.kind == "probe":
+            found = [("host", p.host)]
+            found += [(i.kind, i.name) for i in topology.intel
+                      if i.host == p.host]
+        else:
+            found = [("misc", f"pivot-result:{task_id}")]
         items = [IntelItem.create(f"intel-{task_id}-{i}", agent_id, kind,
                                   name=name)
                  for i, (kind, name) in enumerate(found)]
         self.hub.submit_intelligence(agent_id, items, now)
+        self.hub.close_task(task_id, TASK_COMPLETED, now)
+        if p.kind == "pivot":
+            self.pivots += 1
+        if self.done_at is None and self.required <= self.hub.context.keys():
+            self.done_at = now
+        return p, {item.content_key for item in items}
 
     def _finish(self) -> ScenarioRun:
         window = self.done_at if self.done_at is not None else self.sc.horizon_ms
@@ -216,16 +255,13 @@ class _RunBase:
         return ScenarioRun(scenario=self.sc, metrics=metrics, hub=self.hub,
                            sessions=self.sessions, trace=trace)
 
-    def _background(self) -> list[FlowRecord]:
-        """Benign cover traffic spans the whole observation horizon; only
-        attacker-origin flows stop when the engagement does."""
-        if self.sc.n_users == 0:
-            return []
-        return synth_background(self.sc.n_users, self.sc.background,
-                                self.sim.stream)
-
-    def _trace(self, window: int) -> list[FlowRecord]:
-        raise NotImplementedError
+    def _with_background(self, parts: list[list[FlowRecord]],
+                         window: int) -> list[FlowRecord]:
+        """Attacker-origin flows stop when the engagement does; benign cover
+        traffic spans the whole observation horizon."""
+        c2 = [[f for f in part if f.ts_start <= window] for part in parts]
+        return merge_traces(*c2, synth_background(
+            self.sc.n_users, self.sc.background, self.sim.stream))
 
 
 class _SwarmRun(_RunBase):
@@ -233,6 +269,8 @@ class _SwarmRun(_RunBase):
 
     def __init__(self, sc: Scenario, journal_path=None):
         super().__init__(sc, journal_path)
+        self.work_model = ("streaming" if sc.channels.streaming
+                           else "turn_based")
         self.load: dict[str, int] = {}
         self.issued_pivots: set[str] = set()
         self.busy_until: dict[str, int] = {}
@@ -241,11 +279,8 @@ class _SwarmRun(_RunBase):
         self.sim.on("agent-checkin", self._on_checkin)
         self.sim.on("task-complete", self._on_complete)
 
-    def run(self) -> ScenarioRun:
-        _register_all(self.sc, self.hub)
+    def _start(self) -> None:
         self._schedule_planner_turn(0)
-        self._drain()
-        return self._finish()
 
     def _schedule_planner_turn(self, now: int) -> None:
         gap = _round_ms(self.sim.draw("planner/turn-latency",
@@ -267,17 +302,7 @@ class _SwarmRun(_RunBase):
         planned += follow_up(self.sc.topology, self.hub.context.keys(),
                              self.issued_pivots, self.sc.agents, self.load)
         for p in planned:
-            task_id = self._next_task_id()
-            assigned = (self.hub.agent_id_for(p.assignee)
-                        if p.assignee is not None else None)
-            self.hub.issue_task(Task(
-                task_id=task_id, objective_ref=OBJECTIVE_REF,
-                description=p.description, requires=p.requires,
-                assigned_to=assigned,
-                work_model="streaming" if self.sc.channels.streaming
-                else "turn_based",
-                meta=dict(p.meta)), now)
-            self.task_kind[task_id] = p
+            self._issue(p, now)
             if p.assignee is not None:
                 self._dispatch(p.assignee, now)
         if self.done_at is None:
@@ -302,21 +327,10 @@ class _SwarmRun(_RunBase):
 
     def _on_complete(self, ev) -> None:
         now = self.sim.clock
-        entity = ev.entity
-        task_id = ev.payload
-        agent_id = self.hub.agent_id_for(entity)
-        planned = self.task_kind[task_id]
-        if planned.kind == "recon":
-            found = self.sc.topology.recon_yield(planned.subnet)
-        else:
-            found = [("misc", f"pivot-result:{task_id}")]
-        self._submit(agent_id, task_id, found, now)
-        self.hub.close_task(task_id, TASK_COMPLETED, now)
-        if planned.kind == "pivot":
-            self.pivots += 1
-        self._check_objective(now)
+        agent_id = self.hub.agent_id_for(ev.entity)
+        self._complete(agent_id, ev.payload, now)
         if self.done_at is None and self.hub.has_work_for(agent_id):
-            self._dispatch(entity, now)
+            self._dispatch(ev.entity, now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile
@@ -336,26 +350,17 @@ class _SwarmRun(_RunBase):
                 parts.append(synth_chaff(
                     model, profile, self.sim.stream(f"{spec.entity}/chaff"),
                     src=spec.entity))
-        c2 = [f for f in merge_traces(*parts) if f.ts_start <= window]
-        return merge_traces(c2, self._background())
-
-
-@dataclass(frozen=True)
-class _Action:
-    """One queued operator intent in the manual baseline."""
-
-    kind: str  # "probe" or "pivot"
-    subnet: str
-    host: str | None = None
-    grants: str | None = None
+        return self._with_background(parts, window)
 
 
 class _ManualRun(_RunBase):
     """Beacon-polling mode with a strictly sequential human operator."""
 
+    work_model = "manual"
+
     def __init__(self, sc: Scenario, journal_path=None):
         super().__init__(sc, journal_path)
-        self.queue: deque[_Action] = deque()
+        self.queue: deque[PlannedTask] = deque()
         self.queued_hosts: set[str] = set()
         self.queued_pivots: set[str] = set()
         self.ticks: dict[str, Iterator[int]] = {}
@@ -367,8 +372,7 @@ class _ManualRun(_RunBase):
         self.sim.on("agent-checkin", self._on_tick)
         self.sim.on("task-issued", self._on_issue)
 
-    def run(self) -> ScenarioRun:
-        _register_all(self.sc, self.hub)
+    def _start(self) -> None:
         for spec in self.sc.agents:
             cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
             self.ticks[spec.entity] = beacon_ticks(
@@ -381,8 +385,6 @@ class _ManualRun(_RunBase):
             if subnet in reachable:
                 self._queue_probes(subnet)
         self._think_next(0)
-        self._drain()
-        return self._finish()
 
     def _schedule_tick(self, entity: str) -> None:
         t = next(self.ticks[entity], None)
@@ -393,8 +395,8 @@ class _ManualRun(_RunBase):
         for host in self.sc.topology.hosts(subnet):
             if host not in self.queued_hosts:
                 self.queued_hosts.add(host)
-                self.queue.append(_Action(kind="probe", subnet=subnet,
-                                          host=host))
+                self.queue.append(PlannedTask(kind="probe", subnet=subnet,
+                                              host=host))
 
     def _think_next(self, now: int) -> None:
         if self.done_at is not None or self.awaiting_think or not self.queue:
@@ -406,22 +408,8 @@ class _ManualRun(_RunBase):
                           payload=self.queue.popleft())
 
     def _on_issue(self, ev) -> None:
-        now = self.sim.clock
-        action: _Action = ev.payload
         self.awaiting_think = False
-        task_id = self._next_task_id()
-        meta = {"grants": action.grants} if action.grants else {}
-        desc = (f"probe {action.host}" if action.kind == "probe"
-                else f"use credential to open {action.grants}")
-        self.hub.issue_task(Task(
-            task_id=task_id, objective_ref=OBJECTIVE_REF, description=desc,
-            requires=frozenset({action.subnet}), assigned_to=None,
-            work_model="manual", meta=meta), now)
-        self.task_kind[task_id] = PlannedTask(
-            kind=action.kind, description=desc,
-            requires=frozenset({action.subnet}), assignee=None,
-            subnet=action.subnet,
-            meta={"host": action.host, "grants": action.grants})
+        self._issue(ev.payload, self.sim.clock)
         self.operator_actions += 1
 
     def _on_tick(self, ev) -> None:
@@ -434,7 +422,7 @@ class _ManualRun(_RunBase):
                 and self.executing[2] <= now):
             _, task_id, _ = self.executing
             self.executing = None
-            self._upload(entity, agent_id, task_id, now)
+            self._upload(agent_id, task_id, now)
         # poll leg: even an empty poll is a journaled hub contact
         for task in self.hub.get_tasks(agent_id, now):
             dur = _round_ms(self.sim.draw(f"{entity}/work",
@@ -442,43 +430,29 @@ class _ManualRun(_RunBase):
             self.executing = (entity, task.task_id, now + dur)
         self._schedule_tick(entity)
 
-    def _upload(self, entity: str, agent_id: str, task_id: str,
-                now: int) -> None:
-        planned = self.task_kind[task_id]
-        if planned.kind == "probe":
-            host = planned.meta["host"]
-            found = [("host", host)]
-            found += [(i.kind, i.name) for i in self.sc.topology.intel
-                      if i.host == host]
-        else:
-            found = [("misc", f"pivot-result:{task_id}")]
-        self._submit(agent_id, task_id, found, now)
-        self.hub.close_task(task_id, TASK_COMPLETED, now)
-        if planned.kind == "pivot":
-            self.pivots += 1
-            self._queue_probes(planned.meta["grants"])
+    def _upload(self, agent_id: str, task_id: str, now: int) -> None:
+        p, keys = self._complete(agent_id, task_id, now)
+        if p.kind == "pivot":
+            self._queue_probes(p.grants)
         else:
             # operator reads the result and plans around new credentials
-            keys = {f"{kind}:name={name}" for kind, name in found}
             for edge in self.sc.topology.pivot_edges:
                 if (edge.credential_key in keys
                         and edge.credential_key not in self.queued_pivots):
                     self.queued_pivots.add(edge.credential_key)
-                    self.queue.append(_Action(
+                    self.queue.append(PlannedTask(
                         kind="pivot", subnet=edge.from_subnet,
                         grants=edge.to_subnet))
-        self._check_objective(now)
         self._think_next(now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
         parts = []
         for spec in self.sc.agents:
             cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
-            fired = [t for t in self.fired[spec.entity] if t <= window]
             parts.append(flows_at_ticks(
-                fired, cfg, self.sim.stream(f"{spec.entity}/beacon-bytes")))
-        c2 = [f for f in merge_traces(*parts) if f.ts_start <= window]
-        return merge_traces(c2, self._background())
+                self.fired[spec.entity], cfg,
+                self.sim.stream(f"{spec.entity}/beacon-bytes")))
+        return self._with_background(parts, window)
 
 
 def run_scenario(scenario: Scenario, journal_path=None) -> ScenarioRun:
@@ -500,7 +474,7 @@ class CompareResult:
     summary: dict
 
 
-def compare(scenario: Scenario, n_seeds: int, base_seed: int | None = None,
+def compare(scenario: Scenario, n_seeds: int,
             modes: tuple[str, str] = (MODE_SWARM, MODE_MANUAL)) -> CompareResult:
     """Paired runs over consecutive seeds plus a median summary row.
 
@@ -513,10 +487,9 @@ def compare(scenario: Scenario, n_seeds: int, base_seed: int | None = None,
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}")
-    start = scenario.seed if base_seed is None else base_seed
     rows = []
     for i in range(n_seeds):
-        seed = start + i
+        seed = scenario.seed + i
         run_a = run_scenario(scenario.with_seed(seed).with_mode(mode_a))
         run_b = run_scenario(scenario.with_seed(seed).with_mode(mode_b))
         ta = run_a.metrics.time_to_objective_ms

@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -42,6 +43,9 @@ LABELS = (LABEL_BEACON, LABEL_EVENT, LABEL_CHAFF, LABEL_BENIGN)
 TRACE_COLUMNS = ("ts_start_ms", "duration_ms", "src", "dst", "dst_class",
                  "bytes_init", "bytes_resp", "leg", "label")
 _COLUMN_SET = frozenset(TRACE_COLUMNS)
+# FlowRecord's field types, in TRACE_COLUMNS order
+_CELL_TYPES = (int, int, str, str, str, int, int, str, str)
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # str() of an int, nothing else
 
 
 @dataclass(frozen=True)
@@ -402,17 +406,23 @@ def write_trace(path, flows: Iterable[FlowRecord], fmt: str = "csv") -> None:
         fh.write(data)
 
 
-def _parse_row(values: dict, row_no: int) -> FlowRecord:
+def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
+    """One trace row, cells in TRACE_COLUMNS order, each of its column's type
+    exactly: an integer is the decimal text write_trace writes (CSV,
+    text=True) or a JSON integer that is not a bool (JSONL); every other
+    cell is a string."""
+    if text:
+        cells = [int(c) if kind is int and _INT_TEXT.fullmatch(c) else c
+                 for c, kind in zip(cells, _CELL_TYPES)]
+    if tuple(map(type, cells)) != _CELL_TYPES:
+        column, value, kind = next(
+            cell for cell in zip(TRACE_COLUMNS, cells, _CELL_TYPES)
+            if type(cell[1]) is not cell[2])
+        raise ValueError(f"malformed trace row {row_no}: {column} is "
+                         f"{value!r}, not {kind.__name__}")
     try:
-        return FlowRecord(
-            ts_start=int(values["ts_start_ms"]),
-            duration=int(values["duration_ms"]),
-            src=str(values["src"]), dst=str(values["dst"]),
-            dst_class=str(values["dst_class"]),
-            bytes_initiator=int(values["bytes_init"]),
-            bytes_responder=int(values["bytes_resp"]),
-            leg=str(values["leg"]), label=str(values["label"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return FlowRecord(*cells)
+    except ValueError as exc:
         raise ValueError(f"malformed trace row {row_no}: {exc}") from exc
 
 
@@ -433,7 +443,8 @@ def read_trace(path) -> list[FlowRecord]:
                 if not isinstance(values, dict) or values.keys() != _COLUMN_SET:
                     raise ValueError(f"malformed trace row {i}: expected an "
                                      f"object with the keys {TRACE_COLUMNS}")
-                flows.append(_parse_row(values, i))
+                flows.append(_parse_row([values[c] for c in TRACE_COLUMNS], i,
+                                        text=False))
             return flows
         reader = csv.reader(fh)
         try:
@@ -447,5 +458,5 @@ def read_trace(path) -> list[FlowRecord]:
             if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row {i}: {len(row)} fields, "
                                  f"expected {len(TRACE_COLUMNS)}")
-            flows.append(_parse_row(dict(zip(TRACE_COLUMNS, row)), i))
+            flows.append(_parse_row(row, i, text=True))
         return flows

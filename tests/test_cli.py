@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim.cli import main
 from c2sim.engine import RngStream
@@ -219,6 +223,103 @@ def test_detect_rejects_rows_of_the_wrong_shape(fmt, second, tmp_path, capsys):
     assert f"malformed trace row {row}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", [
+    {"ts_start_ms": 1.7, "duration_ms": True, "bytes_init": 5.9},
+    {"duration_ms": True},
+    {"bytes_resp": "5"},
+    {"src": 7},
+    {"dst": None},
+])
+def test_detect_rejects_jsonl_cells_of_the_wrong_type(cells, tmp_path, capsys):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(_ROW) + "\n" + json.dumps({**_ROW, **cells}) + "\n",
+                 encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
+    assert "malformed trace row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["07", " 7", "+7", "-0", "1_000", "\u0663"])
+def test_detect_rejects_integers_write_trace_never_writes(text, tmp_path,
+                                                          capsys):
+    p = tmp_path / "bad.csv"
+    p.write_text(",".join(TRACE_COLUMNS) + "\n" + ",".join(
+        text if k == "bytes_init" else str(v) for k, v in _ROW.items()) + "\n",
+        encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
+    assert "malformed trace row 2" in capsys.readouterr().err
+
+
+def _cell_text(value) -> str:
+    """The CSV cell csv.writer writes for value."""
+    return "" if value is None else str(value)
+
+
+_INT_FIELDS = {"ts_start_ms": "ts_start", "duration_ms": "duration",
+               "bytes_init": "bytes_initiator", "bytes_resp": "bytes_responder"}
+# cells a flow record accepts; a few names, so that channels recur
+_NAME = st.one_of(st.sampled_from(["a", "b"]), st.text())
+_NATIVE = {"ts_start_ms": st.integers(), "src": _NAME, "dst": _NAME}
+_KINDS = st.sampled_from([  # (dst_class, leg, label) as simulate writes them
+    ("hub", "tasking", "beacon_c2"), ("hub", "tasking", "event_c2"),
+    ("planner", "reasoning", "event_c2"), ("planner", "reasoning", "chaff"),
+    ("benign_service", "background", "benign")])
+_DROP = object()
+_ANY_CELL = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(),
+                      st.none())
+
+
+@st.composite
+def _fuzzed_rows(draw):
+    """Rows of cells a flow record accepts, some then damaged: a cell
+    replaced by a value of any type, a column dropped, or one added."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = {col: draw(_NATIVE.get(col, st.integers(min_value=0)))
+               for col in TRACE_COLUMNS}
+        row["dst_class"], row["leg"], row["label"] = draw(_KINDS)
+        rows.append(row)
+    for i, col, value in draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1),
+            st.sampled_from(TRACE_COLUMNS + ("note",)),
+            st.one_of(_ANY_CELL, st.just(_DROP))), max_size=2)):
+        if value is _DROP:
+            rows[i].pop(col, None)
+        else:
+            rows[i][col] = value
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=_fuzzed_rows(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_fuzzed_trace_is_read_exactly_or_rejected(rows, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / f"fuzz.{fmt}"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(TRACE_COLUMNS)
+                w.writerows(row.values() for row in rows)
+            else:
+                fh.writelines(json.dumps(row) + "\n" for row in rows)
+        try:
+            flows = read_trace(p)
+        except ValueError:
+            flows = None
+        if flows is not None:
+            assert len(flows) == len(rows)
+            for flow, row in zip(flows, rows):
+                for col in TRACE_COLUMNS:
+                    got = getattr(flow, _INT_FIELDS.get(col, col))
+                    assert type(got) is (int if col in _INT_FIELDS else str)
+                    if fmt == "csv":
+                        assert str(got) == _cell_text(row[col])
+                    else:
+                        assert type(got) is type(row[col])
+                        assert got == row[col]
+        code = main(["detect", str(p), "--out", str(Path(tmp) / "det")])
+        assert code == (1 if flows is None else 0)
+
+
 def test_compare_table(scenario_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", "--scenario", str(scenario_file),
@@ -257,6 +358,26 @@ def test_bad_usage_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "x"])  # missing --out
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["simulate", "--scenario", "{dir}", "--out", "{tmp}/run"],
+    ["detect", "{dir}", "--out", "{tmp}/det"],
+    ["simulate", "--scenario", "{scenario}", "--out", "{file}"],
+    ["detect", "{trace}", "--out", "{file}"],
+], ids=["validate-dir", "simulate-dir", "detect-dir", "simulate-out-file",
+        "detect-out-file"])
+def test_path_of_the_wrong_kind_exits_one(argv, scenario_file, tmp_path,
+                                          capsys):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("x", encoding="utf-8")
+    paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file",
+             "tmp": tmp_path, "scenario": scenario_file,
+             "trace": _mixed_trace_file(tmp_path)}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unexpected" not in err
 
 
 _PIVOT_CHAIN = """\

@@ -517,6 +517,53 @@ def test_recovery_stops_at_a_transition_the_live_hub_refuses(case):
     assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
 
 
+def _item(kind, payload, content_key):
+    return {"intel_id": "i-1", "kind": kind, "payload": payload,
+            "content_key": content_key}
+
+
+# (record kind, body) of a non-task record the live hub refuses, written
+# after agent-1 (implant-1, active) and agent-2 (implant-2, retired)
+_REFUSED_RECORDS = {
+    "register-reused-id": ("register", {
+        "entity": "implant-3", "agent_id": "agent-1", "capabilities": ["a"],
+        "window_ms": 5}),
+    "register-same-entity": ("register", {
+        "entity": "implant-1", "agent_id": "agent-3", "capabilities": ["a"],
+        "window_ms": 5}),
+    "register-no-capability": ("register", {
+        "entity": "implant-3", "agent_id": "agent-3", "capabilities": [],
+        "window_ms": 5}),
+    "liveness-bogus-status": ("liveness_mark",
+                              {"agent_id": "agent-1", "status": "bogus"}),
+    "liveness-unknown-agent": ("liveness_mark",
+                               {"agent_id": "agent-9", "status": "retired"}),
+    "submit-bogus-kind": ("submit", {"agent_id": "agent-1", "items": [
+        _item("bogus", {"name": "x"}, "bogus:name=x")]}),
+    "submit-empty-payload": ("submit", {"agent_id": "agent-1", "items": [
+        _item("host", {}, "host:")]}),
+    "submit-made-up-key": ("submit", {"agent_id": "agent-1", "items": [
+        _item("host", {"name": "x"}, "host:name=y")]}),
+    "fetch-by-retired": ("fetch", {"agent_id": "agent-2", "task_ids": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_RECORDS))
+def test_recovery_stops_at_any_record_the_live_hub_refuses(case):
+    kind, body = _REFUSED_RECORDS[case]
+    hub = _hub()
+    hub.register_agent("implant-1", ["a"], now=0)
+    hub.retire_agent(hub.register_agent("implant-2", ["a"], now=1), now=2)
+    prefix = journal_lines(hub.journal)
+    bad = {"seq": len(hub.journal), "time_ms": 9, "record_kind": kind,
+           "body": body}
+    rec = Hub.recover(prefix + journal_lines([bad]))
+    assert rec.truncated
+    assert rec.records_applied == len(hub.journal)
+    assert rec.stopped_at_byte == len(prefix)
+    assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
+
+
 @functools.cache
 def _run_journal() -> bytes:
     sc = default_scenario().with_mode(MODE_MANUAL)
