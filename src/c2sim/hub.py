@@ -10,13 +10,21 @@ agent-initiated.
 
 Journal framing: one JSON object per line with fixed fields
 {"seq": int, "time_ms": int, "record_kind": str, "body": {...}}. Record kinds:
-register, task_issue, fetch, submit, task_close, liveness_mark. The hub issues
-task_issue records itself so that queued-but-unfetched tasks survive replay.
+register, task_issue, fetch, submit, task_close, liveness_mark; _BODY_FIELDS
+names each kind's body fields and their types. The hub issues task_issue
+records itself so that queued-but-unfetched tasks survive replay.
+
+`Hub.journal` holds the records this hub instance wrote, not the records a
+recovered hub replayed: `Hub.recover` returns the rebuilt state and how far
+replay got, and the caller already holds the bytes. Replay decodes the one
+line layout the hub writes for a fetch with no task directly, and every other
+line as JSON; both go through the same framing, `_check` and `_apply`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -33,15 +41,72 @@ TASK_FAILED = "failed"
 
 INTEL_KINDS = frozenset({"host", "port", "service", "credential", "share", "misc"})
 
-RECORD_KINDS = ("register", "task_issue", "fetch", "submit", "task_close",
-                "liveness_mark")
 
-_JOURNAL_FIELDS = {"seq", "time_ms", "record_kind", "body"}
+# Journal body fields are typed exactly: a bool is not an int, and a float is
+# neither. A field's type is a type, or a test for a value no one type covers.
+def _str_or_null(value) -> bool:
+    return value is None or type(value) is str
+
+
+def _strs(value) -> bool:
+    if type(value) is not list:
+        return False
+    for v in value:
+        if type(v) is not str:
+            return False
+    return True
+
+
+def _fits(obj, fields: dict) -> bool:
+    """Whether obj is an object with exactly the named fields, each of its
+    type: as many fields as named, and each one named."""
+    if type(obj) is not dict or len(obj) != len(fields):
+        return False
+    for name, value in obj.items():
+        kind = fields.get(name)
+        if type(value) is not kind and (
+                kind is None or type(kind) is type or not kind(value)):
+            return False
+    return True
+
+
+_ITEM_FIELDS = {"intel_id": str, "kind": str, "content_key": str,
+                "payload": dict}
+
+
+def _items(value) -> bool:
+    return type(value) is list and all(_fits(v, _ITEM_FIELDS) for v in value)
+
+
+# Each record kind's body: its field names and their types.
+_BODY_FIELDS = {
+    "register": {"entity": str, "agent_id": str, "capabilities": _strs,
+                 "window_ms": int},
+    "task_issue": {"task_id": str, "objective_ref": str, "description": str,
+                   "requires": _strs, "assigned_to": _str_or_null,
+                   "work_model": str, "meta": dict},
+    "fetch": {"agent_id": str, "task_ids": _strs},
+    "submit": {"agent_id": str, "items": _items},
+    "task_close": {"task_id": str, "state": str},
+    "liveness_mark": {"agent_id": str, "status": str},
+}
+RECORD_KINDS = tuple(_BODY_FIELDS)
+
+_JOURNAL_FIELDS = frozenset({"seq", "time_ms", "record_kind", "body"})
 
 # one encoder for every journal line; json.dumps(**opts) builds one per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # and one decoder: journal lines are UTF-8, so json.loads' sniffing is waste
 _decode = json.JSONDecoder().decode
+# The line _encode writes for a fetch with no task, which is nearly every
+# record of a beacon run. Its agent id holds only characters JSON neither
+# escapes nor unescapes, and its numbers at most 19 digits, so the groups
+# read as JSON would; any other line, this layout with longer numbers among
+# them, goes to _decode.
+_EMPTY_FETCH = re.compile(
+    rb'\{"body":\{"agent_id":"([ !#-\[\]-~]*)","task_ids":\[\]\},'
+    rb'"record_kind":"fetch","seq":(0|[1-9][0-9]{0,18}),'
+    rb'"time_ms":(-?(?:0|[1-9][0-9]{0,18}))\}\n').fullmatch
 
 
 class HubError(RuntimeError):
@@ -205,17 +270,21 @@ class Hub:
             self._fh.write(_encode(rec) + "\n")
             self._fh.flush()
         self.journal.append(rec)
-        return self._apply(rec)
+        return self._apply(record_kind, rec["time_ms"], body)
 
     def _check(self, kind: str, body: dict) -> None:
         """Every rule a record must meet, shared by live ops and replay.
 
-        An agent registers once, under a new id, with some capability; a
-        task is issued once, fetched only by an agent that is not retired
-        while the task is queued and eligible for it, and closed once, from
-        fetched, as completed or failed; a submit carries only valid items;
-        a liveness mark names a known agent and a status the hub sets.
+        Every body has exactly the fields _BODY_FIELDS names, of their
+        types. An agent registers once, under a new id, with some
+        capability; a task is issued once, granting at most one capability
+        tag, fetched only by an agent that is not retired while the task is
+        queued and eligible for it, and closed once, from fetched, as
+        completed or failed; a submit carries only valid items; a liveness
+        mark names a known agent and a status the hub sets.
         """
+        if not _fits(body, _BODY_FIELDS[kind]):
+            raise HubError(f"malformed {kind} body")
         if kind == "register":
             if not body["capabilities"]:
                 raise HubError("registration needs at least one capability tag")
@@ -232,6 +301,10 @@ class Hub:
             assignee = body["assigned_to"]
             if assignee is not None and assignee not in self.roster:
                 raise UnknownAgentError(f"assignee {assignee!r} not registered")
+            grant = body["meta"].get("grants")
+            if grant is not None and type(grant) is not str:
+                raise HubError(f"task {body['task_id']!r} grants {grant!r}, "
+                               "not a capability tag")
         elif kind == "fetch":
             agent = self._require(body["agent_id"])
             if agent.status == AGENT_RETIRED:
@@ -262,11 +335,8 @@ class Hub:
             if body["status"] not in (AGENT_POTENTIALLY_LOST, AGENT_RETIRED):
                 raise HubError(f"unknown liveness status {body['status']!r}")
 
-    def _apply(self, rec: dict) -> dict:
+    def _apply(self, kind: str, t: int, body: dict) -> dict:
         """Reducer shared by live ops and replay. Returns op-result info."""
-        kind = rec["record_kind"]
-        body = rec["body"]
-        t = rec["time_ms"]
         if kind == "register":
             agent = AgentRecord(agent_id=body["agent_id"], entity=body["entity"],
                                 capabilities=set(body["capabilities"]),
@@ -448,46 +518,60 @@ class Hub:
 
         Replay stops at the last complete record: a record is complete when
         its line is newline-terminated, parses as JSON with the fixed field
-        set, continues the sequence, is a record the live hub would write
-        (see _check), and its body applies to the state built so far. The
-        result reports how far replay got so a caller can see exactly what a
-        crash cut off.
+        set, an integer seq that continues the sequence and an integer
+        time_ms, is a record the live hub would write (see _check), and its
+        body applies to the state built so far. The result reports how far
+        replay got so a caller can see exactly what a crash cut off; the
+        rebuilt hub's journal stays empty.
         """
         hub = cls(HeartbeatPolicy(1, 1))
         offset = 0
         applied = 0
         truncated = False
         for raw in journal_bytes.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
+            rec = _frame(raw)
+            if rec is None or rec[0] != applied:
                 truncated = True
                 break
+            _, t, kind, body = rec
             try:
-                rec = _decode(raw.decode())
-            except (ValueError, RecursionError):  # not JSON or UTF-8, too deep
-                truncated = True
-                break
-            if (not isinstance(rec, dict) or set(rec) != _JOURNAL_FIELDS
-                    or rec["seq"] != applied
-                    or rec["record_kind"] not in RECORD_KINDS):
-                truncated = True
-                break
-            try:
-                hub._check(rec["record_kind"], rec["body"])
-                hub._apply(rec)
+                hub._check(kind, body)
+                hub._apply(kind, t, body)
             except (HubError, KeyError, TypeError, ValueError):
                 # A well-framed record the live hub would refuse, or whose
-                # body does not fit the state (a missing field, an unknown
-                # agent). A failed apply may have changed part of that state,
-                # so rebuild it from the records before this one.
+                # body does not fit the state (an unknown agent). A failed
+                # apply may have changed part of that state, so rebuild it
+                # from the records before this one.
                 hub = cls.recover(journal_bytes[:offset]).hub
                 truncated = True
                 break
-            hub.journal.append(rec)
             applied += 1
             offset += len(raw)
         hub._seq = applied
         return RecoveryResult(hub=hub, records_applied=applied,
                               stopped_at_byte=offset, truncated=truncated)
+
+
+def _frame(raw: bytes) -> tuple | None:
+    """(seq, time_ms, record_kind, body) of one journal line, or None when
+    the line is not a whole record of the journal's framing."""
+    fetch = _EMPTY_FETCH(raw)
+    if fetch is not None:
+        agent_id, seq, t = fetch.groups()
+        return int(seq), int(t), "fetch", {"agent_id": agent_id.decode(),
+                                          "task_ids": []}
+    if not raw.endswith(b"\n"):
+        return None
+    try:
+        rec = _decode(raw.decode())
+    except (ValueError, RecursionError):  # not JSON or UTF-8, too deep
+        return None
+    if type(rec) is not dict or rec.keys() != _JOURNAL_FIELDS:
+        return None
+    seq, t, kind = rec["seq"], rec["time_ms"], rec["record_kind"]
+    if type(seq) is not int or type(t) is not int or kind not in RECORD_KINDS:
+        return None
+    return seq, t, kind, rec["body"]
 
 
 def journal_lines(records: list[dict]) -> bytes:

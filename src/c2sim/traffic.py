@@ -409,8 +409,8 @@ def write_trace(path, flows: Iterable[FlowRecord], fmt: str = "csv") -> None:
 def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
     """One trace row, cells in TRACE_COLUMNS order, each of its column's type
     exactly: an integer is the decimal text write_trace writes (CSV,
-    text=True) or a JSON integer that is not a bool (JSONL); every other
-    cell is a string."""
+    text=True) or a JSON integer that is not a bool (JSONL), in int64 range,
+    and the flow's end time is too; every other cell is a string."""
     if text:
         cells = [int(c) if kind is int and _INT_TEXT.fullmatch(c) else c
                  for c, kind in zip(cells, _CELL_TYPES)]
@@ -420,6 +420,11 @@ def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
             if type(cell[1]) is not cell[2])
         raise ValueError(f"malformed trace row {row_no}: {column} is "
                          f"{value!r}, not {kind.__name__}")
+    # the detector holds times and sizes in int64 arrays
+    ints = (cells[0], cells[1], cells[5], cells[6], cells[0] + cells[1])
+    if min(ints) < -2**63 or max(ints) >= 2**63:
+        raise ValueError(f"malformed trace row {row_no}: an integer cell or "
+                         "ts_start_ms + duration_ms is outside the int64 range")
     try:
         return FlowRecord(*cells)
     except ValueError as exc:

@@ -249,6 +249,27 @@ def test_detect_rejects_integers_write_trace_never_writes(text, tmp_path,
     assert "malformed trace row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("cells", [
+    {"ts_start_ms": 2**70}, {"ts_start_ms": 2**63}, {"duration_ms": 2**63},
+    {"bytes_init": 2**64}, {"bytes_resp": 2**63}, {"ts_start_ms": -2**63 - 1},
+    {"ts_start_ms": 2**63 - 1, "duration_ms": 1},  # ends at 2**63
+])
+def test_detect_rejects_integers_outside_int64(fmt, cells, tmp_path, capsys):
+    p = tmp_path / f"big.{fmt}"
+    rows = [_ROW, {**_ROW, **cells}]
+    if fmt == "csv":
+        p.write_text("".join(",".join(map(str, r)) + "\n"
+                             for r in [TRACE_COLUMNS, *map(dict.values, rows)]),
+                     encoding="utf-8")
+    else:
+        p.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                     encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
+    row = 3 if fmt == "csv" else 2  # a CSV trace's first row is its header
+    assert f"malformed trace row {row}" in capsys.readouterr().err
+
+
 def _cell_text(value) -> str:
     """The CSV cell csv.writer writes for value."""
     return "" if value is None else str(value)

@@ -25,6 +25,7 @@ from c2sim.hub import (
     Hub,
     HubError,
     IntelItem,
+    RECORD_KINDS,
     TASK_FETCHED,
     RetiredAgentError,
     Task,
@@ -501,6 +502,8 @@ _REFUSED = {
         "requires": [], "assigned_to": None, "work_model": "", "meta": {}}),
     "fetch-completed": (3, "fetch", {"agent_id": "agent-1",
                                      "task_ids": ["t-1"]}),
+    "close-extra-field": (2, "task_close", {"task_id": "t-1",
+                                            "state": "completed", "note": "x"}),
 }
 
 
@@ -522,8 +525,11 @@ def _item(kind, payload, content_key):
             "content_key": content_key}
 
 
-# (record kind, body) of a non-task record the live hub refuses, written
-# after agent-1 (implant-1, active) and agent-2 (implant-2, retired)
+_ISSUE = {"task_id": "t-1", "objective_ref": "obj-1", "description": "d",
+          "requires": ["a"], "assigned_to": None, "work_model": "", "meta": {}}
+
+# (record kind, body) of a record the live hub refuses, written after agent-1
+# (implant-1, active) and agent-2 (implant-2, retired)
 _REFUSED_RECORDS = {
     "register-reused-id": ("register", {
         "entity": "implant-3", "agent_id": "agent-1", "capabilities": ["a"],
@@ -545,6 +551,26 @@ _REFUSED_RECORDS = {
     "submit-made-up-key": ("submit", {"agent_id": "agent-1", "items": [
         _item("host", {"name": "x"}, "host:name=y")]}),
     "fetch-by-retired": ("fetch", {"agent_id": "agent-2", "task_ids": []}),
+    # one field of the wrong type, or a field too many
+    "type-register-capabilities": ("register", {
+        "entity": "implant-3", "agent_id": "agent-3", "capabilities": "ab",
+        "window_ms": 5}),
+    "type-register-window": ("register", {
+        "entity": "implant-3", "agent_id": "agent-3", "capabilities": ["a"],
+        "window_ms": "soon"}),
+    "type-register-capability": ("register", {
+        "entity": "implant-3", "agent_id": "agent-3", "capabilities": [1],
+        "window_ms": 5}),
+    "type-register-window-bool": ("register", {
+        "entity": "implant-3", "agent_id": "agent-3", "capabilities": ["a"],
+        "window_ms": True}),
+    "type-issue-description": ("task_issue", {**_ISSUE, "description": None}),
+    "type-issue-requires": ("task_issue", {**_ISSUE, "requires": "ab"}),
+    "type-issue-work-model": ("task_issue", {**_ISSUE, "work_model": []}),
+    "type-issue-extra-field": ("task_issue", {**_ISSUE, "note": "x"}),
+    "type-issue-grants": ("task_issue", {**_ISSUE, "meta": {"grants": 5}}),
+    "type-submit-intel-id": ("submit", {"agent_id": "agent-1", "items": [
+        {**_item("host", {"name": "x"}, "host:name=x"), "intel_id": 1}]}),
 }
 
 
@@ -588,6 +614,138 @@ def test_recovery_of_damaged_run_journal_stops_cleanly(data):
     assert not again.truncated
     assert again.records_applied == rec.records_applied
     assert again.hub.state_dict() == rec.hub.state_dict()
+    assert _outcome(rec) == _reference_recover(damaged)
+
+
+def _reference_recover(blob: bytes) -> tuple:
+    """Replay with every line read by the JSON decoder: the slow reference
+    for Hub.recover's direct read of the empty fetch layout. Returns what
+    _outcome does."""
+    hub = Hub(HeartbeatPolicy(1, 1))
+    applied = offset = 0
+    for raw in blob.splitlines(keepends=True):
+        try:
+            rec = json.loads(raw.decode()) if raw.endswith(b"\n") else None
+        except (ValueError, RecursionError):
+            rec = None
+        if (not isinstance(rec, dict)
+                or set(rec) != {"seq", "time_ms", "record_kind", "body"}
+                or type(rec["seq"]) is not int or rec["seq"] != applied
+                or type(rec["time_ms"]) is not int
+                or rec["record_kind"] not in RECORD_KINDS):
+            return applied, offset, True, hub.state_dict()
+        try:
+            hub._check(rec["record_kind"], rec["body"])
+            hub._apply(rec["record_kind"], rec["time_ms"], rec["body"])
+        except (HubError, KeyError, TypeError, ValueError):
+            return applied, offset, True, _reference_recover(blob[:offset])[3]
+        applied += 1
+        offset += len(raw)
+    return applied, offset, False, hub.state_dict()
+
+
+def _outcome(rec) -> tuple:
+    return (rec.records_applied, rec.stopped_at_byte, rec.truncated,
+            rec.hub.state_dict())
+
+
+def test_recovery_matches_reference_at_every_boundary_clean_and_torn():
+    blob = _run_journal()
+    lines = blob.splitlines(keepends=True)
+    assert sum(b'"task_ids":[]' in line for line in lines) > len(lines) // 2
+    cut = 0
+    for line in lines:
+        for prefix in (blob[:cut], blob[:cut] + line[:len(line) // 2]):
+            assert _outcome(Hub.recover(prefix)) == _reference_recover(prefix)
+        cut += len(line)
+    assert _outcome(Hub.recover(blob)) == _reference_recover(blob)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seq", True), ("seq", 1.0), ("time_ms", 1.5), ("time_ms", "late"),
+    ("time_ms", True), ("time_ms", None),
+])
+def test_recovery_stops_at_seq_or_time_that_is_not_an_integer(field, value):
+    hub = _hub()
+    hub.register_agent("implant-1", ["a"], now=0)
+    prefix = journal_lines(hub.journal)
+    bad = {"seq": 1, "time_ms": 7, "record_kind": "fetch",
+           "body": {"agent_id": "agent-1", "task_ids": []}, field: value}
+    rec = Hub.recover(prefix + journal_lines([bad]))
+    assert rec.truncated
+    assert rec.records_applied == 1
+    assert rec.stopped_at_byte == len(prefix)
+
+
+def test_recovery_stops_at_the_first_body_of_the_wrong_type():
+    records = [
+        {"seq": 0, "time_ms": 0, "record_kind": "register", "body": {
+            "entity": "implant-1", "agent_id": "agent-1", "capabilities": "ab",
+            "window_ms": "soon"}},
+        {"seq": 1, "time_ms": 1, "record_kind": "task_issue", "body": {
+            **_ISSUE, "requires": "ab", "description": None,
+            "work_model": []}},
+        {"seq": 2, "time_ms": "late", "record_kind": "fetch",
+         "body": {"agent_id": "agent-1", "task_ids": ["t-1"]}},
+    ]
+    rec = Hub.recover(journal_lines(records))
+    assert (rec.truncated, rec.records_applied, rec.stopped_at_byte) == (
+        True, 0, 0)
+    assert rec.hub.state_dict() == Hub(POLICY).state_dict()
+
+
+def test_recovered_hub_keeps_no_records_and_continues_the_sequence():
+    blob = journal_lines(_scripted_hub().journal)
+    rec = Hub.recover(blob)
+    assert rec.hub.journal == []
+    rec.hub.get_tasks("agent-1", now=600)
+    assert [r["seq"] for r in rec.hub.journal] == [rec.records_applied]
+    again = Hub.recover(blob + journal_lines(rec.hub.journal))
+    assert not again.truncated
+    assert again.records_applied == rec.records_applied + 1
+
+
+def _number(draw, n: int) -> str:
+    """The text of n, or of a number JSON reads differently or not at all."""
+    if draw(st.integers(0, 3)):
+        return str(n)
+    return draw(st.sampled_from([
+        f"0{n}", "-0", str(-n), f"{n}.0", "true", "false", "null",
+        "1" + "0" * 19, "9" * 4301]))
+
+
+@st.composite
+def _fetch_journals(draw):
+    """An agent registered under arbitrary text, an open task, then fetch
+    lines in the hub's layout built by hand: the agent id raw or escaped,
+    numbers as _number draws them, and task lists empty or not."""
+    agent = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                         max_size=6)
+                 | st.text(st.characters(max_codepoint=127), max_size=6)
+                 | st.text(max_size=6))
+    blob = journal_lines([
+        {"seq": 0, "time_ms": 0, "record_kind": "register", "body": {
+            "entity": "implant-1", "agent_id": agent, "capabilities": ["a"],
+            "window_ms": 5}},
+        {"seq": 1, "time_ms": 0, "record_kind": "task_issue",
+         "body": _ISSUE},
+    ])
+    for seq in range(2, draw(st.integers(3, 6))):
+        text = draw(st.sampled_from([
+            json.dumps(agent)[1:-1], json.dumps(agent, ensure_ascii=False)[1:-1],
+            agent]))
+        task_ids = draw(st.sampled_from(["", "", '"t-1"', " "]))
+        blob += ('{"body":{"agent_id":"%s","task_ids":[%s]},"record_kind":'
+                 '"fetch","seq":%s,"time_ms":%s}\n' % (
+                     text, task_ids, _number(draw, seq),
+                     _number(draw, 10 * seq))).encode()
+    return blob
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(blob=_fetch_journals())
+def test_recovery_of_hand_built_fetch_lines_matches_reference(blob):
+    assert _outcome(Hub.recover(blob)) == _reference_recover(blob)
 
 
 def test_acked_submissions_survive_any_later_crash():
