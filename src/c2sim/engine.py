@@ -39,7 +39,7 @@ class ParameterError(ValueError):
     """Raised for invalid distribution names or parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """One scheduled occurrence. The queue orders events by (time, seq)."""
 
@@ -176,6 +176,10 @@ class Simulator:
         if kind not in EVENT_KINDS:
             raise ParameterError(f"unknown event kind {kind!r}")
         self._handlers[kind] = handler
+
+    def drop_handlers(self) -> None:
+        """Forget every handler, and with them whatever they hold."""
+        self._handlers.clear()
 
     def schedule(self, time: SimTime, entity: str, kind: str, payload=None) -> SimEvent:
         """Queue an event; returns it as the acknowledgment."""

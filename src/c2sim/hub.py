@@ -14,11 +14,15 @@ register, task_issue, fetch, submit, task_close, liveness_mark; _BODY_FIELDS
 names each kind's body fields and their types. The hub issues task_issue
 records itself so that queued-but-unfetched tasks survive replay.
 
-`Hub.journal` holds the records this hub instance wrote, not the records a
-recovered hub replayed: `Hub.recover` returns the rebuilt state and how far
-replay got, and the caller already holds the bytes. Replay decodes the one
-line layout the hub writes for a fetch with no task directly, and every other
-line as JSON; both go through the same framing, `_check` and `_apply`.
+The hub keeps each journal line it writes as text, and `Hub.journal` decodes
+the lines this hub instance wrote, not the records a recovered hub replayed:
+`Hub.recover` returns the rebuilt state and how far replay got, and the
+caller already holds the bytes. A fetch line, nearly every line of a beacon
+run, is written by one template (`_fetch_line`) that gives the bytes the
+journal encoder gives; every other record is encoded as JSON. Replay decodes
+the one line layout the hub writes for a fetch with no task directly, and
+every other line as JSON; both go through the same framing, `_check` and
+`_apply`.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ _JOURNAL_FIELDS = frozenset({"seq", "time_ms", "record_kind", "body"})
 
 # one encoder for every journal line; json.dumps(**opts) builds one per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the string escape _encode applies (ensure_ascii is on)
+_json_str = json.encoder.encode_basestring_ascii
 # and one decoder: journal lines are UTF-8, so json.loads' sniffing is waste
 _decode = json.JSONDecoder().decode
 # The line _encode writes for a fetch with no task, which is nearly every
@@ -107,6 +113,17 @@ _EMPTY_FETCH = re.compile(
     rb'\{"body":\{"agent_id":"([ !#-\[\]-~]*)","task_ids":\[\]\},'
     rb'"record_kind":"fetch","seq":(0|[1-9][0-9]{0,18}),'
     rb'"time_ms":(-?(?:0|[1-9][0-9]{0,18}))\}\n').fullmatch
+
+
+def _fetch_line(seq: int, time_ms: int, body: dict) -> str:
+    """The journal line of a fetch record: _encode's bytes for it, by one
+    template. Keys in sorted order, strings escaped as _encode escapes them,
+    integers written by str(). _encode is the reference it is tested
+    against."""
+    task_ids = ",".join(map(_json_str, body["task_ids"]))
+    return (f'{{"body":{{"agent_id":{_json_str(body["agent_id"])},'
+            f'"task_ids":[{task_ids}]}},"record_kind":"fetch",'
+            f'"seq":{seq!s},"time_ms":{time_ms!s}}}\n')
 
 
 class HubError(RuntimeError):
@@ -247,7 +264,9 @@ class Hub:
         # queued tasks in issue order, kept by _apply so replay rebuilds it
         self._queued: dict[str, Task] = {}
         self.context = SharedContext()
-        self.journal: list[dict] = []
+        # the journal lines this instance wrote: str is not tracked by the
+        # cyclic GC, and takes about half the memory of the record dicts
+        self._lines: list[str] = []
         self._by_entity: dict[str, str] = {}
         self._streams = streams
         self._seq = 0
@@ -258,19 +277,28 @@ class Hub:
             self._fh.close()
             self._fh = None
 
+    @property
+    def journal(self) -> list[dict]:
+        """The records this hub instance wrote, decoded from its lines."""
+        return [_decode(line) for line in self._lines]
+
     # -- journaling --------------------------------------------------------
 
     def _record(self, time_ms: int, record_kind: str, body: dict) -> dict:
         self._check(record_kind, body)
-        rec = {"seq": self._seq, "time_ms": int(time_ms),
-               "record_kind": record_kind, "body": body}
+        t = int(time_ms)
+        if record_kind == "fetch":
+            line = _fetch_line(self._seq, t, body)
+        else:
+            line = _encode({"seq": self._seq, "time_ms": t,
+                            "record_kind": record_kind, "body": body}) + "\n"
         self._seq += 1
         # durability before acknowledgment: persist, then mutate
         if self._fh:
-            self._fh.write(_encode(rec) + "\n")
+            self._fh.write(line)
             self._fh.flush()
-        self.journal.append(rec)
-        return self._apply(record_kind, rec["time_ms"], body)
+        self._lines.append(line)
+        return self._apply(record_kind, t, body)
 
     def _check(self, kind: str, body: dict) -> None:
         """Every rule a record must meet, shared by live ops and replay.

@@ -464,6 +464,10 @@ def run_scenario(scenario: Scenario, journal_path=None) -> ScenarioRun:
         return runner.run()
     finally:
         runner.hub.close()  # also when a handler raises mid-run
+        # The handlers are the runner's bound methods and the hub holds the
+        # simulator's streams, so runner, simulator and hub form a cycle;
+        # broken here, reference counting frees the hub with the run.
+        runner.sim.drop_handlers()
 
 
 @dataclass

@@ -48,7 +48,7 @@ _CELL_TYPES = (int, int, str, str, str, int, int, str, str)
 _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # str() of an int, nothing else
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
     ts_start: int
     duration: int

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from c2sim.cli import main
 from c2sim.engine import RngStream
-from c2sim.scenario import default_scenario_text
+from c2sim.hub import journal_lines
+from c2sim.orchestrate import run_scenario
+from c2sim.scenario import default_scenario_text, parse_scenario
 from c2sim.traffic import (
     TRACE_COLUMNS,
     BeaconConfig,
@@ -516,3 +518,23 @@ def test_simulate_artifact_bytes_are_pinned(case, tmp_path):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("trace.csv", "journal.ndjson", "metrics.json"))
     assert got == _PINNED[case]
+
+
+@pytest.mark.parametrize("case", ["default-swarm", "default-manual",
+                                  "pivot-chain"])
+def test_simulate_journal_is_the_runs_decoded_records(case, tmp_path):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(_PINNED_TEXT[case], encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 0
+    written = (out / "journal.ndjson").read_bytes()
+    sc = parse_scenario(_PINNED_TEXT[case])
+    run = run_scenario(sc)  # a hub that writes no journal file
+    assert written == journal_lines(run.journal)
+    assert run.journal == [json.loads(line) for line in written.splitlines()]
+    filed = run_scenario(sc, journal_path=tmp_path / "journal.ndjson")
+    assert filed.journal == run.journal
+    if case == "pivot-chain":  # fetches that carry tasks, not only polls
+        assert any(r["body"]["task_ids"] for r in run.journal
+                   if r["record_kind"] == "fetch")

@@ -6,6 +6,7 @@ are deterministic; expected values come from closed-form moments.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -209,4 +210,15 @@ def test_dist_round_trips_through_str():
 def test_event_is_immutable_record():
     ev = SimEvent(time=5, seq=0, entity="x", kind="planner-turn")
     with pytest.raises(Exception):
+        ev.time = 6  # type: ignore[misc]
+
+
+def test_event_is_a_slotted_value_record():
+    ev = SimEvent(time=5, seq=0, entity="x", kind="planner-turn", payload="p")
+    twin = SimEvent(time=5, seq=0, entity="x", kind="planner-turn", payload="p")
+    assert ev == twin and hash(ev) == hash(twin)
+    assert ev != SimEvent(time=5, seq=1, entity="x", kind="planner-turn",
+                          payload="p")
+    assert not hasattr(ev, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
         ev.time = 6  # type: ignore[misc]

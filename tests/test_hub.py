@@ -31,6 +31,8 @@ from c2sim.hub import (
     Task,
     TaskStateError,
     UnknownAgentError,
+    _encode,
+    _fetch_line,
     journal_lines,
     make_content_key,
 )
@@ -348,6 +350,33 @@ def test_journal_file_matches_in_memory_records(tmp_path):
     hub = _scripted_hub(path=path)
     hub.close()
     assert path.read_bytes() == journal_lines(hub.journal)
+
+
+# Journal text: arbitrary code points, lone surrogates included, and a mix
+# weighted to what JSON escapes (quotes, backslashes, controls) or writes as
+# \u escapes under ensure_ascii (non-ASCII, astral, U+2028, surrogates).
+_JOURNAL_TEXT = (
+    st.text(st.characters(exclude_categories=()), max_size=8)
+    | st.text(st.sampled_from('"\\/\x00\x08\n\x1f\x7f a-1\u00e9\u2028\u20ac'
+                              '\U0001f600\ud800\udbff\udc00\udfff'),
+              max_size=8))
+# zero, negatives, the int64 edges and one past, 19 and 20 digits, and more
+_JOURNAL_INTS = (
+    st.sampled_from([0, -1, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**18,
+                     10**19 - 1, -(10**19 - 1), 10**19, 10**20 - 1,
+                     -(10**20 - 1)])
+    | st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(agent_id=_JOURNAL_TEXT, task_ids=st.lists(_JOURNAL_TEXT, max_size=3),
+       seq=_JOURNAL_INTS, time_ms=_JOURNAL_INTS)
+def test_fetch_template_writes_the_line_the_encoder_writes(agent_id, task_ids,
+                                                           seq, time_ms):
+    body = {"agent_id": agent_id, "task_ids": task_ids}
+    rec = {"seq": seq, "time_ms": time_ms, "record_kind": "fetch",
+           "body": body}
+    assert _fetch_line(seq, time_ms, body) == _encode(rec) + "\n"
 
 
 def test_full_replay_reproduces_state_exactly():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from c2sim import orchestrate
@@ -312,3 +315,15 @@ def test_journal_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
         run_scenario(default_scenario(), journal_path=tmp_path / "j.ndjson")
     assert len(handles) == 1 and handles[0].closed
     assert (tmp_path / "j.ndjson").read_bytes()  # records before the failure
+
+
+@pytest.mark.parametrize("mode", [MODE_SWARM, MODE_MANUAL])
+def test_finished_run_frees_its_hub_without_a_cyclic_collection(mode):
+    gc.disable()
+    try:
+        run = run_scenario(default_scenario().with_mode(mode))
+        hub = weakref.ref(run.hub)
+        del run
+        assert hub() is None
+    finally:
+        gc.enable()

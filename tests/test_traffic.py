@@ -6,6 +6,7 @@ universally over randomized configurations, not just on examples.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 
@@ -43,6 +44,15 @@ def _flow(ts=0, src="a", dst="hub", **kw):
                 label="event_c2")
     base.update(kw)
     return FlowRecord(**base)
+
+
+def test_flow_record_is_a_slotted_value_record():
+    flow = _flow(ts=7)
+    assert flow == _flow(ts=7) and hash(flow) == hash(_flow(ts=7))
+    assert flow != _flow(ts=8)
+    assert not hasattr(flow, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flow.ts_start = 8  # type: ignore[misc]
 
 
 # -- beacons -------------------------------------------------------------------
