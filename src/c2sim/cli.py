@@ -76,12 +76,7 @@ def _scenario_input(path: Path) -> dict:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for diag in exc.diagnostics:
-            print(diag, file=sys.stderr)
-        return 1
+    load_scenario(args.scenario)
     print(f"{args.scenario}: OK")
     return 0
 

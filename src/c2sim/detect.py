@@ -19,6 +19,12 @@ band size: an exact sparse method over event positions or an FFT of the
 dense series. The two agree to rounding, so the choice changes the cost,
 not the scores.
 
+The detector's settings are fixed: one-second bins, a lag band of 10 to
+4096 bins (periods of 10 s to about 68 min), an ACF peak floor of 0.1 for
+asserting a period, a periodogram null scale of 8, and the weights 0.35
+regularity, 0.25 ACF, 0.25 periodogram and 0.15 size. The flagging threshold
+(DetectorConfig, `c2sim detect --threshold`) is the only one a user sets.
+
 Channels with fewer than three distinct arrivals are reported as
 insufficient data, never scored, and count as not-flagged in the confusion
 summary. AUC is computed with integer trapezoid arithmetic so it equals the
@@ -31,7 +37,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -40,27 +46,23 @@ from .traffic import LABEL_BEACON, LABEL_CHAFF, LABEL_EVENT, FlowRecord
 
 _EULER = 0.5772156649015329
 
+# The detector's fixed settings, as the module docstring lists them
+BIN_MS = 1000
+MIN_LAG_BINS = 10
+MAX_LAG_BINS = 4096
+ACF_PERIOD_FLOOR = 0.1
+PGRAM_NULL_SCALE = 8.0
+WEIGHTS = {"regularity": 0.35, "acf": 0.25, "periodogram": 0.25, "size": 0.15}
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    bin_ms: int = 1000
-    min_lag_bins: int = 10
-    max_lag_bins: int = 4096
-    acf_period_floor: float = 0.1
-    pgram_null_scale: float = 8.0
     # Midpoint of the empirical score gap: on a day-long mixed corpus,
     # jittered beacons combine to >= 0.55 while workday browsing channels
     # top out near 0.45.
     threshold: float = 0.5
-    weights: dict = field(default_factory=lambda: {
-        "regularity": 0.35, "acf": 0.25, "periodogram": 0.25, "size": 0.15,
-    })
 
     def __post_init__(self):
-        if self.bin_ms <= 0 or self.max_lag_bins <= 0:
-            raise ValueError("bin_ms and max_lag_bins must be positive")
-        if not (1 <= self.min_lag_bins <= self.max_lag_bins):
-            raise ValueError("need 1 <= min_lag_bins <= max_lag_bins")
         if not (0.0 <= self.threshold <= 1.0):
             raise ValueError("threshold must be in [0, 1]")
 
@@ -244,8 +246,9 @@ def _autocov(bins: np.ndarray, counts: np.ndarray, n: int,
 
 
 def acf_period(series: ChannelSeries, bin_ms: int, max_lag_bins: int,
-               min_lag_bins: int = 10,
-               period_floor: float = 0.1) -> tuple[float, int | None]:
+               min_lag_bins: int = MIN_LAG_BINS,
+               period_floor: float = ACF_PERIOD_FLOOR
+               ) -> tuple[float, int | None]:
     """Peak normalized autocorrelation over lags [min_lag, max_lag].
 
     Counts are binned from the first arrival and demeaned; the peak height is
@@ -323,8 +326,8 @@ def _band_power(bins: np.ndarray, counts: np.ndarray, n: int,
 
 
 def periodogram_strength(series: ChannelSeries, bin_ms: int,
-                         max_lag_bins: int, min_lag_bins: int = 10,
-                         null_scale: float = 8.0) -> float:
+                         max_lag_bins: int, min_lag_bins: int = MIN_LAG_BINS,
+                         null_scale: float = PGRAM_NULL_SCALE) -> float:
     """Spectral-line dominance within the period band, mapped to [0, 1].
 
     The statistic is the largest single-bin share of in-band spectral energy
@@ -377,19 +380,16 @@ def combine(components: dict[str, float | None], weights: dict[str, float]) -> f
     return acc / total_w
 
 
-def score_channel(series: ChannelSeries,
-                  config: DetectorConfig = DetectorConfig()) -> BeaconScore | None:
+def score_channel(series: ChannelSeries) -> BeaconScore | None:
     """Score one channel; None means insufficient data (< 3 distinct arrivals)."""
     if len(series.arrivals) < 3:
         return None
     reg = interval_regularity(series)
-    acf, period = acf_period(series, config.bin_ms, config.max_lag_bins,
-                             config.min_lag_bins, config.acf_period_floor)
-    pg = periodogram_strength(series, config.bin_ms, config.max_lag_bins,
-                              config.min_lag_bins, config.pgram_null_scale)
+    acf, period = acf_period(series, BIN_MS, MAX_LAG_BINS)
+    pg = periodogram_strength(series, BIN_MS, MAX_LAG_BINS)
     size = size_uniformity(series)
     combined = combine({"regularity": reg, "acf": acf, "periodogram": pg,
-                        "size": size}, config.weights)
+                        "size": size}, WEIGHTS)
     return BeaconScore(key=series.key, regularity=reg, acf_strength=acf,
                        periodogram=pg, size_uniformity=size,
                        combined=combined, period_ms=period)
@@ -444,7 +444,7 @@ def evaluate(trace: Iterable[FlowRecord],
     tp = fp = tn = fn = 0
     insufficient = 0
     for series in group_channels(trace):
-        score = score_channel(series, config)
+        score = score_channel(series)
         is_pos = series.label == LABEL_BEACON
         flagged = score is not None and score.combined >= config.threshold
         verdicts.append(ChannelVerdict(key=series.key, label=series.label,

@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,13 @@ class SimEvent:
 
 _DIST_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
 
+# Random.random() is at most 1 - 2**-53, so the log that draw() takes of
+# 1 - u is at least ln 2**-53: an exponential draw is at most 53 ln 2 means,
+# and a lognormal's |z| at most sqrt(106 ln 2).
+_LN_MIN_UNIT = math.log(2.0 ** -53)
+_Z_MAX = math.sqrt(-2.0 * _LN_MIN_UNIT)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
+
 
 @dataclass(frozen=True)
 class Dist:
@@ -74,22 +82,35 @@ class Dist:
         return cls(name, params)
 
     def __post_init__(self) -> None:
-        # frozen, so a Dist checked here stays valid for every draw
+        # frozen, so a Dist checked here stays valid for every draw, and
+        # every draw is a finite number
         n, p = self.name, self.params
+        if not all(map(math.isfinite, p)):
+            raise ParameterError(f"{n} needs finite parameters, got {p}")
         if n == "uniform":
             if len(p) != 2 or p[0] > p[1]:
                 raise ParameterError(f"uniform needs (a, b) with a <= b, got {p}")
+            if not math.isfinite(p[1] - p[0]):
+                raise ParameterError(f"uniform needs a finite b - a, got {p}")
         elif n == "exponential":
             if len(p) != 1 or p[0] <= 0:
                 raise ParameterError(f"exponential needs mean > 0, got {p}")
+            if not math.isfinite(-p[0] * _LN_MIN_UNIT):
+                raise ParameterError(
+                    f"exponential's largest draw, 53 ln 2 means, is not finite "
+                    f"for mean {p[0]!r}")
         elif n == "lognormal":
             if len(p) != 2 or p[1] < 0:
                 raise ParameterError(f"lognormal needs (mu, sigma >= 0), got {p}")
-        elif n == "choice":
-            if not p or any(w < 0 for w in p) or sum(p) == 0:
+            if p[0] + p[1] * _Z_MAX > _LN_FLOAT_MAX:
                 raise ParameterError(
-                    f"choice needs non-negative weights with a positive sum, got {p}"
-                )
+                    f"lognormal's largest draw, exp(mu + sigma sqrt(106 ln 2)), "
+                    f"is not finite for {p}")
+        elif n == "choice":
+            if not p or any(w < 0 for w in p) or not 0 < sum(p) < math.inf:
+                raise ParameterError(
+                    "choice needs non-negative weights with a positive finite "
+                    f"sum, got {p}")
         else:
             raise ParameterError(f"unknown distribution {n!r}")
 

@@ -306,8 +306,8 @@ class Hub:
         Every body has exactly the fields _BODY_FIELDS names, of their
         types. An agent registers once, under a new id, with some
         capability; a task is issued once, granting at most one capability
-        tag, fetched only by an agent that is not retired while the task is
-        queued and eligible for it, and closed once, from fetched, as
+        tag, fetched once, by an agent that is not retired while the task
+        is queued and eligible for it, and closed once, from fetched, as
         completed or failed; a submit carries only valid items; a liveness
         mark names a known agent and a status the hub sets.
         """
@@ -337,7 +337,10 @@ class Hub:
             agent = self._require(body["agent_id"])
             if agent.status == AGENT_RETIRED:
                 raise RetiredAgentError(f"{agent.agent_id} is retired")
-            for tid in body["task_ids"]:
+            task_ids = body["task_ids"]
+            if len(task_ids) > 1 and len(set(task_ids)) < len(task_ids):
+                raise TaskStateError(f"fetch names a task twice: {task_ids!r}")
+            for tid in task_ids:
                 task = self._queued.get(tid)
                 if task is None or not _eligible(task, agent):
                     raise TaskStateError(

@@ -26,9 +26,9 @@ from typing import Iterator
 
 from .engine import Simulator
 from .hub import TASK_COMPLETED, Hub, IntelItem, Task
-from .scenario import MODES, AgentSpec, Scenario, Topology
+from .scenario import (MODE_MANUAL, MODE_SWARM, MODES, AgentSpec, Scenario,
+                       Topology)
 from .traffic import (
-    ChaffModel,
     FlowRecord,
     beacon_ticks,
     flows_at_ticks,
@@ -39,9 +39,6 @@ from .traffic import (
     synth_reasoning_nonstreaming,
     synth_reasoning_streaming,
 )
-
-MODE_SWARM = "autonomous_swarm"
-MODE_MANUAL = "manual_baseline"
 
 OBJECTIVE_REF = "objective-1"
 
@@ -334,7 +331,7 @@ class _SwarmRun(_RunBase):
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile
-        parts = [synth_event_flows(self.hub.journal, profile, self.sim.stream)]
+        parts = [synth_event_flows(self.hub.journal, self.sim.stream)]
         for s in sorted(self.sessions, key=lambda s: (s.start, s.task_id)):
             st = self.sim.stream(f"{s.entity}/reasoning/{s.task_id}")
             if self.sc.channels.streaming:
@@ -343,13 +340,10 @@ class _SwarmRun(_RunBase):
             else:
                 parts.append(synth_reasoning_nonstreaming(
                     s.turns, profile, st, t_start=s.start, src=s.entity))
-        if self.sc.channels.chaff_per_hour > 0:
-            model = ChaffModel(per_hour=self.sc.channels.chaff_per_hour,
-                               horizon_ms=window)
-            for spec in self.sc.agents:
-                parts.append(synth_chaff(
-                    model, profile, self.sim.stream(f"{spec.entity}/chaff"),
-                    src=spec.entity))
+        for spec in self.sc.agents:
+            parts.append(synth_chaff(
+                self.sc.channels.chaff_per_hour, window, profile,
+                self.sim.stream(f"{spec.entity}/chaff"), src=spec.entity))
         return self._with_background(parts, window)
 
 

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 
 from .engine import Dist, ParameterError
 from .hub import HeartbeatPolicy, make_content_key
-from .traffic import DST_HUB, BeaconConfig, ChannelProfile, WorkdayModel
+from .traffic import (DST_HUB, BeaconConfig, ChannelProfile, WorkdayModel,
+                      chaff_gap)
 
-MODES = ("autonomous_swarm", "manual_baseline")
+MODE_SWARM = "autonomous_swarm"
+MODE_MANUAL = "manual_baseline"
+MODES = (MODE_SWARM, MODE_MANUAL)
 
 DEFAULT_HORIZON_MS = 7 * 86_400_000
 
@@ -422,6 +425,12 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     channels = ChannelParams(
         profile=ChannelProfile(**r.get_fields("channels", ChannelProfile)),
         **r.get_fields("channels", ChannelParams, chaff_per_hour={"lo": 0.0}))
+    if channels.chaff_per_hour > 0:
+        try:
+            chaff_gap(channels.chaff_per_hour)
+        except ParameterError as exc:
+            r.fail("channels", "chaff_per_hour",
+                   f"too low a rate for a finite gap between queries: {exc}")
 
     # [background]
     workday = r.get_fields("background", WorkdayModel,

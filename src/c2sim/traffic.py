@@ -40,6 +40,18 @@ LABEL_CHAFF = "chaff"
 LABEL_BENIGN = "benign"
 LABELS = (LABEL_BEACON, LABEL_EVENT, LABEL_CHAFF, LABEL_BENIGN)
 
+_HOUR_MS = 3_600_000
+_DAY_MS = 86_400_000
+
+# Sizes and durations of an event-driven agent's hub contacts
+_TASKING_REQUEST = Dist("lognormal", (6.9, 0.3))
+_TASKING_RESPONSE = Dist("lognormal", (8.0, 0.5))
+_TASKING_DURATION = Dist("lognormal", (5.3, 0.4))
+
+# Where benign users' sessions go, and how often each is picked
+_BACKGROUND_DESTINATIONS = (DST_PLANNER, "svc-mail", "svc-repo", "svc-files")
+_PICK_DESTINATION = Dist("choice", (0.4, 0.2, 0.2, 0.2))
+
 TRACE_COLUMNS = ("ts_start_ms", "duration_ms", "src", "dst", "dst_class",
                  "bytes_init", "bytes_resp", "leg", "label")
 _COLUMN_SET = frozenset(TRACE_COLUMNS)
@@ -99,7 +111,7 @@ class BeaconConfig:
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Size and pacing model for one agent's planner and hub channels."""
+    """Size and pacing model for one agent's planner channel."""
 
     request_size: Dist = Dist("lognormal", (7.2, 0.4))
     response_size: Dist = Dist("lognormal", (8.5, 0.6))
@@ -110,19 +122,6 @@ class ChannelProfile:
     burst_count: Dist = Dist("uniform", (8.0, 40.0))
     burst_interval: Dist = Dist("lognormal", (8.0, 1.2))
     burst_size: Dist = Dist("lognormal", (6.5, 1.0))
-    tasking_request: Dist = Dist("lognormal", (6.9, 0.3))
-    tasking_response: Dist = Dist("lognormal", (8.0, 0.5))
-    tasking_duration: Dist = Dist("lognormal", (5.3, 0.4))
-
-
-@dataclass(frozen=True)
-class ChaffModel:
-    per_hour: float
-    horizon_ms: int
-
-    def __post_init__(self):
-        if self.per_hour < 0:
-            raise ValueError("per_hour must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,6 @@ class WorkdayModel:
     workday_start_hour: int = 9
     workday_end_hour: int = 17
     off_hours_fraction: float = 0.1
-    destinations: tuple[str, ...] = (DST_PLANNER, "svc-mail", "svc-repo", "svc-files")
 
     def __post_init__(self):
         if not (0 <= self.workday_start_hour < self.workday_end_hour <= 24):
@@ -198,9 +196,8 @@ def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> list[FlowRecord]
 # -- event-driven hub contact ----------------------------------------------------
 
 
-def synth_event_flows(journal_records: Iterable[dict], profile: ChannelProfile,
-                      streams: Callable[[str], RngStream],
-                      hub_id: str = DST_HUB) -> list[FlowRecord]:
+def synth_event_flows(journal_records: Iterable[dict],
+                      streams: Callable[[str], RngStream]) -> list[FlowRecord]:
     """One tasking-leg flow per fetch and per submit record in the journal.
 
     The flow source is the registering entity, recovered from register
@@ -220,10 +217,10 @@ def synth_event_flows(journal_records: Iterable[dict], profile: ChannelProfile,
         st = streams(f"{entity}/tasking-bytes")
         flows.append(FlowRecord(
             ts_start=rec["time_ms"],
-            duration=_dur(st, profile.tasking_duration),
-            src=entity, dst=hub_id, dst_class=DST_HUB,
-            bytes_initiator=_size(st, profile.tasking_request),
-            bytes_responder=_size(st, profile.tasking_response),
+            duration=_dur(st, _TASKING_DURATION),
+            src=entity, dst=DST_HUB, dst_class=DST_HUB,
+            bytes_initiator=_size(st, _TASKING_REQUEST),
+            bytes_responder=_size(st, _TASKING_RESPONSE),
             leg=LEG_TASKING, label=LABEL_EVENT))
     return flows
 
@@ -232,8 +229,8 @@ def synth_event_flows(journal_records: Iterable[dict], profile: ChannelProfile,
 
 
 def synth_reasoning_nonstreaming(turns: int, profile: ChannelProfile,
-                                 stream: RngStream, *, t_start: int, src: str,
-                                 dst: str = DST_PLANNER) -> list[FlowRecord]:
+                                 stream: RngStream, *, t_start: int,
+                                 src: str) -> list[FlowRecord]:
     """Request-per-turn session: initiator bytes grow monotonically because
     each turn resends the accumulated context, and the final response is the
     enlarged summary."""
@@ -247,7 +244,7 @@ def synth_reasoning_nonstreaming(turns: int, profile: ChannelProfile,
         resp_dist = profile.summary_response if last else profile.response_size
         flows.append(FlowRecord(
             ts_start=t, duration=_dur(stream, profile.duration),
-            src=src, dst=dst, dst_class=DST_PLANNER,
+            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
             bytes_initiator=req,
             bytes_responder=_size(stream, resp_dist),
             leg=LEG_REASONING, label=LABEL_EVENT))
@@ -258,8 +255,8 @@ def synth_reasoning_nonstreaming(turns: int, profile: ChannelProfile,
 
 
 def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
-                              stream: RngStream, *, t_start: int, src: str,
-                              dst: str = DST_PLANNER) -> list[FlowRecord]:
+                              stream: RngStream, *, t_start: int,
+                              src: str) -> list[FlowRecord]:
     """Streaming session: an irregular burst train, bidirectional throughout."""
     if session_length_ms < 0:
         raise ValueError("session length must be non-negative")
@@ -272,7 +269,7 @@ def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
             break
         flows.append(FlowRecord(
             ts_start=t, duration=_dur(stream, profile.duration),
-            src=src, dst=dst, dst_class=DST_PLANNER,
+            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
             bytes_initiator=_size(stream, profile.burst_size),
             bytes_responder=_size(stream, profile.burst_size),
             leg=LEG_REASONING, label=LABEL_EVENT))
@@ -283,27 +280,32 @@ def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
 # -- chaff and background ----------------------------------------------------------
 
 
-def synth_chaff(model: ChaffModel, profile: ChannelProfile, stream: RngStream,
-                *, src: str, dst: str = DST_PLANNER) -> list[FlowRecord]:
+def chaff_gap(per_hour: float) -> Dist:
+    """The gap between decoy queries at per_hour > 0 a hour: exponential, so
+    the queries arrive as a Poisson process. Raises ParameterError for a rate
+    so low that the largest gap is not a finite number."""
+    return Dist("exponential", (_HOUR_MS / per_hour,))
+
+
+def synth_chaff(per_hour: float, horizon_ms: int, profile: ChannelProfile,
+                stream: RngStream, *, src: str) -> list[FlowRecord]:
     """Genuinely benign-shaped decoy queries at a configured hourly rate."""
-    if model.per_hour == 0:
+    if per_hour < 0:
+        raise ValueError("per_hour must be non-negative")
+    if per_hour == 0:
         return []
-    gap = Dist("exponential", (3_600_000.0 / model.per_hour,))
+    gap = chaff_gap(per_hour)
     flows = []
     t = int(round(draw(stream, gap)))
-    while t <= model.horizon_ms:
+    while t <= horizon_ms:
         flows.append(FlowRecord(
             ts_start=t, duration=_dur(stream, profile.duration),
-            src=src, dst=dst, dst_class=DST_PLANNER,
+            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
             bytes_initiator=_size(stream, profile.request_size),
             bytes_responder=_size(stream, profile.response_size),
             leg=LEG_REASONING, label=LABEL_CHAFF))
         t += max(1, int(round(draw(stream, gap))))
     return flows
-
-
-_DAY_MS = 86_400_000
-_HOUR_MS = 3_600_000
 
 
 def _in_workday(t: int, model: WorkdayModel) -> bool:
@@ -327,7 +329,6 @@ def synth_background(n_users: int, model: WorkdayModel,
     days = max(1, -(-model.horizon_ms // _DAY_MS))  # ceil division
     work_start = model.workday_start_hour * _HOUR_MS
     work_len = (model.workday_end_hour - model.workday_start_hour) * _HOUR_MS
-    pick_dst = Dist("choice", (0.4,) + (0.2,) * (len(model.destinations) - 1))
     for i in range(n_users):
         st = streams(f"user-{i}/background")
         src = f"user-{i}"
@@ -352,7 +353,8 @@ def synth_background(n_users: int, model: WorkdayModel,
                     start_in_day = work_start + int(st.unit() * work_len)
                     window_end = work_start + work_len
                     is_off = False
-                dst = model.destinations[int(draw(st, pick_dst))]
+                dst = _BACKGROUND_DESTINATIONS[
+                    int(draw(st, _PICK_DESTINATION))]
                 dst_class = DST_PLANNER if dst == DST_PLANNER else DST_BENIGN
                 t = day_base + start_in_day
                 end = day_base + window_end

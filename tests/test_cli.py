@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2sim.cli import main
+from c2sim.detect import evaluate
 from c2sim.engine import RngStream
 from c2sim.hub import journal_lines
 from c2sim.orchestrate import run_scenario
@@ -65,6 +66,35 @@ def test_validate_diagnostics(tmp_path, capsys):
                  encoding="utf-8")
     assert main(["validate", str(p)]) == 1
     assert "mode" in capsys.readouterr().err
+
+
+# Distributions whose draws are not all finite numbers, and a chaff rate
+# whose gaps are not: each is an input error at its key and line, in
+# validate and simulate alike
+@pytest.mark.parametrize("old, new", [
+    ("task_duration = lognormal(10.9, 0.35)", "task_duration = exponential(inf)"),
+    ("chaff_per_hour = 0", "chaff_per_hour = 1e-302"),
+    ("planner_turn_latency = lognormal(9.0, 0.4)",
+     "planner_turn_latency = lognormal(1e308, 5)"),
+    ("event_dispatch_latency = uniform(200, 1500)",
+     "event_dispatch_latency = uniform(nan, 1)"),
+    ("manual_think_time = lognormal(10.3, 0.4)",
+     "manual_think_time = exponential(1e307)"),
+], ids=["exponential-inf", "chaff-gap", "lognormal-overflow", "uniform-nan",
+        "exponential-largest-draw"])
+def test_non_finite_draws_are_located_input_errors(old, new, tmp_path,
+                                                    capsys):
+    text = default_scenario_text().replace(old, new)
+    key = new.split(" = ")[0]
+    line = text.splitlines().index(new) + 1
+    p = tmp_path / "scenario.ini"
+    p.write_text(text, encoding="utf-8")
+    located = rf"\[(timing|channels)\] {key}: .+ \(line {line}\)\n"
+    assert main(["validate", str(p)]) == 1
+    assert re.fullmatch(located, capsys.readouterr().err)
+    assert main(["simulate", "--scenario", str(p),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert re.fullmatch(located, capsys.readouterr().err)
 
 
 def test_readme_scenario_example_validates(tmp_path, capsys):
@@ -538,3 +568,119 @@ def test_simulate_journal_is_the_runs_decoded_records(case, tmp_path):
     if case == "pivot-chain":  # fetches that carry tasks, not only polls
         assert any(r["body"]["task_ids"] for r in run.journal
                    if r["record_kind"] == "fetch")
+
+
+# evaluate() on the trace of each chaff-users case: per channel (src, dst,
+# label, flagged, period_ms, scores), where scores are regularity, acf,
+# periodogram, size and combined, or None for an insufficient-data channel;
+# then (tp, fp, tn, fn) and the AUC. The users' channels are the same in both
+# modes. Flags, periods and counts are exact, scores and the AUC within 1e-9.
+_PINNED_USER_CHANNELS = [
+    ("user-0", "planner", "benign", False, None, (
+        0.2046260590715786, 0.08145434531910568,
+        0.3004400174447007, 0.47505752174924487,
+        0.23835133962839083)),
+    ("user-0", "svc-files", "benign", False, 53000, (
+        0.16043900453283025, 0.1249265393496449,
+        0.4175899473961623, 0.5428317917831129,
+        0.2732075420404093)),
+    ("user-0", "svc-mail", "benign", False, 33000, (
+        0.1855926710300001, 0.1094864172245779,
+        0.4310550795957616, 0.5201413068443225,
+        0.2781140050922333)),
+    ("user-0", "svc-repo", "benign", False, 10000, (
+        0.23374905434691864, 0.1040902654177958,
+        0.3667666719924503, 0.5407565218401935,
+        0.2806398816500121)),
+    ("user-1", "planner", "benign", False, None, (
+        0.21102196658177097, 0.06851803183179933,
+        0.3683965990377619, 0.5353732383617766,
+        0.26339233177527666)),
+    ("user-1", "svc-files", "benign", False, 56000, (
+        0.20379550608137678, 0.1379018190652863,
+        0.20021124612144897, 0.5596146215647283,
+        0.23979888665987492)),
+    ("user-1", "svc-mail", "benign", False, 10000, (
+        0.23573913187840975, 0.1561518332227605,
+        0.21848833292125855, 0.5004464273301972,
+        0.2512357017929778)),
+    ("user-1", "svc-repo", "benign", False, None, (
+        0.2249543799254324, 0.0644466965829367,
+        0.4030551310649758, 0.5332382972810099,
+        0.27559523447803097)),
+    ("user-2", "planner", "benign", False, None, (
+        0.2232650714031106, 0.08208364305920786,
+        0.43873182227425495, 0.5255092060752365,
+        0.28717302223573987)),
+    ("user-2", "svc-files", "benign", False, None, (
+        0.2276751865321869, 0.09074564356706168,
+        0.4125373951717154, 0.5333726102724322,
+        0.2855129665118245)),
+    ("user-2", "svc-mail", "benign", False, 30000, (
+        0.2025678597848962, 0.1362538395416011,
+        0.1769307880918751, 0.5981689764979918,
+        0.23892025430778152)),
+    ("user-2", "svc-repo", "benign", False, None, (
+        0.18288997307056853, 0.06777930030150561,
+        0.4088579251856692, 0.41600823748516597,
+        0.24557203256926757)),
+]
+_PINNED_DETECTION = {
+    "chaff-users-swarm": ([
+        ("implant-1", "hub", "event_c2", False, None, None),
+        ("implant-1", "planner", "event_c2", False, None, (
+            0.38467078264928173, 0.0,
+            0.08563711633472637, 0.6032539845276244,
+            0.24653215069007384)),
+        ("implant-2", "hub", "event_c2", False, None, (
+            0.5854270190647034, 0.0,
+            0.09154637454155513, 0.8184565021124334,
+            0.35055452562489997)),
+        ("implant-2", "planner", "event_c2", False, None, (
+            0.5295731384663399, 0.0,
+            0.09721340316388997, 0.5114797392148844,
+            0.2863759101364241)),
+        ("implant-3", "hub", "event_c2", False, None, None),
+        ("implant-3", "planner", "event_c2", False, None, (
+            0.46191787759120945, 0.0,
+            0.10091785018495474, 0.490642437112555,
+            0.2604970852700452)),
+    ] + _PINNED_USER_CHANNELS, (0, 0, 18, 0), None),
+    "chaff-users-manual": ([
+        ("implant-1", "hub", "beacon_c2", True, None, (
+            0.964477072893768, 0.0,
+            0.5991430720329883, 0.9817206166839668,
+            0.6346108360236609)),
+        ("implant-2", "hub", "beacon_c2", True, None, (
+            0.9559721853475663, 0.0,
+            0.5738835635187922, 0.9795755632875328,
+            0.6249974902444762)),
+        ("implant-3", "hub", "beacon_c2", True, None, (
+            0.9577157965571569, 0.0,
+            0.5952316590210048, 0.9798568946526877,
+            0.6309869777481592)),
+    ] + _PINNED_USER_CHANNELS, (3, 0, 12, 0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_DETECTION))
+def test_detector_output_on_pinned_traces_is_pinned(case):
+    channels, confusion, auc = _PINNED_DETECTION[case]
+    report = evaluate(run_scenario(parse_scenario(_PINNED_TEXT[case])).trace)
+    assert (report.tp, report.fp, report.tn, report.fn) == confusion
+    if auc is None:
+        assert report.auc is None
+    else:
+        assert report.auc == pytest.approx(auc, rel=0, abs=1e-9)
+    assert len(report.channels) == len(channels)
+    for got, (src, dst, label, flagged, period_ms, scores) in zip(
+            report.channels, channels):
+        assert (got.key, got.label) == ((src, dst), label)
+        assert got.flagged is flagged
+        if scores is None:
+            assert got.score is None
+            continue
+        s = got.score
+        assert s.period_ms == period_ms
+        assert (s.regularity, s.acf_strength, s.periodogram, s.size_uniformity,
+                s.combined) == pytest.approx(scores, rel=0, abs=1e-9)

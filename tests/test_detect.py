@@ -21,9 +21,9 @@ import pytest
 
 from c2sim import detect
 from c2sim.detect import (
+    WEIGHTS,
     BeaconScore,
     ChannelSeries,
-    DetectorConfig,
     acf_period,
     combine,
     evaluate,
@@ -402,14 +402,14 @@ def test_size_uniformity_hand_values():
 
 
 def test_combine_uses_configured_weights():
-    w = DetectorConfig().weights
+    w = WEIGHTS
     got = combine({"regularity": 1.0, "acf": 0.0, "periodogram": 0.0,
                    "size": 0.0}, w)
     assert got == pytest.approx(0.35, abs=1e-12)
 
 
 def test_combine_renormalizes_missing_components():
-    w = DetectorConfig().weights
+    w = WEIGHTS
     got = combine({"regularity": 0.8, "acf": None, "periodogram": None,
                    "size": 0.6}, w)
     assert got == pytest.approx((0.35 * 0.8 + 0.15 * 0.6) / 0.5, abs=1e-12)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_choice_frequencies_track_weights():
     "choice(1, -1)",
     "normal(0, 1)",           # unsupported family
     "uniform[2, 3]",          # unparseable
+    # parameters, or a largest draw, that are not finite numbers
+    "uniform(nan, 1)",
+    "uniform(0, inf)",
+    "uniform(-1e308, 1e308)",  # b - a overflows
+    "exponential(inf)",
+    "exponential(1e307)",     # 53 ln 2 means overflow
+    "lognormal(1e308, 5)",
+    "lognormal(702, 1)",      # exp(702 + 8.57) overflows
+    "lognormal(0, nan)",
+    "choice(1, inf)",
+    "choice(1e308, 1e308)",   # the sum overflows
 ])
 def test_invalid_distributions_raise(text):
     with pytest.raises(ParameterError):
@@ -200,6 +212,43 @@ def test_invalid_distributions_raise(text):
 def test_invalid_dist_is_rejected_at_construction(name, params):
     with pytest.raises(ParameterError):
         Dist(name, params)
+
+
+class _FixedStream:
+    """A stream whose every draw is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def unit(self) -> float:
+        return self.u
+
+
+def _accepts(name: str, params: tuple) -> bool:
+    try:
+        Dist(name, params)
+    except ParameterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name, params", [
+    ("exponential", lambda x: (x,)),
+    ("lognormal", lambda x: (x, 1.0)),
+    ("lognormal", lambda x: (0.0, x)),
+    ("uniform", lambda x: (-x, x)),
+], ids=["exponential-mean", "lognormal-mu", "lognormal-sigma", "uniform-width"])
+def test_dist_refuses_exactly_past_the_largest_finite_draw(name, params):
+    # bisect down to adjacent floats: lo accepted, hi refused
+    lo, hi = 1.0, sys.float_info.max
+    assert _accepts(name, params(lo)) and not _accepts(name, params(hi))
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if _accepts(name, params(mid)) else (lo, mid)
+    assert hi == math.nextafter(lo, math.inf)
+    # Random.random() tops out at 1 - 2**-53, where each of these families
+    # draws its largest value; at lo that value is still finite
+    top = _FixedStream(1.0 - 2.0 ** -53)
+    assert math.isfinite(draw(top, Dist(name, params(lo))))
 
 
 def test_dist_round_trips_through_str():

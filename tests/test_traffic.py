@@ -15,7 +15,6 @@ import pytest
 from c2sim.engine import Dist, RngStream, Simulator
 from c2sim.traffic import (
     BeaconConfig,
-    ChaffModel,
     ChannelProfile,
     FlowRecord,
     WorkdayModel,
@@ -130,15 +129,15 @@ def _journal():
 
 def test_event_flows_are_one_per_fetch_and_submit():
     sim = Simulator(3)
-    flows = synth_event_flows(_journal(), ChannelProfile(), sim.stream)
+    flows = synth_event_flows(_journal(), sim.stream)
     assert [f.ts_start for f in flows] == [1200, 61_000]
     assert all(f.src == "implant-1" and f.dst == "hub" for f in flows)
     assert all(f.leg == "tasking" and f.label == "event_c2" for f in flows)
 
 
 def test_event_flows_deterministic_across_runs():
-    a = synth_event_flows(_journal(), ChannelProfile(), Simulator(3).stream)
-    b = synth_event_flows(_journal(), ChannelProfile(), Simulator(3).stream)
+    a = synth_event_flows(_journal(), Simulator(3).stream)
+    b = synth_event_flows(_journal(), Simulator(3).stream)
     assert a == b
 
 
@@ -221,15 +220,16 @@ def test_streaming_gaps_are_irregular():
 
 
 def test_chaff_rate_zero_is_silent():
-    assert synth_chaff(ChaffModel(0.0, 3_600_000), ChannelProfile(), _stream(),
+    assert synth_chaff(0.0, 3_600_000, ChannelProfile(), _stream(),
                        src="imp") == []
 
 
 def test_chaff_rate_and_labels():
-    model = ChaffModel(per_hour=30.0, horizon_ms=48 * 3_600_000)
-    flows = synth_chaff(model, ChannelProfile(), _stream(seed=6), src="imp")
+    horizon_ms = 48 * 3_600_000
+    flows = synth_chaff(30.0, horizon_ms, ChannelProfile(), _stream(seed=6),
+                        src="imp")
     assert all(f.label == "chaff" and f.dst_class == "planner" for f in flows)
-    assert all(0 <= f.ts_start <= model.horizon_ms for f in flows)
+    assert all(0 <= f.ts_start <= horizon_ms for f in flows)
     # 30/hour over 48h -> about 1440 arrivals; allow wide stochastic slack
     assert 1200 <= len(flows) <= 1700
 
