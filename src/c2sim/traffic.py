@@ -50,7 +50,8 @@ _TASKING_DURATION = Dist("lognormal", (5.3, 0.4))
 
 # Where benign users' sessions go, and how often each is picked
 _BACKGROUND_DESTINATIONS = (DST_PLANNER, "svc-mail", "svc-repo", "svc-files")
-_PICK_DESTINATION = Dist("choice", (0.4, 0.2, 0.2, 0.2))
+_PICK_DESTINATION = Dist(
+    "choice", (0.4,) + (0.2,) * (len(_BACKGROUND_DESTINATIONS) - 1))
 
 TRACE_COLUMNS = ("ts_start_ms", "duration_ms", "src", "dst", "dst_class",
                  "bytes_init", "bytes_resp", "leg", "label")

@@ -558,8 +558,9 @@ _ISSUE = {"task_id": "t-1", "objective_ref": "obj-1", "description": "d",
           "requires": ["a"], "assigned_to": None, "work_model": "", "meta": {}}
 
 # (record kind, body) of a record the live hub refuses, written after agent-1
-# (implant-1, active), agent-2 (implant-2, retired) and task t-1 (queued,
-# requires a)
+# (implant-1, active), agent-2 (implant-2, retired) and task t-0 (queued,
+# requires a); _ISSUE's t-1 is not issued, so each task_issue case is refused
+# for its field alone
 _REFUSED_RECORDS = {
     "register-reused-id": ("register", {
         "entity": "implant-3", "agent_id": "agent-1", "capabilities": ["a"],
@@ -582,7 +583,7 @@ _REFUSED_RECORDS = {
         _item("host", {"name": "x"}, "host:name=y")]}),
     "fetch-by-retired": ("fetch", {"agent_id": "agent-2", "task_ids": []}),
     "fetch-same-task-twice": ("fetch", {"agent_id": "agent-1",
-                                        "task_ids": ["t-1", "t-1"]}),
+                                        "task_ids": ["t-0", "t-0"]}),
     # one field of the wrong type, or a field too many
     "type-register-capabilities": ("register", {
         "entity": "implant-3", "agent_id": "agent-3", "capabilities": "ab",
@@ -612,7 +613,7 @@ def test_recovery_stops_at_any_record_the_live_hub_refuses(case):
     hub = _hub()
     hub.register_agent("implant-1", ["a"], now=0)
     hub.retire_agent(hub.register_agent("implant-2", ["a"], now=1), now=2)
-    hub.issue_task(_task("t-1", requires=["a"]), now=3)
+    hub.issue_task(_task("t-0", requires=["a"]), now=3)
     prefix = journal_lines(hub.journal)
     bad = {"seq": len(hub.journal), "time_ms": 9, "record_kind": kind,
            "body": body}
