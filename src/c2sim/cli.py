@@ -28,10 +28,6 @@ from .scenario import ScenarioError, load_scenario
 from .traffic import read_trace, write_trace
 
 
-class CliError(Exception):
-    """A user-correctable problem; maps to exit code 1."""
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -47,7 +43,7 @@ def _sha256(path: Path) -> str:
 def _claim_outputs(paths: list[Path], force: bool) -> None:
     existing = [p for p in paths if p.exists()]
     if existing and not force:
-        raise CliError(
+        raise FileExistsError(
             f"output already exists: {existing[0]} (use --force to overwrite)")
     for p in existing:
         p.unlink()
@@ -145,7 +141,7 @@ def cmd_compare(args) -> int:
     sc = load_scenario(scenario_path)
     result = compare(sc, n_seeds=args.seeds)
     if result.summary["speedup"] is None:
-        raise CliError(
+        raise ValueError(
             f"no seed met the objective in both {result.mode_a} and "
             f"{result.mode_b} within horizon_ms={sc.horizon_ms}; "
             f"nothing to compare (raise horizon_ms)")
@@ -219,9 +215,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ScenarioError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)

@@ -53,6 +53,9 @@ MAX_LAG_BINS = 4096
 ACF_PERIOD_FLOOR = 0.1
 PGRAM_NULL_SCALE = 8.0
 WEIGHTS = {"regularity": 0.35, "acf": 0.25, "periodogram": 0.25, "size": 0.15}
+# A channel is scored over at most this many bins; a longer span widens its
+# bin to BIN_MS * ceil(n / MAX_BINS), so cost follows events, not the span
+MAX_BINS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,12 @@ def _occupancy(arrivals: list[int],
                bin_ms: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Occupied bins (ascending, the first is 0), their arrival counts, and
     the series length n in bins, binned from the first arrival."""
-    offsets = np.asarray(arrivals, dtype=np.int64)
-    bins, counts = np.unique((offsets - offsets[0]) // bin_ms,
+    # The arrivals ascend, so each offset from the first lies in [0, 2^64)
+    # and uint64 arithmetic, which wraps modulo 2^64, gives it exactly.
+    offsets = np.asarray(arrivals, dtype=np.int64).view(np.uint64)
+    bins, counts = np.unique((offsets - offsets[0]) // np.uint64(bin_ms),
                              return_counts=True)
-    return bins, counts.astype(np.float64), int(bins[-1]) + 1
+    return bins.astype(np.int64), counts.astype(np.float64), int(bins[-1]) + 1
 
 
 def _demeaned(bins: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -385,8 +390,10 @@ def score_channel(series: ChannelSeries) -> BeaconScore | None:
     if len(series.arrivals) < 3:
         return None
     reg = interval_regularity(series)
-    acf, period = acf_period(series, BIN_MS, MAX_LAG_BINS)
-    pg = periodogram_strength(series, BIN_MS, MAX_LAG_BINS)
+    n = (series.arrivals[-1] - series.arrivals[0]) // BIN_MS + 1
+    bin_ms = BIN_MS * -(-n // MAX_BINS)
+    acf, period = acf_period(series, bin_ms, MAX_LAG_BINS)
+    pg = periodogram_strength(series, bin_ms, MAX_LAG_BINS)
     size = size_uniformity(series)
     combined = combine({"regularity": reg, "acf": acf, "periodogram": pg,
                         "size": size}, WEIGHTS)

@@ -26,8 +26,7 @@ from typing import Iterator
 
 from .engine import Simulator
 from .hub import TASK_COMPLETED, Hub, IntelItem, Task
-from .scenario import (MODE_MANUAL, MODE_SWARM, MODES, AgentSpec, Scenario,
-                       Topology)
+from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
     beacon_ticks,
@@ -472,19 +471,16 @@ class CompareResult:
     summary: dict
 
 
-def compare(scenario: Scenario, n_seeds: int,
-            modes: tuple[str, str] = (MODE_SWARM, MODE_MANUAL)) -> CompareResult:
-    """Paired runs over consecutive seeds plus a median summary row.
+def compare(scenario: Scenario, n_seeds: int) -> CompareResult:
+    """Paired runs over consecutive seeds plus a median summary row: mode a
+    is the autonomous swarm, mode b the manual baseline.
 
-    speedup is time_b / time_a, so with the default mode order it reads as
-    "the manual baseline takes this many times longer".
+    speedup is time_b / time_a: "the manual baseline takes this many times
+    longer".
     """
     if n_seeds < 3:
         raise ValueError("need at least 3 seeds for a stable median")
-    mode_a, mode_b = modes
-    for m in modes:
-        if m not in MODES:
-            raise ValueError(f"unknown mode {m!r}")
+    mode_a, mode_b = MODE_SWARM, MODE_MANUAL
     rows = []
     for i in range(n_seeds):
         seed = scenario.seed + i

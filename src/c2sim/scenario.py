@@ -25,6 +25,11 @@ MODE_MANUAL = "manual_baseline"
 MODES = (MODE_SWARM, MODE_MANUAL)
 
 DEFAULT_HORIZON_MS = 7 * 86_400_000
+DEFAULT_HOSTS_PER_SUBNET = 4
+# Upper bounds on what a scenario makes the parser and the runners build,
+# checked before any agent or host name is built
+MAX_AGENTS = 10_000
+MAX_HOSTS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -126,25 +131,34 @@ class Scenario:
         return dataclasses.replace(self, beacon=beacon)
 
 
+def _key_fields(cls) -> list[dataclasses.Field]:
+    """The fields of record cls that are scenario keys: those whose default
+    is a value the reader reads. The parser sets the others (horizon_ms,
+    src, dst, heartbeat, profile)."""
+    return [f for f in dataclasses.fields(cls)
+            if isinstance(f.default, (Dist, bool, int, float))]
+
+
+def _keys(*records) -> set[str]:
+    return {f.name for cls in records for f in _key_fields(cls)}
+
+
 _SECTIONS = {
     "scenario": {"seed", "mode", "horizon_ms"},
     "topology": {"subnets", "hosts_per_subnet", "intel", "pivot_edges",
                  "required_intel"},
     "agents": {"count", "capabilities"},
-    "timing": {"task_duration", "planner_turns", "planner_turn_latency",
-               "event_dispatch_latency", "manual_think_time",
-               "heartbeat_min_window_ms", "heartbeat_max_window_ms"},
-    "beacon": {"interval_ms", "jitter_fraction", "request_size",
-               "response_size", "duration"},
-    "channels": {"request_size", "response_size", "duration", "context_growth",
-                 "turn_gap", "summary_response", "burst_count",
-                 "burst_interval", "burst_size", "streaming", "chaff_per_hour"},
-    "background": {"n_users", "sessions_per_day", "flows_per_session",
-                   "flow_gap", "request_size", "response_size", "duration",
-                   "workday_start_hour", "workday_end_hour",
-                   "off_hours_fraction"},
+    "timing": _keys(Timing) | {"heartbeat_min_window_ms",
+                               "heartbeat_max_window_ms"},
+    "beacon": _keys(BeaconConfig),
+    "channels": _keys(ChannelProfile, ChannelParams),
+    "background": _keys(WorkdayModel) | {"n_users"},
 }
 _REQUIRED_SECTIONS = ("scenario", "topology", "agents")
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+_EXPECTED = {int: "an integer", float: "a finite number",
+             bool: "true or false"}
 
 
 class _Reader:
@@ -183,36 +197,28 @@ class _Reader:
             return None
         return self.cp.get(section, key)
 
-    def get_int(self, section: str, key: str, default: int,
-                minimum: int | None = None, maximum: int | None = None) -> int:
+    def read(self, section: str, key: str, default,
+             lo: float | None = None, hi: float | None = None,
+             hi_open: bool = False):
+        """The key read as the type of default (a Dist, bool, int or float),
+        which is also the fallback when the key is absent or refused. A
+        number must lie in [lo, hi], or [lo, hi) when hi_open."""
         raw = self.get(section, key)
         if raw is None:
             return default
+        kind = type(default)
         try:
-            value = int(raw)
-        except ValueError:
-            self.fail(section, key, f"expected an integer, got {raw!r}")
+            if kind is Dist:
+                return Dist.parse(raw)
+            value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        except ParameterError as exc:
+            self.fail(section, key, str(exc))
             return default
-        if minimum is not None and value < minimum:
-            self.fail(section, key, f"must be >= {minimum}, got {value}")
-            return default
-        if maximum is not None and value > maximum:
-            self.fail(section, key, f"must be <= {maximum}, got {value}")
-            return default
-        return value
-
-    def get_float(self, section: str, key: str, default: float,
-                  lo: float | None = None, hi: float | None = None,
-                  hi_open: bool = False) -> float:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):  # nan would pass every bound below
-            self.fail(section, key, f"expected a finite number, got {raw!r}")
+        except (KeyError, ValueError):
+            value = None
+        # nan would pass every bound below
+        if value is None or (kind is float and not math.isfinite(value)):
+            self.fail(section, key, f"expected {_EXPECTED[kind]}, got {raw!r}")
             return default
         if lo is not None and value < lo:
             self.fail(section, key, f"must be >= {lo}, got {value}")
@@ -223,36 +229,12 @@ class _Reader:
             return default
         return value
 
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1", "on"):
-            return True
-        if raw.lower() in ("false", "no", "0", "off"):
-            return False
-        self.fail(section, key, f"expected true or false, got {raw!r}")
-        return default
-
-    def get_dist(self, section: str, key: str, default: Dist) -> Dist:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return Dist.parse(raw)
-        except ParameterError as exc:
-            self.fail(section, key, str(exc))
-            return default
-
-    def get_fields(self, section: str, cls, **limits: dict) -> dict:
-        """Each field of cls that the section accepts, in field order, read
-        as the type of the field's default, which is also its fallback.
-        limits[name] holds the bounds of that field's key."""
-        getters = {Dist: self.get_dist, bool: self.get_bool,
-                   int: self.get_int, float: self.get_float}
-        return {f.name: getters[type(f.default)](section, f.name, f.default,
-                                                 **limits.get(f.name, {}))
-                for f in dataclasses.fields(cls) if f.name in _SECTIONS[section]}
+    def get_fields(self, section: str, cls, **bounds: dict) -> dict:
+        """Each key field of cls, in field order, read from the section.
+        bounds[name] holds the bounds of that field's value."""
+        return {f.name: self.read(section, f.name, f.default,
+                                  **bounds.get(f.name, {}))
+                for f in _key_fields(cls)}
 
     def multiline(self, section: str, key: str) -> list[str]:
         raw = self.get(section, key)
@@ -286,7 +268,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(r.diagnostics)
 
     # [scenario]
-    seed = r.get_int("scenario", "seed", 0)
+    seed = r.read("scenario", "seed", 0)
     if r.get("scenario", "seed") is None:
         r.fail("scenario", None, "seed is required")
     mode = r.get("scenario", "mode") or ""
@@ -294,7 +276,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         r.fail("scenario", "mode",
                f"must be one of {', '.join(MODES)}, got {mode!r}")
         mode = MODES[0]
-    horizon = r.get_int("scenario", "horizon_ms", DEFAULT_HORIZON_MS, minimum=1)
+    horizon = r.read("scenario", "horizon_ms", DEFAULT_HORIZON_MS, lo=1)
 
     # [topology]
     subnets_raw = r.get("topology", "subnets") or ""
@@ -303,7 +285,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         r.fail("topology", "subnets", "at least one subnet is required")
     elif len(set(subnets)) != len(subnets):
         r.fail("topology", "subnets", "subnet names must be unique")
-    hosts_per = r.get_int("topology", "hosts_per_subnet", 4, minimum=1)
+    hosts_per = r.read("topology", "hosts_per_subnet",
+                       DEFAULT_HOSTS_PER_SUBNET, lo=1)
+    if len(subnets) * hosts_per > MAX_HOSTS:
+        r.fail("topology", "hosts_per_subnet",
+               f"subnets x hosts_per_subnet = {len(subnets)} x {hosts_per}, "
+               f"more than {MAX_HOSTS} hosts")
+        hosts_per = DEFAULT_HOSTS_PER_SUBNET
+    hosts = {f"{s}/host-{i}" for s in subnets for i in range(hosts_per)}
 
     intel: list[IntelSpec] = []
     intel_names: dict[str, IntelSpec] = {}
@@ -322,7 +311,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if subnet not in subnets:
             r.fail("topology", "intel", f"unknown subnet {subnet!r} in {line!r}")
             continue
-        if host not in {f"host-{i}" for i in range(hosts_per)}:
+        if f"{subnet}/{host}" not in hosts:
             r.fail("topology", "intel", f"unknown host {host!r} in {line!r}")
             continue
         spec = IntelSpec(kind=kind, name=name, subnet=subnet,
@@ -363,9 +352,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             continue
         kind, name = ref.split(":", 1)
         if kind == "host":
-            host_names = {f"{s}/host-{i}" for s in subnets
-                          for i in range(hosts_per)}
-            if name not in host_names:
+            if name not in hosts:
                 r.fail("topology", "required_intel", f"unknown host {name!r}")
                 continue
             required.append(make_content_key("host", {"name": name}))
@@ -378,7 +365,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             required.append(spec.content_key)
 
     # [agents]
-    count = r.get_int("agents", "count", 0, minimum=1)
+    count = r.read("agents", "count", 0, lo=1, hi=MAX_AGENTS)
     if r.get("agents", "count") is None:
         r.fail("agents", None, "count is required")
     entities = [f"implant-{i}" for i in range(1, count + 1)]
@@ -408,8 +395,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     # [timing]
     timing_dists = r.get_fields("timing", Timing)
-    hb_min = r.get_int("timing", "heartbeat_min_window_ms", 3_600_000, minimum=1)
-    hb_max = r.get_int("timing", "heartbeat_max_window_ms", 172_800_000, minimum=1)
+    hb_min = r.read("timing", "heartbeat_min_window_ms", 3_600_000, lo=1)
+    hb_max = r.read("timing", "heartbeat_max_window_ms", 172_800_000, lo=1)
     if hb_min > hb_max:
         r.fail("timing", "heartbeat_min_window_ms",
                f"min window {hb_min} exceeds max window {hb_max}")
@@ -418,7 +405,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     # [beacon]
     beacon = BeaconConfig(
         horizon_ms=horizon, src="", dst=DST_HUB,
-        **r.get_fields("beacon", BeaconConfig, interval_ms={"minimum": 1},
+        **r.get_fields("beacon", BeaconConfig, interval_ms={"lo": 1},
                        jitter_fraction={"lo": 0.0, "hi": 1.0, "hi_open": True}))
 
     # [channels]
@@ -434,8 +421,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     # [background]
     workday = r.get_fields("background", WorkdayModel,
-                           workday_start_hour={"minimum": 0, "maximum": 23},
-                           workday_end_hour={"minimum": 1, "maximum": 24},
+                           workday_start_hour={"lo": 0, "hi": 23},
+                           workday_end_hour={"lo": 1, "hi": 24},
                            off_hours_fraction={"lo": 0.0, "hi": 1.0})
     start_h, end_h = workday["workday_start_hour"], workday["workday_end_hour"]
     if start_h >= end_h:
@@ -444,7 +431,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         # fall back to WorkdayModel's own hours
         del workday["workday_start_hour"], workday["workday_end_hour"]
     background = WorkdayModel(horizon_ms=horizon, **workday)
-    n_users = r.get_int("background", "n_users", 0, minimum=0)
+    n_users = r.read("background", "n_users", 0, lo=0)
 
     topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
                         intel=tuple(intel), pivot_edges=tuple(edges),
@@ -485,15 +472,6 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read(), source=str(path))
-
-
-def validate_text(text: str) -> list[str]:
-    """All diagnostics for a scenario file; empty means valid."""
-    try:
-        parse_scenario(text)
-    except ScenarioError as exc:
-        return exc.diagnostics
-    return []
 
 
 def default_scenario_text() -> str:

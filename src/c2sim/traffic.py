@@ -415,8 +415,11 @@ def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
     text=True) or a JSON integer that is not a bool (JSONL), in int64 range,
     and the flow's end time is too; every other cell is a string."""
     if text:
-        cells = [int(c) if kind is int and _INT_TEXT.fullmatch(c) else c
-                 for c, kind in zip(cells, _CELL_TYPES)]
+        try:
+            cells = [int(c) if kind is int and _INT_TEXT.fullmatch(c) else c
+                     for c, kind in zip(cells, _CELL_TYPES)]
+        except ValueError as exc:  # past int()'s limit on digits
+            raise ValueError(f"malformed trace row {row_no}: {exc}") from exc
     if tuple(map(type, cells)) != _CELL_TYPES:
         column, value, kind = next(
             cell for cell in zip(TRACE_COLUMNS, cells, _CELL_TYPES)
@@ -446,7 +449,7 @@ def read_trace(path) -> list[FlowRecord]:
                     continue
                 try:
                     values = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # not JSON, or too many digits
                     raise ValueError(f"malformed trace row {i}: {exc}") from exc
                 if not isinstance(values, dict) or values.keys() != _COLUMN_SET:
                     raise ValueError(f"malformed trace row {i}: expected an "

@@ -281,11 +281,24 @@ def test_detect_rejects_integers_write_trace_never_writes(text, tmp_path,
     assert "malformed trace row 2" in capsys.readouterr().err
 
 
+def test_detect_scores_a_channel_spanning_2_to_the_62_ms(tmp_path, capsys):
+    p = tmp_path / "span.jsonl"
+    p.write_text("".join(json.dumps({**_ROW, "ts_start_ms": t}) + "\n"
+                         for t in (0, 5, 2**62)), encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 0
+    assert "channels=1 insufficient=0" in capsys.readouterr().out
+
+
+# an integer past int()'s limit of 4300 digits, written unquoted in JSONL
+_DIGITS = "9" * 5000
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("cells", [
     {"ts_start_ms": 2**70}, {"ts_start_ms": 2**63}, {"duration_ms": 2**63},
     {"bytes_init": 2**64}, {"bytes_resp": 2**63}, {"ts_start_ms": -2**63 - 1},
     {"ts_start_ms": 2**63 - 1, "duration_ms": 1},  # ends at 2**63
+    {"ts_start_ms": _DIGITS},
 ])
 def test_detect_rejects_integers_outside_int64(fmt, cells, tmp_path, capsys):
     p = tmp_path / f"big.{fmt}"
@@ -295,8 +308,8 @@ def test_detect_rejects_integers_outside_int64(fmt, cells, tmp_path, capsys):
                              for r in [TRACE_COLUMNS, *map(dict.values, rows)]),
                      encoding="utf-8")
     else:
-        p.write_text("".join(json.dumps(r) + "\n" for r in rows),
-                     encoding="utf-8")
+        p.write_text("".join(json.dumps(r).replace(f'"{_DIGITS}"', _DIGITS)
+                             + "\n" for r in rows), encoding="utf-8")
     assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
     row = 3 if fmt == "csv" else 2  # a CSV trace's first row is its header
     assert f"malformed trace row {row}" in capsys.readouterr().err

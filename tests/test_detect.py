@@ -21,6 +21,8 @@ import pytest
 
 from c2sim import detect
 from c2sim.detect import (
+    BIN_MS,
+    MAX_BINS,
     WEIGHTS,
     BeaconScore,
     ChannelSeries,
@@ -335,18 +337,49 @@ def test_periodogram_of_constant_series_is_zero(monkeypatch, method):
 
 
 def test_score_cost_follows_events_not_span():
-    series = _series([0, 3_000_000_000, 7_000_000_123, 10_000_000_000],
-                     sizes=[100, 120, 100, 90])
-    tracemalloc.start()
-    try:
-        score = score_channel(series)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert all(math.isfinite(v) for v in (
-        score.regularity, score.acf_strength, score.periodogram,
-        score.size_uniformity, score.combined))
+    # 10^12 ms is past MAX_BINS one-second bins, so it is scored at a wider bin
+    for span in (10_000_000_000, 10**12):
+        series = _series([0, 3 * span // 10, 7 * span // 10 + 123, span],
+                         sizes=[100, 120, 100, 90])
+        tracemalloc.start()
+        try:
+            score = score_channel(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert all(math.isfinite(v) for v in (
+            score.regularity, score.acf_strength, score.periodogram,
+            score.size_uniformity, score.combined))
+
+
+def test_score_widens_the_bin_only_past_max_bins(monkeypatch):
+    seen = []
+    score = detect.periodogram_strength
+
+    def spy(series, bin_ms, *args):  # the bin as bench/tracing.py reads it
+        seen.append(bin_ms)
+        return score(series, bin_ms, *args)
+
+    monkeypatch.setattr(detect, "periodogram_strength", spy)
+    for span, want in [((MAX_BINS - 1) * BIN_MS, BIN_MS),
+                       (MAX_BINS * BIN_MS, 2 * BIN_MS),
+                       (10**12, 60 * BIN_MS)]:
+        arrivals = [0, span // 3, span]
+        score_channel(_series(arrivals))
+        assert seen.pop() == want
+        assert detect._occupancy(arrivals, want)[2] <= MAX_BINS
+
+
+def test_occupancy_offsets_are_exact_across_the_int64_range():
+    arrivals = [-2**63, -2**62 - 5, 0, 7, 2**62, 2**63 - 1]
+    for bin_ms in (1000, 3 * 10**11):
+        bins, counts, n = detect._occupancy(arrivals, bin_ms)
+        want = sorted({(a - arrivals[0]) // bin_ms for a in arrivals})
+        assert bins.tolist() == want and n == want[-1] + 1
+        assert counts.sum() == len(arrivals)
+    bins, _, _ = detect._occupancy([-2**62 - 5, 0, 2**62], 1000)
+    assert bins.tolist() == [0, (2**62 + 5) // 1000, (2**63 + 5) // 1000]
 
 
 def test_periodogram_dominant_line_for_clean_train():

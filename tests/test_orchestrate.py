@@ -285,17 +285,9 @@ def test_compare_rows_and_summary():
     assert result.summary["actions_a"] == 1
 
 
-def test_compare_identical_modes_is_unity():
-    result = compare(default_scenario(), n_seeds=3,
-                     modes=(MODE_MANUAL, MODE_MANUAL))
-    assert all(r["speedup"] == 1.0 for r in result.rows)
-
-
 def test_compare_rejects_too_few_seeds():
     with pytest.raises(ValueError):
         compare(default_scenario(), n_seeds=2)
-    with pytest.raises(ValueError):
-        compare(default_scenario(), n_seeds=3, modes=("autonomous_swarm", "x"))
 
 
 def test_journal_is_closed_when_a_handler_raises(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from c2sim import scenario
+from c2sim.cli import main
 from c2sim.scenario import (
     Scenario,
     ScenarioError,
@@ -11,7 +13,6 @@ from c2sim.scenario import (
     default_scenario_text,
     load_scenario,
     parse_scenario,
-    validate_text,
 )
 
 
@@ -47,7 +48,7 @@ def test_default_scenario_parses():
     assert [a.entity for a in sc.agents] == ["implant-1", "implant-2", "implant-3"]
     assert sc.agents[2].capabilities == frozenset({"dmz"})
     assert sc.beacon.interval_ms == 60_000
-    assert validate_text(default_scenario_text()) == []
+    assert parse_scenario(default_scenario_text()) == sc
 
 
 def test_minimal_scenario_defaults():
@@ -312,3 +313,438 @@ def test_unparseable_file():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("[scenario\nseed = 1\n")
     assert "unparseable" in err.value.diagnostics[0]
+
+
+def _sub(old: str, new: str) -> str:
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new)
+
+
+def _add(section: str) -> str:
+    return MINIMAL + "\n" + section
+
+
+_TWO_SUBNETS = _sub("subnets = alpha", "subnets = alpha, beta")
+
+# One text for every place the parser reports a problem, and for each
+# message and bound form of its value reader (integer, finite number, true or
+# false, distribution; >=, <= and jitter_fraction's <). The expected lists are
+# exact: text, order and line numbers.
+_PINNED_DIAGNOSTICS = [
+    pytest.param(
+        "[scenario\nseed = 1\n",
+        ['unparseable scenario file: File contains no section headers.\n'
+         "file: '<string>', line: 1\n"
+         "'[scenario\\n'"],
+        id='unparseable'),
+    pytest.param(
+        _add("[surprise]\nx = 1\n"),
+        ['[surprise]: unknown section (line 14)'],
+        id='unknown-section'),
+    pytest.param(
+        _sub("count = 1", "count = 1\nflavour = mint"),
+        ['[agents] flavour: unknown key (line 13)'],
+        id='unknown-key'),
+    pytest.param(
+        _sub("count = 1", "count = 1\nFlavour = mint"),
+        ['[agents] flavour: unknown key'],
+        id='unknown-key-upper-case'),
+    pytest.param(
+        _add("[beacon]\nperiod = 5\n[extra]\n").replace(
+            "seed = 7", "seed = 7\nsalt = 1"),
+        ['[scenario] salt: unknown key (line 3)',
+         '[beacon] period: unknown key (line 16)',
+         '[extra]: unknown section (line 17)'],
+        id='unknown-keys-and-section'),
+    pytest.param(
+        "[scenario]\nseed = 1\nmode = manual_baseline\n",
+        ['[topology]: required section is missing',
+         '[agents]: required section is missing'],
+        id='missing-sections'),
+    pytest.param(
+        _sub("seed = 7\n", ""),
+        ['[scenario]: seed is required (line 1)'],
+        id='missing-seed'),
+    pytest.param(
+        _sub("manual_baseline", "yolo"),
+        ['[scenario] mode: must be one of autonomous_swarm, '
+         "manual_baseline, got 'yolo' (line 3)"],
+        id='bad-mode'),
+    pytest.param(
+        _sub("mode = manual_baseline\n", ""),
+        ['[scenario] mode: must be one of autonomous_swarm, '
+         "manual_baseline, got ''"],
+        id='missing-mode'),
+    pytest.param(
+        _sub("subnets = alpha", "subnets = ,"),
+        ['[topology] subnets: at least one subnet is required (line 6)',
+         "[topology] intel: unknown subnet 'alpha' in 'share prize @ "
+         "alpha/host-0' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='no-subnets'),
+    pytest.param(
+        _sub("subnets = alpha", "subnets = alpha, alpha"),
+        ['[topology] subnets: subnet names must be unique (line 6)'],
+        id='duplicate-subnets'),
+    pytest.param(
+        _sub("alpha/host-0", "alpha/host-0\n    blob"),
+        ["[topology] intel: expected '<kind> <name> @ <subnet>/<host>', "
+         "got 'blob' (line 8)"],
+        id='intel-format'),
+    pytest.param(
+        _sub("share prize @", "host prize @"),
+        ['[topology] intel: kind must be '
+         "port/service/credential/share/misc, got 'host' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='intel-kind'),
+    pytest.param(
+        _sub("share prize @", "secret prize @"),
+        ['[topology] intel: kind must be '
+         "port/service/credential/share/misc, got 'secret' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='intel-kind-unknown'),
+    pytest.param(
+        _sub("@ alpha/host-0", "@ beta/host-0"),
+        ["[topology] intel: unknown subnet 'beta' in 'share prize @ "
+         "beta/host-0' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='intel-subnet'),
+    pytest.param(
+        _sub("@ alpha/host-0", "@ alpha/host-9"),
+        ["[topology] intel: unknown host 'host-9' in 'share prize @ "
+         "alpha/host-9' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='intel-host'),
+    pytest.param(
+        _sub("@ alpha/host-0", "@ alpha/node-0"),
+        ["[topology] intel: unknown host 'node-0' in 'share prize @ "
+         "alpha/node-0' (line 8)",
+         "[topology] required_intel: 'share:prize' is not a declared item "
+         '(line 7)'],
+        id='intel-host-name'),
+    pytest.param(
+        _sub("alpha/host-0",
+                             "alpha/host-0\n    share prize @ alpha/host-1"),
+        ['[topology] intel: duplicate item share prize (line 8)'],
+        id='intel-duplicate'),
+    pytest.param(
+        _sub("[agents]", "pivot_edges =\n    nonsense\n\n[agents]"),
+        ["[topology] pivot_edges: expected '<credential>: <from> -> <to>', "
+         "got 'nonsense' (line 11)"],
+        id='pivot-format'),
+    pytest.param(
+        _sub("[agents]",
+             "pivot_edges =\n    gone: alpha -> alpha\n\n[agents]"),
+        ["[topology] pivot_edges: 'gone' is not a declared credential "
+         '(line 11)'],
+        id='pivot-credential'),
+    pytest.param(
+        _TWO_SUBNETS.replace(
+        "alpha/host-0",
+        "alpha/host-0\n    credential key @ alpha/host-1\n"
+        "pivot_edges =\n    key: alpha -> gamma"),
+        ["[topology] pivot_edges: unknown subnet in 'key: alpha -> gamma' "
+         '(line 11)'],
+        id='pivot-subnet'),
+    pytest.param(
+        _sub("required_intel = share:prize", "required_intel ="),
+        ['[topology] required_intel: at least one item is required (line '
+         '7)'],
+        id='required-empty'),
+    pytest.param(
+        _sub("required_intel = share:prize\n", ""),
+        ['[topology] required_intel: at least one item is required'],
+        id='required-missing'),
+    pytest.param(
+        _sub("share:prize", "prize"),
+        ["[topology] required_intel: expected '<kind>:<name>', got 'prize' "
+         '(line 7)'],
+        id='required-format'),
+    pytest.param(
+        _sub("share:prize", "host:alpha/host-99"),
+        ["[topology] required_intel: unknown host 'alpha/host-99' (line 7)"],
+        id='required-host'),
+    pytest.param(
+        _sub("share:prize", "host:beta/host-0"),
+        ["[topology] required_intel: unknown host 'beta/host-0' (line 7)"],
+        id='required-host-other-subnet'),
+    pytest.param(
+        _sub("share:prize", "share:prize, share:nothere"),
+        ["[topology] required_intel: 'share:nothere' is not a declared "
+         'item (line 7)'],
+        id='required-item'),
+    pytest.param(
+        _sub("count = 1\n", ""),
+        ['[agents]: count is required (line 11)'],
+        id='missing-count'),
+    pytest.param(
+        _sub("count = 1", "count = 1\ncapabilities =\n    nonsense"),
+        ["[agents] capabilities: expected '<implant>: <subnet, ...>', got "
+         "'nonsense' (line 13)"],
+        id='capabilities-format'),
+    pytest.param(
+        MINIMAL + "capabilities =\n    implant-5: alpha\n",
+        ["[agents] capabilities: 'implant-5' is not implant-1..implant-1 "
+         '(line 13)'],
+        id='capabilities-implant'),
+    pytest.param(
+        MINIMAL + "capabilities =\n    implant-1: omega, zeta\n",
+        ["[agents] capabilities: unknown subnet(s) ['omega', 'zeta'] for "
+         'implant-1 (line 13)'],
+        id='capabilities-subnet'),
+    pytest.param(
+        _add("[timing]\nheartbeat_min_window_ms = 50\n"
+                             "heartbeat_max_window_ms = 10\n"),
+        ['[timing] heartbeat_min_window_ms: min window 50 exceeds max '
+         'window 10 (line 15)'],
+        id='heartbeat-order'),
+    pytest.param(
+        _add("[channels]\nchaff_per_hour = 1e-302\n"),
+        ['[channels] chaff_per_hour: too low a rate for a finite gap '
+         'between queries: exponential needs finite parameters, got (inf,) '
+         '(line 15)'],
+        id='chaff-gap'),
+    pytest.param(
+        _add("[background]\nworkday_start_hour = 18\n"
+                           "workday_end_hour = 9\n"),
+        ['[background] workday_start_hour: start hour 18 must precede end '
+         'hour 9 (line 15)'],
+        id='workday-order'),
+    pytest.param(
+        _add("[background]\nworkday_start_hour = 9\n"
+                           "workday_end_hour = 9\n"),
+        ['[background] workday_start_hour: start hour 9 must precede end '
+         'hour 9 (line 15)'],
+        id='workday-equal'),
+    pytest.param(
+        _TWO_SUBNETS.replace("@ alpha/host-0", "@ beta/host-0"),
+        ["[topology] required_intel: 'share:name=prize' sits in 'beta', "
+         'which no agent can reach (line 7)'],
+        id='unreachable'),
+    pytest.param(
+        _TWO_SUBNETS.replace(
+        "share prize @ alpha/host-0",
+        "credential key @ beta/host-0\n    share prize @ beta/host-1\n"
+        "pivot_edges =\n    key: alpha -> beta"),
+        ["[topology] required_intel: 'share:name=prize' sits in 'beta', "
+         'which no agent can reach (line 7)'],
+        id='unreachable-pivot'),
+    pytest.param(
+        _sub("seed = 7", "seed = seven"),
+        ["[scenario] seed: expected an integer, got 'seven' (line 2)"],
+        id='int-text'),
+    pytest.param(
+        _add("[beacon]\ninterval_ms = 1.5\n"),
+        ["[beacon] interval_ms: expected an integer, got '1.5' (line 15)"],
+        id='int-float-text'),
+    pytest.param(
+        _sub("count = 1", "count = 0"),
+        ['[agents] count: must be >= 1, got 0 (line 12)'],
+        id='int-min-count'),
+    pytest.param(
+        _add("[beacon]\ninterval_ms = 0\n"),
+        ['[beacon] interval_ms: must be >= 1, got 0 (line 15)'],
+        id='int-min-interval'),
+    pytest.param(
+        _sub("mode = manual_baseline",
+                             "mode = manual_baseline\nhorizon_ms = -5"),
+        ['[scenario] horizon_ms: must be >= 1, got -5 (line 4)'],
+        id='int-min-horizon'),
+    pytest.param(
+        _sub("subnets = alpha",
+                           "subnets = alpha\nhosts_per_subnet = 0"),
+        ['[topology] hosts_per_subnet: must be >= 1, got 0 (line 7)'],
+        id='int-min-hosts'),
+    pytest.param(
+        _add("[background]\nn_users = -1\n"),
+        ['[background] n_users: must be >= 0, got -1 (line 15)'],
+        id='int-min-users'),
+    pytest.param(
+        _add("[timing]\nheartbeat_min_window_ms = 0\n"
+                               "heartbeat_max_window_ms = x\n"),
+        ['[timing] heartbeat_min_window_ms: must be >= 1, got 0 (line 15)',
+         "[timing] heartbeat_max_window_ms: expected an integer, got 'x' "
+         '(line 16)'],
+        id='int-min-heartbeat'),
+    pytest.param(
+        _add("[background]\nworkday_start_hour = -1\n"),
+        ['[background] workday_start_hour: must be >= 0, got -1 (line 15)'],
+        id='int-start-hour-bounds'),
+    pytest.param(
+        _add("[background]\nworkday_start_hour = 24\n"),
+        ['[background] workday_start_hour: must be <= 23, got 24 (line 15)'],
+        id='int-start-hour-max'),
+    pytest.param(
+        _add("[background]\nworkday_end_hour = 0\n"),
+        ['[background] workday_end_hour: must be >= 1, got 0 (line 15)'],
+        id='int-end-hour-bounds'),
+    pytest.param(
+        _add("[background]\nworkday_end_hour = 25\n"),
+        ['[background] workday_end_hour: must be <= 24, got 25 (line 15)'],
+        id='int-end-hour-max'),
+    pytest.param(
+        _add("[beacon]\njitter_fraction = nan\n"),
+        ["[beacon] jitter_fraction: expected a finite number, got 'nan' "
+         '(line 15)'],
+        id='float-nan'),
+    pytest.param(
+        _add("[channels]\nchaff_per_hour = -inf\n"),
+        ["[channels] chaff_per_hour: expected a finite number, got '-inf' "
+         '(line 15)'],
+        id='float-inf'),
+    pytest.param(
+        _add("[background]\noff_hours_fraction = often\n"),
+        ['[background] off_hours_fraction: expected a finite number, got '
+         "'often' (line 15)"],
+        id='float-text'),
+    pytest.param(
+        _add("[beacon]\njitter_fraction = -0.1\n"),
+        ['[beacon] jitter_fraction: must be >= 0.0, got -0.1 (line 15)'],
+        id='float-lo-jitter'),
+    pytest.param(
+        _add("[channels]\nchaff_per_hour = -1\n"),
+        ['[channels] chaff_per_hour: must be >= 0.0, got -1.0 (line 15)'],
+        id='float-lo-chaff'),
+    pytest.param(
+        _add("[background]\noff_hours_fraction = -0.5\n"),
+        ['[background] off_hours_fraction: must be >= 0.0, got -0.5 (line '
+         '15)'],
+        id='float-lo-off-hours'),
+    pytest.param(
+        _add("[beacon]\njitter_fraction = 1.0\n"),
+        ['[beacon] jitter_fraction: must be < 1.0, got 1.0 (line 15)'],
+        id='float-hi-open'),
+    pytest.param(
+        _add("[beacon]\njitter_fraction = 2\n"),
+        ['[beacon] jitter_fraction: must be < 1.0, got 2.0 (line 15)'],
+        id='float-hi-open-above'),
+    pytest.param(
+        _add("[background]\noff_hours_fraction = 1.5\n"),
+        ['[background] off_hours_fraction: must be <= 1.0, got 1.5 (line '
+         '15)'],
+        id='float-hi-closed'),
+    pytest.param(
+        _add("[channels]\nstreaming = maybe\n"),
+        ["[channels] streaming: expected true or false, got 'maybe' (line "
+         '15)'],
+        id='bool'),
+    pytest.param(
+        _add("[timing]\ntask_duration = triangle(1, 2)\n"),
+        ["[timing] task_duration: unknown distribution 'triangle' (line "
+         '15)'],
+        id='dist-name'),
+    pytest.param(
+        _add("[channels]\nburst_size = nope\n"),
+        ["[channels] burst_size: unparseable distribution 'nope' (line 15)"],
+        id='dist-text'),
+    pytest.param(
+        _add("[beacon]\nrequest_size = uniform(2, 1)\n"),
+        ['[beacon] request_size: uniform needs (a, b) with a <= b, got '
+         '(2.0, 1.0) (line 15)'],
+        id='dist-params'),
+    pytest.param(
+        _add("[background]\nflow_gap = exponential(1, x)\n"),
+        ["[background] flow_gap: bad numeric parameter in 'exponential(1, "
+         "x)' (line 15)"],
+        id='dist-number'),
+    pytest.param(
+        _add("[timing]\nmanual_think_time = lognormal(1e308, 5)\n"),
+        ["[timing] manual_think_time: lognormal's largest draw, exp(mu + "
+         'sigma sqrt(106 ln 2)), is not finite for (1e+308, 5.0) (line 15)'],
+        id='dist-draw'),
+    pytest.param(
+        _add("[beacon]\nrequest_size = nope\n\n"
+                                   "[channels]\nrequest_size = nope\n"
+                                   "duration = nope\n"),
+        ["[beacon] request_size: unparseable distribution 'nope' (line 15)",
+         "[channels] request_size: unparseable distribution 'nope' (line "
+         '18)',
+         "[channels] duration: unparseable distribution 'nope' (line 19)"],
+        id='same-key-two-sections'),
+    pytest.param(
+        _sub("count = 1", "Count = 0"),
+        ['[agents] count: must be >= 1, got 0'],
+        id='upper-case-key'),
+    pytest.param(
+        _sub("count = 1", "count=0"),
+        ['[agents] count: must be >= 1, got 0 (line 12)'],
+        id='key-spacing'),
+    pytest.param(
+        _add("[timing]\ntask_duration = triangle(1, 2)\n"
+             "heartbeat_min_window_ms = 9\nheartbeat_max_window_ms = 8\n\n"
+             "[beacon]\ninterval_ms = 0\njitter_fraction = 1\n"
+             "duration = uniform(1)\n\n"
+             "[channels]\nstreaming = perhaps\nchaff_per_hour = nan\n\n"
+             "[background]\nn_users = two\nworkday_start_hour = 30\n"
+             "workday_end_hour = 3\noff_hours_fraction = 2\n")
+        .replace("seed = 7", "seed = x").replace("manual_baseline", "nope")
+        .replace("subnets = alpha", "subnets = alpha, vault")
+        .replace("@ alpha/host-0", "@ vault/host-0\n    blob")
+        .replace("count = 1",
+                 "count = 2\ncapabilities =\n    implant-3: alpha"),
+        ["[scenario] seed: expected an integer, got 'x' (line 2)",
+         '[scenario] mode: must be one of autonomous_swarm, '
+         "manual_baseline, got 'nope' (line 3)",
+         "[topology] intel: expected '<kind> <name> @ <subnet>/<host>', "
+         "got 'blob' (line 8)",
+         "[agents] capabilities: 'implant-3' is not implant-1..implant-2 "
+         '(line 14)',
+         "[timing] task_duration: unknown distribution 'triangle' (line "
+         '18)',
+         '[timing] heartbeat_min_window_ms: min window 9 exceeds max '
+         'window 8 (line 19)',
+         '[beacon] interval_ms: must be >= 1, got 0 (line 23)',
+         '[beacon] jitter_fraction: must be < 1.0, got 1.0 (line 24)',
+         '[beacon] duration: uniform needs (a, b) with a <= b, got (1.0,) '
+         '(line 25)',
+         "[channels] streaming: expected true or false, got 'perhaps' "
+         '(line 28)',
+         "[channels] chaff_per_hour: expected a finite number, got 'nan' "
+         '(line 29)',
+         '[background] workday_start_hour: must be <= 23, got 30 (line 33)',
+         '[background] off_hours_fraction: must be <= 1.0, got 2.0 (line '
+         '35)',
+         '[background] workday_start_hour: start hour 9 must precede end '
+         'hour 3 (line 33)',
+         "[background] n_users: expected an integer, got 'two' (line 32)",
+         "[topology] required_intel: 'share:name=prize' sits in 'vault', "
+         'which no agent can reach (line 7)'],
+        id='accumulate'),
+]
+
+
+@pytest.mark.parametrize("text,expected", _PINNED_DIAGNOSTICS)
+def test_every_diagnostic_is_pinned(text, expected):
+    assert _diags(text) == expected
+
+
+# Only at bound + 1: a value far past either bound is what made the parser
+# build names until memory ran out.
+@pytest.mark.parametrize("bound,old,new,expected", [
+    pytest.param(
+        "MAX_AGENTS", "count = 1", "count = {over}",
+        "[agents] count: must be <= {bound}, got {over} (line 12)",
+        id="agents"),
+    pytest.param(
+        "MAX_HOSTS", "subnets = alpha",
+        "subnets = alpha\nhosts_per_subnet = {over}",
+        "[topology] hosts_per_subnet: subnets x hosts_per_subnet = "
+        "1 x {over}, more than {bound} hosts (line 7)",
+        id="hosts"),
+])
+def test_scenario_size_is_bounded_before_names_are_built(bound, old, new,
+                                                          expected, tmp_path,
+                                                          capsys):
+    bound = getattr(scenario, bound)
+    text = _sub(old, new.format(over=bound + 1))
+    expected = expected.format(bound=bound, over=bound + 1)
+    assert _diags(text) == [expected]
+    p = tmp_path / "big.ini"
+    p.write_text(text, encoding="utf-8")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == expected + "\n"
