@@ -331,8 +331,8 @@ def _band_power(bins: np.ndarray, counts: np.ndarray, n: int,
 
 
 def periodogram_strength(series: ChannelSeries, bin_ms: int,
-                         max_lag_bins: int, min_lag_bins: int = MIN_LAG_BINS,
-                         null_scale: float = PGRAM_NULL_SCALE) -> float:
+                         max_lag_bins: int,
+                         min_lag_bins: int = MIN_LAG_BINS) -> float:
     """Spectral-line dominance within the period band, mapped to [0, 1].
 
     The statistic is the largest single-bin share of in-band spectral energy
@@ -361,7 +361,7 @@ def periodogram_strength(series: ChannelSeries, bin_ms: int,
     g = float(band.max()) / total
     m = len(band)
     g_null = (math.log(m) + _EULER) / m if m > 1 else 1.0
-    return min(1.0, g / (g_null * null_scale))
+    return min(1.0, g / (g_null * PGRAM_NULL_SCALE))
 
 
 def size_uniformity(series: ChannelSeries) -> float | None:

@@ -95,14 +95,14 @@ class Dist:
         elif n == "exponential":
             if len(p) != 1 or p[0] <= 0:
                 raise ParameterError(f"exponential needs mean > 0, got {p}")
-            if not math.isfinite(-p[0] * _LN_MIN_UNIT):
+            if not math.isfinite(self.largest):
                 raise ParameterError(
                     f"exponential's largest draw, 53 ln 2 means, is not finite "
                     f"for mean {p[0]!r}")
         elif n == "lognormal":
             if len(p) != 2 or p[1] < 0:
                 raise ParameterError(f"lognormal needs (mu, sigma >= 0), got {p}")
-            if p[0] + p[1] * _Z_MAX > _LN_FLOAT_MAX:
+            if not math.isfinite(self.largest):
                 raise ParameterError(
                     f"lognormal's largest draw, exp(mu + sigma sqrt(106 ln 2)), "
                     f"is not finite for {p}")
@@ -113,6 +113,20 @@ class Dist:
                     f"sum, got {p}")
         else:
             raise ParameterError(f"unknown distribution {n!r}")
+
+    @property
+    def largest(self) -> float:
+        """The largest value draw() returns, inf where that overflows; the
+        last index for choice."""
+        n, p = self.name, self.params
+        if n == "uniform":
+            return p[1]
+        if n == "exponential":
+            return -p[0] * _LN_MIN_UNIT
+        if n == "lognormal":
+            log = p[0] + p[1] * _Z_MAX
+            return math.exp(log) if log <= _LN_FLOAT_MAX else math.inf
+        return float(len(p) - 1)
 
     def __str__(self) -> str:
         inner = ", ".join(format(v, "g") for v in self.params)
@@ -167,6 +181,11 @@ def draw(stream: RngStream, dist: Dist) -> float:
         return float(len(p) - 1)  # guard for target == total under rounding
 
 
+def draw_int(stream: RngStream, dist: Dist, least: int) -> int:
+    """draw() rounded to the nearest integer, and no less than least."""
+    return max(least, round(draw(stream, dist)))
+
+
 class Simulator:
     """Event queue plus clock plus the stream registry for one run."""
 
@@ -187,9 +206,6 @@ class Simulator:
             st = RngStream(self.seed, stream_id)
             self._streams[stream_id] = st
         return st
-
-    def draw(self, stream_id: str, dist: Dist) -> float:
-        return draw(self.stream(stream_id), dist)
 
     # -- event queue -------------------------------------------------------
 

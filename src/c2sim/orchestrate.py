@@ -24,8 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import Simulator
-from .hub import TASK_COMPLETED, Hub, IntelItem, Task
+from .engine import Simulator, draw_int
+from .hub import TASK_COMPLETED, Hub, IntelItem, Task, make_content_key
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
@@ -151,8 +151,8 @@ def follow_up(topology: Topology, context_keys: set[str],
             continue
         if edge.credential_key not in context_keys:
             continue
-        prefix = f"host:name={edge.from_subnet}/"
-        if not any(k.startswith(prefix) for k in context_keys):
+        if not any(make_content_key("host", {"name": host}) in context_keys
+                   for host in topology.hosts(edge.from_subnet)):
             continue
         capable = [a for a in agents if edge.from_subnet in a.capabilities]
         if not capable:
@@ -163,10 +163,6 @@ def follow_up(topology: Topology, context_keys: set[str],
             assignee=_least_loaded(capable, load, agents),
             grants=edge.to_subnet))
     return planned
-
-
-def _round_ms(x: float) -> int:
-    return max(1, int(round(x)))
 
 
 class _RunBase:
@@ -279,13 +275,13 @@ class _SwarmRun(_RunBase):
         self._schedule_planner_turn(0)
 
     def _schedule_planner_turn(self, now: int) -> None:
-        gap = _round_ms(self.sim.draw("planner/turn-latency",
-                                      self.sc.timing.planner_turn_latency))
+        gap = draw_int(self.sim.stream("planner/turn-latency"),
+                       self.sc.timing.planner_turn_latency, 1)
         self.sim.schedule(now + gap, "planner", "planner-turn")
 
     def _dispatch(self, entity: str, now: int) -> None:
-        delay = _round_ms(self.sim.draw(f"{entity}/dispatch",
-                                        self.sc.timing.event_dispatch_latency))
+        delay = draw_int(self.sim.stream(f"{entity}/dispatch"),
+                         self.sc.timing.event_dispatch_latency, 1)
         self.sim.schedule(now + delay, entity, "agent-checkin")
 
     def _on_planner_turn(self, ev) -> None:
@@ -310,11 +306,11 @@ class _SwarmRun(_RunBase):
         agent_id = self.hub.agent_id_for(entity)
         for task in self.hub.get_tasks(agent_id, now):
             start = max(now, self.busy_until.get(entity, 0))
-            dur = _round_ms(self.sim.draw(f"{entity}/work",
-                                          self.sc.timing.task_duration))
+            dur = draw_int(self.sim.stream(f"{entity}/work"),
+                           self.sc.timing.task_duration, 1)
             self.busy_until[entity] = start + dur
-            turns = _round_ms(self.sim.draw(f"{entity}/turns",
-                                            self.sc.timing.planner_turns))
+            turns = draw_int(self.sim.stream(f"{entity}/turns"),
+                             self.sc.timing.planner_turns, 1)
             self.sessions.append(Session(task_id=task.task_id, entity=entity,
                                          start=start, length_ms=dur,
                                          turns=turns))
@@ -395,8 +391,8 @@ class _ManualRun(_RunBase):
         if self.done_at is not None or self.awaiting_think or not self.queue:
             return
         self.awaiting_think = True
-        think = _round_ms(self.sim.draw("operator/think",
-                                        self.sc.timing.manual_think_time))
+        think = draw_int(self.sim.stream("operator/think"),
+                         self.sc.timing.manual_think_time, 1)
         self.sim.schedule(now + think, "operator", "task-issued",
                           payload=self.queue.popleft())
 
@@ -418,8 +414,8 @@ class _ManualRun(_RunBase):
             self._upload(agent_id, task_id, now)
         # poll leg: even an empty poll is a journaled hub contact
         for task in self.hub.get_tasks(agent_id, now):
-            dur = _round_ms(self.sim.draw(f"{entity}/work",
-                                          self.sc.timing.task_duration))
+            dur = draw_int(self.sim.stream(f"{entity}/work"),
+                           self.sc.timing.task_duration, 1)
             self.executing = (entity, task.task_id, now + dur)
         self._schedule_tick(entity)
 

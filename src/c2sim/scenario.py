@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import Dist, ParameterError
-from .hub import HeartbeatPolicy, make_content_key
+from .hub import INTEL_KINDS, HeartbeatPolicy, make_content_key
 from .traffic import (DST_HUB, BeaconConfig, ChannelProfile, WorkdayModel,
                       chaff_gap)
 
@@ -30,6 +30,14 @@ DEFAULT_HOSTS_PER_SUBNET = 4
 # checked before any agent or host name is built
 MAX_AGENTS = 10_000
 MAX_HOSTS = 100_000
+# Upper bound on the beacon polls and on the expected decoy queries a
+# scenario can make a run write: at about 0.7 KB a poll in a manual run,
+# 4,000,000 polls take about 2.7 GB
+MAX_EVENTS = 4_000_000
+# Keys whose draws a trace writes as byte counts and durations, which the
+# detector holds in int64
+_TRACE_INT_KEYS = ("request_size", "response_size", "duration",
+                   "summary_response", "burst_size")
 
 
 class ScenarioError(ValueError):
@@ -57,6 +65,10 @@ class PivotEdge:
     to_subnet: str
 
 
+def _host_names(subnet: str, n: int) -> list[str]:
+    return [f"{subnet}/host-{i}" for i in range(n)]
+
+
 @dataclass(frozen=True)
 class Topology:
     subnets: tuple[str, ...]
@@ -66,20 +78,13 @@ class Topology:
     required_keys: tuple[str, ...]
 
     def hosts(self, subnet: str) -> list[str]:
-        return [f"{subnet}/host-{i}" for i in range(self.hosts_per_subnet)]
+        return _host_names(subnet, self.hosts_per_subnet)
 
     def recon_yield(self, subnet: str) -> list[tuple[str, str]]:
         """(kind, name) pairs a full sweep of the subnet discovers."""
         found = [("host", h) for h in self.hosts(subnet)]
         found += [(i.kind, i.name) for i in self.intel if i.subnet == subnet]
         return found
-
-    def placement_subnet(self, key: str) -> str | None:
-        for spec in self.intel:
-            if spec.content_key == key:
-                return spec.subnet
-        m = re.fullmatch(r"host:name=([^/]+)/.*", key)
-        return m.group(1) if m else None
 
 
 @dataclass(frozen=True)
@@ -166,31 +171,26 @@ class _Reader:
 
     def __init__(self, cp: configparser.ConfigParser, text: str):
         self.cp = cp
-        self.text = text
         self.diagnostics: list[str] = []
+        # (section, key) -> the first line that sets the key, and
+        # (section, None) -> the section's header line. Keys are lowercased,
+        # as configparser reads them.
+        self.lines: dict[tuple[str, str | None], int] = {}
+        section = None
+        for i, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.strip()
+            if stripped.startswith("["):
+                section = stripped[1:-1] if stripped.endswith("]") else None
+                self.lines.setdefault((section, None), i)
+            elif section is not None and "=" in raw:
+                key = raw.split("=", 1)[0].strip().lower()
+                self.lines.setdefault((section, key), i)
 
     def fail(self, section: str, key: str | None, message: str) -> None:
         where = f"[{section}]" + (f" {key}" if key else "")
-        line = self._line_of(section, key)
+        line = self.lines.get((section, key))
         suffix = f" (line {line})" if line else ""
         self.diagnostics.append(f"{where}: {message}{suffix}")
-
-    def _line_of(self, section: str, key: str | None) -> int | None:
-        lines = self.text.splitlines()
-        in_section = False
-        for i, raw in enumerate(lines, start=1):
-            stripped = raw.strip()
-            if stripped.startswith("["):
-                if in_section and key is not None:
-                    return None
-                in_section = stripped == f"[{section}]"
-                if in_section and key is None:
-                    return i
-                continue
-            if in_section and key is not None and re.match(
-                    rf"^\s*{re.escape(key)}\s*=", raw):
-                return i
-        return None
 
     def get(self, section: str, key: str) -> str | None:
         if not self.cp.has_section(section) or not self.cp.has_option(section, key):
@@ -292,7 +292,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                f"subnets x hosts_per_subnet = {len(subnets)} x {hosts_per}, "
                f"more than {MAX_HOSTS} hosts")
         hosts_per = DEFAULT_HOSTS_PER_SUBNET
-    hosts = {f"{s}/host-{i}" for s in subnets for i in range(hosts_per)}
+    host_subnet = {host: s for s in subnets
+                   for host in _host_names(s, hosts_per)}
+    # content key -> the subnet the item sits in, for each declared item and
+    # each required host
+    sits_in: dict[str, str] = {}
 
     intel: list[IntelSpec] = []
     intel_names: dict[str, IntelSpec] = {}
@@ -303,15 +307,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                    f"expected '<kind> <name> @ <subnet>/<host>', got {line!r}")
             continue
         kind, name, subnet, host = m.groups()
-        if kind == "host" or kind not in {"port", "service", "credential",
-                                          "share", "misc"}:
+        if kind == "host" or kind not in INTEL_KINDS:
             r.fail("topology", "intel",
                    f"kind must be port/service/credential/share/misc, got {kind!r}")
             continue
         if subnet not in subnets:
             r.fail("topology", "intel", f"unknown subnet {subnet!r} in {line!r}")
             continue
-        if f"{subnet}/{host}" not in hosts:
+        if f"{subnet}/{host}" not in host_subnet:
             r.fail("topology", "intel", f"unknown host {host!r} in {line!r}")
             continue
         spec = IntelSpec(kind=kind, name=name, subnet=subnet,
@@ -320,6 +323,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             r.fail("topology", "intel", f"duplicate item {kind} {name}")
             continue
         intel_names[f"{kind}:{name}"] = spec
+        sits_in[spec.content_key] = subnet
         intel.append(spec)
 
     edges: list[PivotEdge] = []
@@ -352,10 +356,12 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             continue
         kind, name = ref.split(":", 1)
         if kind == "host":
-            if name not in hosts:
+            if name not in host_subnet:
                 r.fail("topology", "required_intel", f"unknown host {name!r}")
                 continue
-            required.append(make_content_key("host", {"name": name}))
+            key = make_content_key("host", {"name": name})
+            sits_in[key] = host_subnet[name]
+            required.append(key)
         else:
             spec = intel_names.get(ref)
             if spec is None:
@@ -407,6 +413,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         horizon_ms=horizon, src="", dst=DST_HUB,
         **r.get_fields("beacon", BeaconConfig, interval_ms={"lo": 1},
                        jitter_fraction={"lo": 0.0, "hi": 1.0, "hi_open": True}))
+    ticks = horizon // beacon.interval_ms + 1
+    if count * ticks > MAX_EVENTS:
+        r.fail("beacon", "interval_ms",
+               f"count x (horizon_ms // interval_ms + 1) = {count} x {ticks}, "
+               f"more than {MAX_EVENTS} polls")
 
     # [channels]
     channels = ChannelParams(
@@ -418,6 +429,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         except ParameterError as exc:
             r.fail("channels", "chaff_per_hour",
                    f"too low a rate for a finite gap between queries: {exc}")
+    # horizon_ms may be past what a float holds, so it is compared, not
+    # multiplied
+    rate = count * channels.chaff_per_hour
+    if rate > 0 and horizon > MAX_EVENTS * 3_600_000 / rate:
+        r.fail("channels", "chaff_per_hour",
+               f"count x chaff_per_hour x horizon_ms / 3600000 = {count} x "
+               f"{channels.chaff_per_hour} x {horizon} / 3600000, more than "
+               f"{MAX_EVENTS} decoy queries")
 
     # [background]
     workday = r.get_fields("background", WorkdayModel,
@@ -433,28 +452,41 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     background = WorkdayModel(horizon_ms=horizon, **workday)
     n_users = r.read("background", "n_users", 0, lo=0)
 
-    topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
-                        intel=tuple(intel), pivot_edges=tuple(edges),
-                        required_keys=tuple(required))
+    # every byte count and duration a trace holds must be below 2^63
+    for section, record in (("beacon", beacon), ("channels", channels.profile),
+                            ("background", background)):
+        for key in _TRACE_INT_KEYS:
+            dist = getattr(record, key, None)
+            if dist is not None and round(dist.largest) >= 2 ** 63:
+                r.fail(section, key, f"largest draw {dist.largest} rounds "
+                       "to 2^63 or more, past the int64 cells of a trace")
+    # and a non-streaming request grows by context_growth each turn after
+    # the first
+    request = channels.profile.request_size.largest
+    turns = timing_dists["planner_turns"].largest
+    growth = channels.profile.context_growth.largest
+    if round(request) < 2 ** 63 <= round(request) + (
+            max(1, round(turns)) - 1) * max(0, round(growth)):
+        r.fail("channels", "request_size",
+               f"largest draw {request} + (planner_turns {turns} - 1) x "
+               f"context_growth {growth} rounds to 2^63 or more, past the "
+               "int64 cells of a trace")
 
     # reachability: every required item must be collectable by some agent
     # through the declared pivot chain
     if subnets and agents and required:
-        reachable = set()
-        for spec in agents:
-            reachable |= spec.capabilities
+        reachable = set().union(*(spec.capabilities for spec in agents))
         changed = True
         while changed:
             changed = False
             for edge in edges:
                 if (edge.to_subnet not in reachable
                         and edge.from_subnet in reachable
-                        and topology.placement_subnet(edge.credential_key)
-                        in reachable):
+                        and sits_in[edge.credential_key] in reachable):
                     reachable.add(edge.to_subnet)
                     changed = True
         for key in required:
-            subnet = topology.placement_subnet(key)
+            subnet = sits_in[key]
             if subnet not in reachable:
                 r.fail("topology", "required_intel",
                        f"{key!r} sits in {subnet!r}, which no agent can reach")
@@ -462,6 +494,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     if r.diagnostics:
         raise ScenarioError(r.diagnostics)
 
+    topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
+                        intel=tuple(intel), pivot_edges=tuple(edges),
+                        required_keys=tuple(required))
     timing = Timing(heartbeat=HeartbeatPolicy(hb_min, hb_max), **timing_dists)
     return Scenario(seed=seed, mode=mode, horizon_ms=horizon,
                     topology=topology, agents=agents, timing=timing,

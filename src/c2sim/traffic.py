@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .engine import Dist, RngStream, draw
+from .engine import Dist, RngStream, draw, draw_int
 
 DST_HUB = "hub"
 DST_PLANNER = "planner"
@@ -148,14 +148,6 @@ class WorkdayModel:
             raise ValueError("off_hours_fraction must be in [0, 1]")
 
 
-def _size(stream: RngStream, dist: Dist) -> int:
-    return max(1, int(round(draw(stream, dist))))
-
-
-def _dur(stream: RngStream, dist: Dist) -> int:
-    return max(0, int(round(draw(stream, dist))))
-
-
 # -- beacons -------------------------------------------------------------------
 
 
@@ -181,10 +173,10 @@ def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> Iterator[int]:
 
 def flows_at_ticks(ticks: Iterable[int], cfg: BeaconConfig,
                    stream: RngStream) -> list[FlowRecord]:
-    return [FlowRecord(ts_start=t, duration=_dur(stream, cfg.duration),
+    return [FlowRecord(ts_start=t, duration=draw_int(stream, cfg.duration, 0),
                        src=cfg.src, dst=cfg.dst, dst_class=DST_HUB,
-                       bytes_initiator=_size(stream, cfg.request_size),
-                       bytes_responder=_size(stream, cfg.response_size),
+                       bytes_initiator=draw_int(stream, cfg.request_size, 1),
+                       bytes_responder=draw_int(stream, cfg.response_size, 1),
                        leg=LEG_TASKING, label=LABEL_BEACON)
             for t in ticks]
 
@@ -218,10 +210,10 @@ def synth_event_flows(journal_records: Iterable[dict],
         st = streams(f"{entity}/tasking-bytes")
         flows.append(FlowRecord(
             ts_start=rec["time_ms"],
-            duration=_dur(st, _TASKING_DURATION),
+            duration=draw_int(st, _TASKING_DURATION, 0),
             src=entity, dst=DST_HUB, dst_class=DST_HUB,
-            bytes_initiator=_size(st, _TASKING_REQUEST),
-            bytes_responder=_size(st, _TASKING_RESPONSE),
+            bytes_initiator=draw_int(st, _TASKING_REQUEST, 1),
+            bytes_responder=draw_int(st, _TASKING_RESPONSE, 1),
             leg=LEG_TASKING, label=LABEL_EVENT))
     return flows
 
@@ -239,19 +231,19 @@ def synth_reasoning_nonstreaming(turns: int, profile: ChannelProfile,
         raise ValueError("a session has at least one turn")
     flows = []
     t = t_start
-    req = _size(stream, profile.request_size)
+    req = draw_int(stream, profile.request_size, 1)
     for turn in range(turns):
         last = turn == turns - 1
         resp_dist = profile.summary_response if last else profile.response_size
         flows.append(FlowRecord(
-            ts_start=t, duration=_dur(stream, profile.duration),
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
             src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
             bytes_initiator=req,
-            bytes_responder=_size(stream, resp_dist),
+            bytes_responder=draw_int(stream, resp_dist, 1),
             leg=LEG_REASONING, label=LABEL_EVENT))
         if not last:
-            req += max(0, int(round(draw(stream, profile.context_growth))))
-            t += max(1, int(round(draw(stream, profile.turn_gap))))
+            req += draw_int(stream, profile.context_growth, 0)
+            t += draw_int(stream, profile.turn_gap, 1)
     return flows
 
 
@@ -261,7 +253,7 @@ def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
     """Streaming session: an irregular burst train, bidirectional throughout."""
     if session_length_ms < 0:
         raise ValueError("session length must be non-negative")
-    n = max(1, int(round(draw(stream, profile.burst_count))))
+    n = draw_int(stream, profile.burst_count, 1)
     flows = []
     t = t_start
     deadline = t_start + session_length_ms
@@ -269,12 +261,12 @@ def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
         if t > deadline:
             break
         flows.append(FlowRecord(
-            ts_start=t, duration=_dur(stream, profile.duration),
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
             src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
-            bytes_initiator=_size(stream, profile.burst_size),
-            bytes_responder=_size(stream, profile.burst_size),
+            bytes_initiator=draw_int(stream, profile.burst_size, 1),
+            bytes_responder=draw_int(stream, profile.burst_size, 1),
             leg=LEG_REASONING, label=LABEL_EVENT))
-        t += max(1, int(round(draw(stream, profile.burst_interval))))
+        t += draw_int(stream, profile.burst_interval, 1)
     return flows
 
 
@@ -297,22 +289,16 @@ def synth_chaff(per_hour: float, horizon_ms: int, profile: ChannelProfile,
         return []
     gap = chaff_gap(per_hour)
     flows = []
-    t = int(round(draw(stream, gap)))
+    t = draw_int(stream, gap, 0)
     while t <= horizon_ms:
         flows.append(FlowRecord(
-            ts_start=t, duration=_dur(stream, profile.duration),
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
             src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
-            bytes_initiator=_size(stream, profile.request_size),
-            bytes_responder=_size(stream, profile.response_size),
+            bytes_initiator=draw_int(stream, profile.request_size, 1),
+            bytes_responder=draw_int(stream, profile.response_size, 1),
             leg=LEG_REASONING, label=LABEL_CHAFF))
-        t += max(1, int(round(draw(stream, gap))))
+        t += draw_int(stream, gap, 1)
     return flows
-
-
-def _in_workday(t: int, model: WorkdayModel) -> bool:
-    hour_ms = t % _DAY_MS
-    return (model.workday_start_hour * _HOUR_MS <= hour_ms
-            < model.workday_end_hour * _HOUR_MS)
 
 
 def synth_background(n_users: int, model: WorkdayModel,
@@ -337,11 +323,11 @@ def synth_background(n_users: int, model: WorkdayModel,
         off_count = 0
         for day in range(days):
             day_base = day * _DAY_MS
-            sessions = max(0, int(round(draw(st, model.sessions_per_day))))
+            sessions = draw_int(st, model.sessions_per_day, 0)
             for _ in range(sessions):
                 want_off = st.unit() < model.off_hours_fraction
                 # admit an off-hours session only if the running share allows it
-                n_flows = max(1, int(round(draw(st, model.flows_per_session))))
+                n_flows = draw_int(st, model.flows_per_session, 1)
                 if want_off and ((off_count + n_flows)
                                  / max(1, on_count + off_count + n_flows)
                                  <= model.off_hours_fraction):
@@ -363,16 +349,16 @@ def synth_background(n_users: int, model: WorkdayModel,
                     if t >= end or t > model.horizon_ms:
                         break
                     flows.append(FlowRecord(
-                        ts_start=t, duration=_dur(st, model.duration),
+                        ts_start=t, duration=draw_int(st, model.duration, 0),
                         src=src, dst=dst, dst_class=dst_class,
-                        bytes_initiator=_size(st, model.request_size),
-                        bytes_responder=_size(st, model.response_size),
+                        bytes_initiator=draw_int(st, model.request_size, 1),
+                        bytes_responder=draw_int(st, model.response_size, 1),
                         leg=LEG_BACKGROUND, label=LABEL_BENIGN))
                     if is_off:
                         off_count += 1
                     else:
                         on_count += 1
-                    t += max(1, int(round(draw(st, model.flow_gap))))
+                    t += draw_int(st, model.flow_gap, 1)
     return flows
 
 

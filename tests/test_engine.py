@@ -251,6 +251,28 @@ def test_dist_refuses_exactly_past_the_largest_finite_draw(name, params):
     assert math.isfinite(draw(top, Dist(name, params(lo))))
 
 
+class _Units:
+    """A stream whose draws are the given units, in turn."""
+
+    def __init__(self, *units: float):
+        self.units = iter(units)
+
+    def unit(self) -> float:
+        return next(self.units)
+
+
+@pytest.mark.parametrize("dist", [
+    Dist("uniform", (2.0, 5.0)),
+    Dist("exponential", (9000.0,)),
+    Dist("lognormal", (7.8, 0.7)),
+    Dist("choice", (1.0, 2.0, 3.0)),
+], ids=str)
+def test_largest_is_the_draw_at_the_top_unit(dist):
+    # Random.random() tops out at 1 - 2**-53; a second unit of 0 puts the
+    # lognormal's cosine at 1
+    assert draw(_Units(1.0 - 2.0 ** -53, 0.0), dist) == dist.largest
+
+
 def test_dist_round_trips_through_str():
     d = Dist.parse("lognormal(10.5, 0.8)")
     assert Dist.parse(str(d)) == d

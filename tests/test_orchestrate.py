@@ -88,6 +88,33 @@ def test_follow_up_gating():
     assert follow_up(sc.topology, keys, issued, agents, load) == []
 
 
+def test_follow_up_counts_only_the_source_subnets_own_hosts():
+    text = """\
+[scenario]
+seed = 1
+mode = autonomous_swarm
+
+[topology]
+subnets = a, a/b, c
+intel =
+    credential key @ a/host-0
+pivot_edges =
+    key: a -> c
+required_intel = host:c/host-0
+
+[agents]
+count = 1
+"""
+    sc = parse_scenario(text)
+    cred = "credential:name=key"
+    # a host of subnet a/b is not a host of subnet a
+    assert follow_up(sc.topology, {cred, "host:name=a/b/host-0"}, set(),
+                     sc.agents, {}) == []
+    planned = follow_up(sc.topology, {cred, "host:name=a/host-3"}, set(),
+                        sc.agents, {})
+    assert [(p.subnet, p.grants) for p in planned] == [("a", "c")]
+
+
 # -- autonomous runner -----------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from c2sim import scenario
@@ -72,14 +74,6 @@ def test_recon_yield_lists_hosts_and_placed_items():
     assert all(kind != "share" for kind, _ in found)
 
 
-def test_placement_subnet():
-    sc = default_scenario()
-    topo = sc.topology
-    assert topo.placement_subnet("share:name=crown-jewels") == "server_zone"
-    assert topo.placement_subnet("host:name=dmz/host-3") == "dmz"
-    assert topo.placement_subnet("service:name=nope") is None
-
-
 def test_unknown_section_rejected():
     diags = _diags(MINIMAL + "\n[surprise]\nx = 1\n")
     assert any("[surprise]" in d and "unknown section" in d for d in diags)
@@ -93,6 +87,17 @@ def test_unknown_key_rejected_with_line():
     assert "unknown key" in diags[0]
     expected_line = text.splitlines().index("flavour = mint") + 1
     assert f"(line {expected_line})" in diags[0]
+
+
+def test_diagnostics_cost_follows_the_file():
+    # a scan of the text for each diagnostic would make this quadratic
+    keys = "".join(f"k{i} = 1\n" for i in range(4000))
+    text = MINIMAL + keys
+    start = time.perf_counter()
+    diags = _diags(text)
+    assert time.perf_counter() - start < 1.0
+    assert diags[-1] == "[agents] k3999: unknown key (line 4012)"
+    assert len(diags) == 4000
 
 
 def test_missing_required_sections():
@@ -182,6 +187,12 @@ def test_required_host_item():
     bad = MINIMAL.replace("required_intel = share:prize",
                           "required_intel = host:alpha/host-99")
     assert any("unknown host" in d for d in _diags(bad))
+    # a subnet name may hold "/": its hosts sit in it, not in its prefix
+    slash = (MINIMAL.replace("subnets = alpha", "subnets = alpha, alpha/b")
+             .replace("share:prize", "host:alpha/b/host-1")
+             + "capabilities =\n    implant-1: alpha/b\n")
+    sc = parse_scenario(slash)
+    assert sc.topology.required_keys == ("host:name=alpha/b/host-1",)
 
 
 def test_capability_validation():
@@ -347,7 +358,7 @@ _PINNED_DIAGNOSTICS = [
         id='unknown-key'),
     pytest.param(
         _sub("count = 1", "count = 1\nFlavour = mint"),
-        ['[agents] flavour: unknown key'],
+        ['[agents] flavour: unknown key (line 13)'],
         id='unknown-key-upper-case'),
     pytest.param(
         _add("[beacon]\nperiod = 5\n[extra]\n").replace(
@@ -535,6 +546,18 @@ _PINNED_DIAGNOSTICS = [
          'which no agent can reach (line 7)'],
         id='unreachable-pivot'),
     pytest.param(
+        _sub("subnets = alpha", "subnets = alpha, alpha/b").replace(
+            "share:prize", "host:alpha/b/host-1"),
+        ["[topology] required_intel: 'host:name=alpha/b/host-1' sits in "
+         "'alpha/b', which no agent can reach (line 7)"],
+        id='unreachable-slash-subnet-beside-its-prefix'),
+    pytest.param(
+        _sub("subnets = alpha", "subnets = alpha, beta/b").replace(
+            "share:prize", "host:beta/b/host-0"),
+        ["[topology] required_intel: 'host:name=beta/b/host-0' sits in "
+         "'beta/b', which no agent can reach (line 7)"],
+        id='unreachable-host-of-slash-subnet'),
+    pytest.param(
         _sub("seed = 7", "seed = seven"),
         ["[scenario] seed: expected an integer, got 'seven' (line 2)"],
         id='int-text'),
@@ -668,7 +691,7 @@ _PINNED_DIAGNOSTICS = [
         id='same-key-two-sections'),
     pytest.param(
         _sub("count = 1", "Count = 0"),
-        ['[agents] count: must be >= 1, got 0'],
+        ['[agents] count: must be >= 1, got 0 (line 12)'],
         id='upper-case-key'),
     pytest.param(
         _sub("count = 1", "count=0"),
@@ -743,8 +766,72 @@ def test_scenario_size_is_bounded_before_names_are_built(bound, old, new,
     bound = getattr(scenario, bound)
     text = _sub(old, new.format(over=bound + 1))
     expected = expected.format(bound=bound, over=bound + 1)
+    _assert_refused(text, expected, tmp_path, capsys)
+
+
+def _assert_refused(text: str, expected: str, tmp_path, capsys) -> None:
     assert _diags(text) == [expected]
     p = tmp_path / "big.ini"
     p.write_text(text, encoding="utf-8")
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err == expected + "\n"
+
+
+def _with_horizon(horizon_ms: int) -> str:
+    return _sub("mode = manual_baseline",
+                f"mode = manual_baseline\nhorizon_ms = {horizon_ms}")
+
+
+# Validated only, at the bound and at bound + 1: a run of either would write
+# millions of polls or decoy queries. Each text asks for n events.
+@pytest.mark.parametrize("text,expected", [
+    pytest.param(
+        lambda n: _with_horizon(n - 1) + "\n[beacon]\ninterval_ms = 1\n",
+        "[beacon] interval_ms: count x (horizon_ms // interval_ms + 1) = "
+        "1 x {over}, more than {bound} polls (line 16)",
+        id="polls"),
+    pytest.param(
+        lambda n: _with_horizon(3_600_000)
+        + f"\n[channels]\nchaff_per_hour = {n}\n",
+        "[channels] chaff_per_hour: count x chaff_per_hour x horizon_ms / "
+        "3600000 = 1 x {over}.0 x 3600000 / 3600000, more than {bound} "
+        "decoy queries (line 16)",
+        id="decoys"),
+])
+def test_events_a_scenario_asks_for_are_bounded(text, expected, tmp_path,
+                                                capsys):
+    bound = scenario.MAX_EVENTS
+    assert parse_scenario(text(bound))
+    _assert_refused(text(bound + 1),
+                    expected.format(bound=bound, over=bound + 1),
+                    tmp_path, capsys)
+
+
+# Sizes and durations as large as a trace holds, then past it: a trace's
+# integers are below 2^63, the detector's int64
+@pytest.mark.parametrize("fits,over,expected", [
+    pytest.param(
+        "[beacon]\nrequest_size = uniform(1, 9223372036854774784)\n",
+        "[beacon]\nrequest_size = uniform(1, 9223372036854775808)\n",
+        "[beacon] request_size: largest draw 9.223372036854776e+18 rounds "
+        "to 2^63 or more, past the int64 cells of a trace (line 15)",
+        id="uniform-size"),
+    pytest.param(
+        "[background]\nduration = exponential(2.5e17)\n",
+        "[background]\nduration = exponential(2.6e17)\n",
+        "[background] duration: largest draw 9.551568148116046e+18 rounds "
+        "to 2^63 or more, past the int64 cells of a trace (line 15)",
+        id="exponential-duration"),
+    pytest.param(
+        "[timing]\nplanner_turns = uniform(10, 10)\n\n[channels]\n"
+        "request_size = uniform(1, 1)\ncontext_growth = uniform(1e18, 1e18)\n",
+        "[timing]\nplanner_turns = uniform(11, 11)\n\n[channels]\n"
+        "request_size = uniform(1, 1)\ncontext_growth = uniform(1e18, 1e18)\n",
+        "[channels] request_size: largest draw 1.0 + (planner_turns 11.0 - 1) "
+        "x context_growth 1e+18 rounds to 2^63 or more, past the int64 cells "
+        "of a trace (line 18)",
+        id="grown-request"),
+])
+def test_trace_integers_are_bounded(fits, over, expected, tmp_path, capsys):
+    assert parse_scenario(_add(fits))
+    _assert_refused(_add(over), expected, tmp_path, capsys)

@@ -29,12 +29,17 @@ from c2sim.traffic import (
     synth_reasoning_streaming,
     write_trace,
     TRACE_COLUMNS,
-    _in_workday,
 )
 
 
 def _stream(name="t", seed=1):
     return RngStream(seed, name)
+
+
+def _in_workday(t: int, model: WorkdayModel) -> bool:
+    hour_ms = t % 86_400_000
+    return (model.workday_start_hour * 3_600_000 <= hour_ms
+            < model.workday_end_hour * 3_600_000)
 
 
 def _flow(ts=0, src="a", dst="hub", **kw):
