@@ -91,7 +91,9 @@ def cmd_simulate(args) -> int:
     manifest_path = out / "manifest.json"
     _claim_outputs([trace_path, journal_path, metrics_path, manifest_path],
                    args.force)
-    run = run_scenario(sc, journal_path=journal_path)
+    # the journal is closed also when the run raises part way
+    with open(journal_path, "a", encoding="utf-8") as journal:
+        run = run_scenario(sc, journal=journal)
     write_trace(trace_path, run.trace, fmt=args.format)
     with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(run.metrics), fh, indent=2, sort_keys=True)

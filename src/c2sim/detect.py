@@ -34,7 +34,6 @@ Mann-Whitney statistic exactly, not just approximately.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -519,17 +518,14 @@ def report_records(report: DetectionReport) -> list[dict]:
 
 
 def write_report(report: DetectionReport, path) -> None:
-    data = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in report_records(report))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+        fh.writelines(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                      + "\n" for r in report_records(report))
 
 
 def write_roc_csv(report: DetectionReport, path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["fpr", "tpr", "threshold"])
-    for fpr, tpr, t in report.roc:
-        w.writerow([repr(fpr), repr(tpr), repr(t)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["fpr", "tpr", "threshold"])
+        w.writerows([repr(fpr), repr(tpr), repr(t)]
+                    for fpr, tpr, t in report.roc)

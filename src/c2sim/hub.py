@@ -14,15 +14,14 @@ register, task_issue, fetch, submit, task_close, liveness_mark; _BODY_FIELDS
 names each kind's body fields and their types. The hub issues task_issue
 records itself so that queued-but-unfetched tasks survive replay.
 
-The hub keeps each journal line it writes as text, and `Hub.journal` decodes
-the lines this hub instance wrote, not the records a recovered hub replayed:
-`Hub.recover` returns the rebuilt state and how far replay got, and the
-caller already holds the bytes. A fetch line, nearly every line of a beacon
-run, is written by one template (`_fetch_line`) that gives the bytes the
-journal encoder gives; every other record is encoded as JSON. Replay decodes
-the one line layout the hub writes for a fetch with no task directly, and
-every other line as JSON; both go through the same framing, `_check` and
-`_apply`.
+The hub writes each journal line once, to `Hub.journal`: a text stream its
+caller opens, owns and closes, or None for a hub that writes no journal. It
+keeps no copy of a line after writing it. A fetch line, nearly every line of
+a beacon run, is written by one template (`_fetch_line`) that gives the bytes
+the journal encoder gives; every other record is encoded as JSON. Only
+`Hub.recover` reads a journal back: it decodes the one line layout the hub
+writes for a fetch with no task directly, and every other line as JSON; both
+go through the same framing, `_check` and `_apply`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TextIO
 
 from .engine import RngStream
 
@@ -255,8 +254,7 @@ class RecoveryResult:
 class Hub:
     """Single-writer hub store. Ops validate, journal, then apply."""
 
-    def __init__(self, policy: HeartbeatPolicy,
-                 journal_path=None,
+    def __init__(self, policy: HeartbeatPolicy, journal: TextIO | None = None,
                  streams: Callable[[str], RngStream] | None = None):
         self.policy = policy
         self.roster: dict[str, AgentRecord] = {}
@@ -264,23 +262,10 @@ class Hub:
         # queued tasks in issue order, kept by _apply so replay rebuilds it
         self._queued: dict[str, Task] = {}
         self.context = SharedContext()
-        # the journal lines this instance wrote: str is not tracked by the
-        # cyclic GC, and takes about half the memory of the record dicts
-        self._lines: list[str] = []
+        self.journal = journal
         self._by_entity: dict[str, str] = {}
         self._streams = streams
         self._seq = 0
-        self._fh = open(journal_path, "a", encoding="utf-8") if journal_path else None
-
-    def close(self) -> None:
-        if self._fh:
-            self._fh.close()
-            self._fh = None
-
-    @property
-    def journal(self) -> list[dict]:
-        """The records this hub instance wrote, decoded from its lines."""
-        return [_decode(line) for line in self._lines]
 
     # -- journaling --------------------------------------------------------
 
@@ -294,10 +279,9 @@ class Hub:
                             "record_kind": record_kind, "body": body}) + "\n"
         self._seq += 1
         # durability before acknowledgment: persist, then mutate
-        if self._fh:
-            self._fh.write(line)
-            self._fh.flush()
-        self._lines.append(line)
+        if self.journal is not None:
+            self.journal.write(line)
+            self.journal.flush()
         return self._apply(record_kind, t, body)
 
     def _check(self, kind: str, body: dict) -> None:
@@ -552,8 +536,9 @@ class Hub:
         set, an integer seq that continues the sequence and an integer
         time_ms, is a record the live hub would write (see _check), and its
         body applies to the state built so far. The result reports how far
-        replay got so a caller can see exactly what a crash cut off; the
-        rebuilt hub's journal stays empty.
+        replay got so a caller can see exactly what a crash cut off. The
+        rebuilt hub writes no journal until a caller that continues the
+        journal assigns it a stream.
         """
         hub = cls(HeartbeatPolicy(1, 1))
         offset = 0

@@ -22,7 +22,7 @@ import dataclasses
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .engine import Simulator, draw_int
 from .hub import TASK_COMPLETED, Hub, IntelItem, Task, make_content_key
@@ -104,10 +104,6 @@ class ScenarioRun:
     sessions: list[Session]
     trace: list[FlowRecord]
 
-    @property
-    def journal(self) -> list[dict]:
-        return self.hub.journal
-
 
 def _least_loaded(candidates: list[AgentSpec], load: dict[str, int],
                   roster: tuple[AgentSpec, ...]) -> str:
@@ -168,15 +164,19 @@ def follow_up(topology: Topology, context_keys: set[str],
 class _RunBase:
     """The engagement both modes share: one task record, one issue path, one
     completion path, one run loop and one trace merge. A runner adds its
-    contact discipline: how tasks reach agents and results come back."""
+    contact discipline: how tasks reach agents and results come back, and
+    the times of each agent's hub contacts, which its tasking flows mirror."""
 
     work_model: str  # the Task.work_model of every task a runner issues
 
-    def __init__(self, sc: Scenario, journal_path=None):
+    def __init__(self, sc: Scenario, journal: TextIO | None = None):
         self.sc = sc
         self.sim = Simulator(sc.seed)
-        self.hub = Hub(sc.timing.heartbeat, journal_path=journal_path,
+        self.hub = Hub(sc.timing.heartbeat, journal=journal,
                        streams=self.sim.stream)
+        # entity -> the times of its hub contacts, in the order they were made
+        self.contacts: dict[str, list[int]] = {spec.entity: []
+                                               for spec in sc.agents}
         self.done_at: int | None = None
         self.sessions: list[Session] = []
         self.operator_actions = 0
@@ -259,8 +259,8 @@ class _RunBase:
 class _SwarmRun(_RunBase):
     """Event-driven mode: dispatch notifications, push-on-complete."""
 
-    def __init__(self, sc: Scenario, journal_path=None):
-        super().__init__(sc, journal_path)
+    def __init__(self, sc: Scenario, journal: TextIO | None = None):
+        super().__init__(sc, journal)
         self.work_model = ("streaming" if sc.channels.streaming
                            else "turn_based")
         self.load: dict[str, int] = {}
@@ -304,6 +304,7 @@ class _SwarmRun(_RunBase):
         now = self.sim.clock
         entity = ev.entity
         agent_id = self.hub.agent_id_for(entity)
+        self.contacts[entity].append(now)  # the fetch
         for task in self.hub.get_tasks(agent_id, now):
             start = max(now, self.busy_until.get(entity, 0))
             dur = draw_int(self.sim.stream(f"{entity}/work"),
@@ -320,13 +321,17 @@ class _SwarmRun(_RunBase):
     def _on_complete(self, ev) -> None:
         now = self.sim.clock
         agent_id = self.hub.agent_id_for(ev.entity)
+        self.contacts[ev.entity].append(now)  # the submit
         self._complete(agent_id, ev.payload, now)
         if self.done_at is None and self.hub.has_work_for(agent_id):
             self._dispatch(ev.entity, now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile
-        parts = [synth_event_flows(self.hub.journal, self.sim.stream)]
+        parts = [synth_event_flows(
+            self.contacts[spec.entity],
+            self.sim.stream(f"{spec.entity}/tasking-bytes"), src=spec.entity)
+            for spec in self.sc.agents]
         for s in sorted(self.sessions, key=lambda s: (s.start, s.task_id)):
             st = self.sim.stream(f"{s.entity}/reasoning/{s.task_id}")
             if self.sc.channels.streaming:
@@ -347,14 +352,12 @@ class _ManualRun(_RunBase):
 
     work_model = "manual"
 
-    def __init__(self, sc: Scenario, journal_path=None):
-        super().__init__(sc, journal_path)
+    def __init__(self, sc: Scenario, journal: TextIO | None = None):
+        super().__init__(sc, journal)
         self.queue: deque[PlannedTask] = deque()
         self.queued_hosts: set[str] = set()
         self.queued_pivots: set[str] = set()
         self.ticks: dict[str, Iterator[int]] = {}
-        self.fired: dict[str, list[int]] = {spec.entity: []
-                                            for spec in sc.agents}
         # (entity, task_id, completion time) of the one task in flight
         self.executing: tuple[str, str, int] | None = None
         self.awaiting_think = False
@@ -404,7 +407,7 @@ class _ManualRun(_RunBase):
     def _on_tick(self, ev) -> None:
         now = self.sim.clock
         entity = ev.entity
-        self.fired[entity].append(now)
+        self.contacts[entity].append(now)  # the poll, carrying any upload
         agent_id = self.hub.agent_id_for(entity)
         # upload leg: results ride the beacon that follows completion
         if (self.executing is not None and self.executing[0] == entity
@@ -439,20 +442,22 @@ class _ManualRun(_RunBase):
         for spec in self.sc.agents:
             cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
             parts.append(flows_at_ticks(
-                self.fired[spec.entity], cfg,
+                self.contacts[spec.entity], cfg,
                 self.sim.stream(f"{spec.entity}/beacon-bytes")))
         return self._with_background(parts, window)
 
 
-def run_scenario(scenario: Scenario, journal_path=None) -> ScenarioRun:
+def run_scenario(scenario: Scenario,
+                 journal: TextIO | None = None) -> ScenarioRun:
+    """Run the engagement; the hub writes its journal to the text stream
+    journal, which the caller opens and closes."""
     kind = {MODE_SWARM: _SwarmRun, MODE_MANUAL: _ManualRun}.get(scenario.mode)
     if kind is None:
         raise ValueError(f"unknown mode {scenario.mode!r}")
-    runner = kind(scenario, journal_path)
+    runner = kind(scenario, journal)
     try:
         return runner.run()
     finally:
-        runner.hub.close()  # also when a handler raises mid-run
         # The handlers are the runner's bound methods and the hub holds the
         # simulator's streams, so runner, simulator and hub form a cycle;
         # broken here, reference counting frees the hub with the run.

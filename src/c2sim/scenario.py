@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .engine import Dist, ParameterError
 from .hub import INTEL_KINDS, HeartbeatPolicy, make_content_key
-from .traffic import (DST_HUB, BeaconConfig, ChannelProfile, WorkdayModel,
-                      chaff_gap)
+from .traffic import (DST_HUB, TASKING_DURATION, BeaconConfig, ChannelProfile,
+                      WorkdayModel, chaff_gap)
 
 MODE_SWARM = "autonomous_swarm"
 MODE_MANUAL = "manual_baseline"
@@ -460,6 +460,17 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             if dist is not None and round(dist.largest) >= 2 ** 63:
                 r.fail(section, key, f"largest draw {dist.largest} rounds "
                        "to 2^63 or more, past the int64 cells of a trace")
+    # and so is every flow's end: a flow starts at or before the horizon,
+    # and lasts at most the largest draw of its duration (one refused above
+    # is left out)
+    durations = [round(dist.largest) for dist in (
+        beacon.duration, channels.profile.duration, background.duration,
+        TASKING_DURATION)]
+    longest = max(d for d in durations if d < 2 ** 63)
+    if horizon + longest >= 2 ** 63:
+        r.fail("scenario", "horizon_ms",
+               f"{horizon} + largest duration draw {longest} is 2^63 or "
+               "more, past the int64 cells of a trace")
     # and a non-streaming request grows by context_growth each turn after
     # the first
     request = channels.profile.request_size.largest

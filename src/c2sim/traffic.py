@@ -2,7 +2,8 @@
 
 Five generators, one record type:
   * periodic beacons with bounded jitter (the classic heartbeat channel);
-  * sparse event-driven hub contacts, one flow per fetch or submit;
+  * sparse event-driven hub contacts, one flow at each time an agent
+    fetched or submitted, as the runner logged them;
   * non-streaming reasoning sessions whose request sizes grow turn over turn
     as accumulated context is resent, ending in an enlarged summary response;
   * streaming reasoning sessions: irregular bidirectional bursts;
@@ -15,7 +16,6 @@ caller-supplied named streams, so traces are reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import re
@@ -43,10 +43,11 @@ LABELS = (LABEL_BEACON, LABEL_EVENT, LABEL_CHAFF, LABEL_BENIGN)
 _HOUR_MS = 3_600_000
 _DAY_MS = 86_400_000
 
-# Sizes and durations of an event-driven agent's hub contacts
+# Sizes and durations of an event-driven agent's hub contacts; the scenario
+# parser bounds horizon_ms by the largest duration
 _TASKING_REQUEST = Dist("lognormal", (6.9, 0.3))
 _TASKING_RESPONSE = Dist("lognormal", (8.0, 0.5))
-_TASKING_DURATION = Dist("lognormal", (5.3, 0.4))
+TASKING_DURATION = Dist("lognormal", (5.3, 0.4))
 
 # Where benign users' sessions go, and how often each is picked
 _BACKGROUND_DESTINATIONS = (DST_PLANNER, "svc-mail", "svc-repo", "svc-files")
@@ -189,33 +190,17 @@ def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> list[FlowRecord]
 # -- event-driven hub contact ----------------------------------------------------
 
 
-def synth_event_flows(journal_records: Iterable[dict],
-                      streams: Callable[[str], RngStream]) -> list[FlowRecord]:
-    """One tasking-leg flow per fetch and per submit record in the journal.
-
-    The flow source is the registering entity, recovered from register
-    records, so channels group by implant rather than by hub-issued id.
-    """
-    entity_of: dict[str, str] = {}
-    flows: list[FlowRecord] = []
-    for rec in journal_records:
-        kind = rec["record_kind"]
-        body = rec["body"]
-        if kind == "register":
-            entity_of[body["agent_id"]] = body["entity"]
-            continue
-        if kind not in ("fetch", "submit"):
-            continue
-        entity = entity_of[body["agent_id"]]
-        st = streams(f"{entity}/tasking-bytes")
-        flows.append(FlowRecord(
-            ts_start=rec["time_ms"],
-            duration=draw_int(st, _TASKING_DURATION, 0),
-            src=entity, dst=DST_HUB, dst_class=DST_HUB,
-            bytes_initiator=draw_int(st, _TASKING_REQUEST, 1),
-            bytes_responder=draw_int(st, _TASKING_RESPONSE, 1),
-            leg=LEG_TASKING, label=LABEL_EVENT))
-    return flows
+def synth_event_flows(times: Iterable[int], stream: RngStream, *,
+                      src: str) -> list[FlowRecord]:
+    """One tasking-leg flow from src to the hub at each of its hub contact
+    times, a fetch or a submit; src is the implant, not the hub-issued id."""
+    return [FlowRecord(ts_start=t,
+                       duration=draw_int(stream, TASKING_DURATION, 0),
+                       src=src, dst=DST_HUB, dst_class=DST_HUB,
+                       bytes_initiator=draw_int(stream, _TASKING_REQUEST, 1),
+                       bytes_responder=draw_int(stream, _TASKING_RESPONSE, 1),
+                       leg=LEG_TASKING, label=LABEL_EVENT)
+            for t in times]
 
 
 # -- reasoning sessions -----------------------------------------------------------
@@ -377,22 +362,17 @@ def _flow_row(f: FlowRecord) -> list:
 
 
 def write_trace(path, flows: Iterable[FlowRecord], fmt: str = "csv") -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for f in flows:
-            w.writerow(_flow_row(f))
-        data = buf.getvalue()
-    elif fmt == "jsonl":
-        data = "".join(
-            json.dumps(dict(zip(TRACE_COLUMNS, _flow_row(f))),
-                       sort_keys=True, separators=(",", ":")) + "\n"
-            for f in flows)
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown trace format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        if fmt == "csv":
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(TRACE_COLUMNS)
+            w.writerows(map(_flow_row, flows))
+        else:
+            fh.writelines(json.dumps(dict(zip(TRACE_COLUMNS, _flow_row(f))),
+                                     sort_keys=True, separators=(",", ":"))
+                          + "\n" for f in flows)
 
 
 def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:

@@ -9,6 +9,7 @@ drifting.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import statistics
@@ -27,7 +28,7 @@ from c2sim.detect import (
     write_report,
 )
 from c2sim.engine import RngStream
-from c2sim.hub import HeartbeatPolicy, Hub, journal_lines
+from c2sim.hub import HeartbeatPolicy, Hub
 from c2sim.orchestrate import MODE_MANUAL, run_scenario
 from c2sim.scenario import default_scenario, default_scenario_text, parse_scenario
 from c2sim.traffic import (
@@ -44,6 +45,13 @@ from c2sim.traffic import (
 
 DAY_MS = 86_400_000
 HOUR_MS = 3_600_000
+
+
+def _journaled(sc):
+    """The run of sc and the bytes of the journal its hub wrote."""
+    journal = io.StringIO()
+    run = run_scenario(sc, journal=journal)
+    return run, journal.getvalue().encode()
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -103,13 +111,13 @@ def test_criterion_1_repeat_runs_are_byte_identical(tmp_path):
     sc = parse_scenario(text)
     artifacts = []
     for tag in ("first", "second"):
-        run = run_scenario(sc)
+        run, journal = _journaled(sc)
         trace_path = tmp_path / f"{tag}-trace.csv"
         report_path = tmp_path / f"{tag}-report.ndjson"
         write_trace(trace_path, run.trace)
         write_report(evaluate(run.trace), report_path)
         artifacts.append((trace_path.read_bytes(),
-                          journal_lines(run.journal),
+                          journal,
                           report_path.read_bytes()))
     elapsed = time.monotonic() - t0
     same = [a == b for a, b in zip(artifacts[0], artifacts[1])]
@@ -213,7 +221,7 @@ def test_criterion_4_reasoning_session_shapes():
 
 def test_criterion_5_liveness_window_boundary():
     policy = HeartbeatPolicy(50_000, 50_000)
-    hub = Hub(policy)
+    hub = Hub(policy, journal=io.StringIO())
     aid = hub.register_agent("imp-1", ["alpha"], 0)
     checks = {
         "quiet up to the window is tolerated": hub.sweep_liveness(50_000) == [],
@@ -226,7 +234,8 @@ def test_criterion_5_liveness_window_boundary():
     checks["restored agent gets a fresh window"] = (
         hub.sweep_liveness(110_000) == [])
     checks["and is flagged again past it"] = hub.sweep_liveness(110_001) == [aid]
-    marks = sum(r["record_kind"] == "liveness_mark" for r in hub.journal)
+    marks = sum(r["record_kind"] == "liveness_mark"
+                for r in map(json.loads, hub.journal.getvalue().splitlines()))
     checks["exactly two liveness marks journaled"] = marks == 2
     ok = all(checks.values())
     failed = [k for k, v in checks.items() if not v]
@@ -237,9 +246,8 @@ def test_criterion_5_liveness_window_boundary():
 def test_criterion_6_crash_replay_never_loses_acked_intel():
     sc = (default_scenario().with_seed(7).with_mode(MODE_MANUAL)
           .with_beacon_interval(15_000))
-    run = run_scenario(sc)
-    records = run.journal
-    blob = journal_lines(records)
+    run, blob = _journaled(sc)
+    records = [json.loads(line) for line in blob.splitlines()]
     full = Hub.recover(blob)
     full_matches = (full.records_applied == len(records)
                     and not full.truncated
@@ -281,17 +289,16 @@ def test_criterion_7_swarm_vs_manual():
     invariant_ok = True
     for seed in seeds:
         base = default_scenario().with_seed(seed)
-        ref = run_scenario(base)
+        ref, ref_bytes = _journaled(base)
         swarm_times.append(ref.metrics.time_to_objective_ms)
         swarm_actions_ok &= ref.metrics.operator_actions == 1
-        ref_bytes = journal_lines(ref.journal)
         for iv in intervals:
             manual = run_scenario(base.with_mode(MODE_MANUAL)
                                   .with_beacon_interval(iv))
             manual_times[iv].append(manual.metrics.time_to_objective_ms)
             manual_actions_ok &= manual.metrics.operator_actions >= 10
-            swarm = run_scenario(base.with_beacon_interval(iv))
-            invariant_ok &= (journal_lines(swarm.journal) == ref_bytes
+            swarm, swarm_bytes = _journaled(base.with_beacon_interval(iv))
+            invariant_ok &= (swarm_bytes == ref_bytes
                              and swarm.metrics == ref.metrics
                              and swarm.trace == ref.trace)
     med_swarm = statistics.median(swarm_times)

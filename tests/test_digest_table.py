@@ -4,12 +4,13 @@ the artifacts' bytes, a second run's bytes, and replay of its journal."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 
 import pytest
 from scenario_corpus import artifact_digests, corpus, read_table
 
-from c2sim.hub import Hub, journal_lines
+from c2sim.hub import Hub
 from c2sim.orchestrate import run_scenario
 from c2sim.scenario import parse_scenario
 from c2sim.traffic import write_trace
@@ -28,9 +29,10 @@ def test_generated_scenario_matches_its_digests(name, tmp_path):
     text = CASES[name]
     assert artifact_digests(text, tmp_path) == TABLE[name]
     # a second run of the same scenario writes the same bytes
-    run = run_scenario(parse_scenario(text))
+    journal = io.StringIO()
+    run = run_scenario(parse_scenario(text), journal=journal)
     sim = tmp_path / "sim"
-    blob = journal_lines(run.journal)
+    blob = journal.getvalue().encode()
     assert blob == (sim / "journal.ndjson").read_bytes()
     write_trace(tmp_path / "again.csv", run.trace)
     assert ((tmp_path / "again.csv").read_bytes()

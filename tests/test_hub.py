@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
 import json
 import random
 
@@ -42,9 +43,21 @@ from c2sim.scenario import default_scenario
 POLICY = HeartbeatPolicy(min_window_ms=3_600_000, max_window_ms=172_800_000)
 
 
-def _hub(policy=POLICY, seed=11, path=None):
+def _hub(policy=POLICY, seed=11, journal=None):
+    """A hub that writes its journal to journal, or to a new StringIO."""
     sim = Simulator(seed)
-    return Hub(policy, journal_path=path, streams=sim.stream)
+    return Hub(policy, journal=io.StringIO() if journal is None else journal,
+               streams=sim.stream)
+
+
+def _bytes(hub) -> bytes:
+    """The journal hub wrote to its StringIO."""
+    return hub.journal.getvalue().encode()
+
+
+def _records(hub) -> list[dict]:
+    """The records hub wrote to its StringIO, decoded."""
+    return [json.loads(line) for line in hub.journal.getvalue().splitlines()]
 
 
 def _task(tid, requires=(), assigned=None, meta=None):
@@ -139,7 +152,7 @@ def test_every_task_appears_in_exactly_one_fetch_record():
     for now in (20, 30, 40):
         hub.get_tasks(a1, now=now)
         hub.get_tasks(a2, now=now)
-    fetched = [tid for rec in hub.journal if rec["record_kind"] == "fetch"
+    fetched = [tid for rec in _records(hub) if rec["record_kind"] == "fetch"
                for tid in rec["body"]["task_ids"]]
     assert sorted(fetched) == ["t-0", "t-1", "t-2", "t-3", "t-4"]
     assert len(fetched) == len(set(fetched))
@@ -232,7 +245,7 @@ def test_malformed_items_rejected_and_never_journaled():
         aid, [bad_key, bad_kind, empty, _intel("i-4", aid, "host", name="w")], now=9)
     assert res.rejected == ["i-1", "i-2", "i-3"]
     assert res.accepted == 1
-    journaled = [i["intel_id"] for rec in hub.journal
+    journaled = [i["intel_id"] for rec in _records(hub)
                  if rec["record_kind"] == "submit" for i in rec["body"]["items"]]
     assert journaled == ["i-4"]
 
@@ -305,8 +318,8 @@ def test_sweep_matches_independent_recomputation():
 # -- journal and recovery ------------------------------------------------------
 
 
-def _scripted_hub(path=None):
-    hub = _hub(seed=21, path=path)
+def _scripted_hub(journal=None):
+    hub = _hub(seed=21, journal=journal)
     a1 = hub.register_agent("implant-1", ["user_zone"], now=0)
     a2 = hub.register_agent("implant-2", ["user_zone", "dmz"], now=0)
     hub.issue_task(_task("t-1", assigned=a1), now=10)
@@ -335,21 +348,23 @@ def _scripted_hub(path=None):
 def test_journal_records_have_fixed_shape():
     hub = _scripted_hub()
     kinds = set()
-    for i, rec in enumerate(hub.journal):
+    for i, rec in enumerate(_records(hub)):
         assert set(rec) == {"seq", "time_ms", "record_kind", "body"}
         assert rec["seq"] == i
         kinds.add(rec["record_kind"])
     assert kinds == {"register", "task_issue", "fetch", "submit", "task_close",
                      "liveness_mark"}
-    times = [r["time_ms"] for r in hub.journal]
+    times = [r["time_ms"] for r in _records(hub)]
     assert times == sorted(times)
 
 
 def test_journal_file_matches_in_memory_records(tmp_path):
     path = tmp_path / "journal.ndjson"
-    hub = _scripted_hub(path=path)
-    hub.close()
-    assert path.read_bytes() == journal_lines(hub.journal)
+    with open(path, "a", encoding="utf-8") as fh:
+        _scripted_hub(journal=fh)
+    in_memory = _scripted_hub()
+    assert path.read_bytes() == _bytes(in_memory)
+    assert _bytes(in_memory) == journal_lines(_records(in_memory))
 
 
 # Journal text: arbitrary code points, lone surrogates included, and a mix
@@ -381,9 +396,9 @@ def test_fetch_template_writes_the_line_the_encoder_writes(agent_id, task_ids,
 
 def test_full_replay_reproduces_state_exactly():
     hub = _scripted_hub()
-    rec = Hub.recover(journal_lines(hub.journal))
+    rec = Hub.recover(_bytes(hub))
     assert not rec.truncated
-    assert rec.records_applied == len(hub.journal)
+    assert rec.records_applied == len(_records(hub))
     assert rec.hub.state_dict() == hub.state_dict()
 
 
@@ -440,7 +455,7 @@ def _project(hub):
 
 def test_recovery_at_every_record_boundary_matches_oracle():
     hub = _scripted_hub()
-    blob = journal_lines(hub.journal)
+    blob, records = _bytes(hub), _records(hub)
     boundaries = [0]
     pos = 0
     for line in blob.splitlines(keepends=True):
@@ -450,12 +465,12 @@ def test_recovery_at_every_record_boundary_matches_oracle():
         rec = Hub.recover(blob[:cut])
         assert not rec.truncated
         assert rec.records_applied == n
-        assert _project(rec.hub) == _reference_replay(hub.journal[:n])
+        assert _project(rec.hub) == _reference_replay(records[:n])
 
 
 def test_recovery_stops_at_torn_record_and_reports_position():
     hub = _scripted_hub()
-    blob = journal_lines(hub.journal)
+    blob = _bytes(hub)
     lines = blob.splitlines(keepends=True)
     keep = 5
     prefix = b"".join(lines[:keep])
@@ -464,12 +479,12 @@ def test_recovery_stops_at_torn_record_and_reports_position():
     assert rec.truncated
     assert rec.records_applied == keep
     assert rec.stopped_at_byte == len(prefix)
-    assert _project(rec.hub) == _reference_replay(hub.journal[:keep])
+    assert _project(rec.hub) == _reference_replay(_records(hub)[:keep])
 
 
 def test_recovery_rejects_garbage_line_midstream():
     hub = _scripted_hub()
-    lines = journal_lines(hub.journal).splitlines(keepends=True)
+    lines = _bytes(hub).splitlines(keepends=True)
     blob = b"".join(lines[:4]) + b'{"seq": 4, "oops": true}\n' + b"".join(lines[4:])
     rec = Hub.recover(blob)
     assert rec.truncated and rec.records_applied == 4
@@ -484,8 +499,8 @@ def test_recovery_rejects_garbage_line_midstream():
 ])
 def test_recovery_stops_at_fetch_with_bad_body(body):
     hub = _scripted_hub()
-    lines = journal_lines(hub.journal).splitlines(keepends=True)
-    keep = next(i for i, r in enumerate(hub.journal)
+    lines = _bytes(hub).splitlines(keepends=True)
+    keep = next(i for i, r in enumerate(_records(hub))
                 if r["record_kind"] == "fetch")
     bad = {"seq": keep, "time_ms": 40, "record_kind": "fetch", "body": body}
     prefix = b"".join(lines[:keep])
@@ -495,7 +510,7 @@ def test_recovery_stops_at_fetch_with_bad_body(body):
     assert rec.records_applied == keep
     assert rec.stopped_at_byte == len(prefix)
     # the rejected record leaves no partial trace in the recovered state
-    assert _project(rec.hub) == _reference_replay(hub.journal[:keep])
+    assert _project(rec.hub) == _reference_replay(_records(hub)[:keep])
     assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
 
 
@@ -503,7 +518,7 @@ def test_recovery_stops_at_fetch_with_bad_body(body):
                          ids=["not-utf8", "nested-too-deep"])
 def test_recovery_stops_at_line_json_cannot_read(line):
     hub = _scripted_hub()
-    lines = journal_lines(hub.journal).splitlines(keepends=True)
+    lines = _bytes(hub).splitlines(keepends=True)
     rec = Hub.recover(b"".join(lines[:3]) + line + lines[3])
     assert rec.truncated and rec.records_applied == 3
 
@@ -518,7 +533,7 @@ def _lifecycle(steps):
            lambda: hub.close_task("t-1", "completed", now=3)]
     for op in ops[:steps]:
         op()
-    return hub.journal
+    return _records(hub)
 
 
 # (live steps before it, record kind, body) of a record the live hub refuses
@@ -614,20 +629,21 @@ def test_recovery_stops_at_any_record_the_live_hub_refuses(case):
     hub.register_agent("implant-1", ["a"], now=0)
     hub.retire_agent(hub.register_agent("implant-2", ["a"], now=1), now=2)
     hub.issue_task(_task("t-0", requires=["a"]), now=3)
-    prefix = journal_lines(hub.journal)
-    bad = {"seq": len(hub.journal), "time_ms": 9, "record_kind": kind,
+    prefix = _bytes(hub)
+    bad = {"seq": len(_records(hub)), "time_ms": 9, "record_kind": kind,
            "body": body}
     rec = Hub.recover(prefix + journal_lines([bad]))
     assert rec.truncated
-    assert rec.records_applied == len(hub.journal)
+    assert rec.records_applied == len(_records(hub))
     assert rec.stopped_at_byte == len(prefix)
     assert rec.hub.state_dict() == Hub.recover(prefix).hub.state_dict()
 
 
 @functools.cache
 def _run_journal() -> bytes:
-    sc = default_scenario().with_mode(MODE_MANUAL)
-    return journal_lines(run_scenario(sc).journal)
+    journal = io.StringIO()
+    run_scenario(default_scenario().with_mode(MODE_MANUAL), journal=journal)
+    return journal.getvalue().encode()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -702,7 +718,7 @@ def test_recovery_matches_reference_at_every_boundary_clean_and_torn():
 def test_recovery_stops_at_seq_or_time_that_is_not_an_integer(field, value):
     hub = _hub()
     hub.register_agent("implant-1", ["a"], now=0)
-    prefix = journal_lines(hub.journal)
+    prefix = _bytes(hub)
     bad = {"seq": 1, "time_ms": 7, "record_kind": "fetch",
            "body": {"agent_id": "agent-1", "task_ids": []}, field: value}
     rec = Hub.recover(prefix + journal_lines([bad]))
@@ -729,12 +745,13 @@ def test_recovery_stops_at_the_first_body_of_the_wrong_type():
 
 
 def test_recovered_hub_keeps_no_records_and_continues_the_sequence():
-    blob = journal_lines(_scripted_hub().journal)
+    blob = _bytes(_scripted_hub())
     rec = Hub.recover(blob)
-    assert rec.hub.journal == []
+    assert rec.hub.journal is None
+    rec.hub.journal = io.StringIO()  # a caller continuing the journal
     rec.hub.get_tasks("agent-1", now=600)
-    assert [r["seq"] for r in rec.hub.journal] == [rec.records_applied]
-    again = Hub.recover(blob + journal_lines(rec.hub.journal))
+    assert [r["seq"] for r in _records(rec.hub)] == [rec.records_applied]
+    again = Hub.recover(blob + _bytes(rec.hub))
     assert not again.truncated
     assert again.records_applied == rec.records_applied + 1
 
@@ -784,12 +801,12 @@ def test_recovery_of_hand_built_fetch_lines_matches_reference(blob):
 
 def test_acked_submissions_survive_any_later_crash():
     hub = _scripted_hub()
-    blob = journal_lines(hub.journal)
+    blob = _bytes(hub)
     lines = blob.splitlines(keepends=True)
     # keys acknowledged as of each record index
     acked_by = []
     seen = set()
-    for rec in hub.journal:
+    for rec in _records(hub):
         if rec["record_kind"] == "submit":
             seen |= {i["content_key"] for i in rec["body"]["items"]}
         acked_by.append(set(seen))
@@ -803,7 +820,7 @@ def test_acked_submissions_survive_any_later_crash():
 def test_recovery_consumes_no_randomness():
     # windows come from the journal, not from fresh draws
     hub = _scripted_hub()
-    rec = Hub.recover(journal_lines(hub.journal))
+    rec = Hub.recover(_bytes(hub))
     assert rec.hub._streams is None
     assert ([a["window_ms"] for a in rec.hub.state_dict()["agents"].values()]
             == [a["window_ms"] for a in hub.state_dict()["agents"].values()])
@@ -874,7 +891,7 @@ def test_queued_index_matches_full_scan_live_and_replayed(ops):
                     aid, [_intel(f"i-{now}", aid, name=f"h-{op[2]}")], now)
         for aid in agents:
             assert hub.has_work_for(aid) == bool(_scan(hub, aid))
-    rebuilt = Hub.recover(journal_lines(hub.journal)).hub
+    rebuilt = Hub.recover(_bytes(hub)).hub
     assert rebuilt.state_dict() == hub.state_dict()
     now = len(ops) + 1
     for aid in agents:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import io
+import json
 import weakref
 
 import pytest
 
 from c2sim import orchestrate
-from c2sim.hub import Hub, journal_lines
+from c2sim.cli import main
+from c2sim.hub import Hub
 from c2sim.orchestrate import (
     MODE_MANUAL,
     MODE_SWARM,
@@ -19,6 +22,28 @@ from c2sim.orchestrate import (
 )
 from c2sim.scenario import default_scenario, default_scenario_text, parse_scenario
 from c2sim.traffic import LABEL_BEACON, LABEL_BENIGN, LABEL_CHAFF, LABEL_EVENT
+
+
+def _journaled(sc):
+    """The run of sc, and the journal its hub wrote: its text and its
+    records."""
+    journal = io.StringIO()
+    run = run_scenario(sc, journal=journal)
+    text = journal.getvalue()
+    return run, text, [json.loads(line) for line in text.splitlines()]
+
+
+def _times_by_entity(records, kinds) -> dict[str, list[int]]:
+    """entity -> the times of its journaled records of the given kinds."""
+    entity_of = {}
+    times: dict[str, list[int]] = {}
+    for rec in records:
+        if rec["record_kind"] == "register":
+            entity_of[rec["body"]["agent_id"]] = rec["body"]["entity"]
+        elif rec["record_kind"] in kinds:
+            entity = entity_of[rec["body"]["agent_id"]]
+            times.setdefault(entity, []).append(rec["time_ms"])
+    return times
 
 
 def _parallel_text(n_agents: int) -> str:
@@ -134,9 +159,9 @@ def test_swarm_run_completes():
 
 
 def test_swarm_determinism():
-    a = run_scenario(default_scenario())
-    b = run_scenario(default_scenario())
-    assert journal_lines(a.journal) == journal_lines(b.journal)
+    a, a_journal, _ = _journaled(default_scenario())
+    b, b_journal, _ = _journaled(default_scenario())
+    assert a_journal == b_journal
     assert a.trace == b.trace
     assert a.metrics == b.metrics
 
@@ -148,10 +173,10 @@ def test_swarm_seed_variation():
 
 
 def test_swarm_dispatch_bound():
-    run = run_scenario(default_scenario())
+    run, _, records = _journaled(default_scenario())
     issued_at = {}
     assigned = set()
-    for rec in run.journal:
+    for rec in records:
         if rec["record_kind"] == "task_issue":
             issued_at[rec["body"]["task_id"]] = rec["time_ms"]
             if rec["body"]["assigned_to"] is not None:
@@ -182,10 +207,10 @@ def _scenario_with_contention():
 
 
 def test_swarm_trace_composition():
-    run = run_scenario(default_scenario())
+    run, _, records = _journaled(default_scenario())
     labels = {f.label for f in run.trace}
     assert labels == {LABEL_EVENT}
-    contacts = sum(r["record_kind"] in ("fetch", "submit") for r in run.journal)
+    contacts = sum(r["record_kind"] in ("fetch", "submit") for r in records)
     tasking = [f for f in run.trace if f.leg == "tasking"]
     assert len(tasking) == contacts
     reasoning = [f for f in run.trace if f.leg == "reasoning"]
@@ -193,10 +218,31 @@ def test_swarm_trace_composition():
     assert all(f.ts_start <= run.metrics.window_ms for f in run.trace)
 
 
+@pytest.mark.parametrize("mode, kinds", [
+    (MODE_SWARM, ("fetch", "submit")),
+    # a manual upload rides a poll: one flow per beacon, at its fetch
+    (MODE_MANUAL, ("fetch",)),
+], ids=["swarm", "manual"])
+@pytest.mark.parametrize("text", [
+    default_scenario_text(),
+    default_scenario_text().replace("chaff_per_hour = 0", "chaff_per_hour = 60")
+                           .replace("n_users = 0", "n_users = 3"),
+    _parallel_text(3),
+], ids=["default", "chaff-users", "parallel"])
+def test_tasking_flows_start_at_each_entitys_hub_contacts(mode, kinds, text):
+    run, _, records = _journaled(parse_scenario(text).with_mode(mode))
+    flows: dict[str, list[int]] = {}
+    for f in run.trace:
+        if f.leg == "tasking":
+            flows.setdefault(f.src, []).append(f.ts_start)
+    assert flows == _times_by_entity(records, kinds)
+
+
 def test_swarm_ignores_beacon_interval():
-    base = run_scenario(default_scenario())
-    slow = run_scenario(default_scenario().with_beacon_interval(300_000))
-    assert journal_lines(base.journal) == journal_lines(slow.journal)
+    base, base_journal, _ = _journaled(default_scenario())
+    slow, slow_journal, _ = _journaled(
+        default_scenario().with_beacon_interval(300_000))
+    assert base_journal == slow_journal
     assert base.metrics == slow.metrics
     assert base.trace == slow.trace
 
@@ -228,22 +274,14 @@ def test_manual_run_metrics():
 
 
 def test_manual_fetches_ride_beacon_ticks():
-    run = run_scenario(default_scenario().with_mode(MODE_MANUAL))
+    run, _, records = _journaled(default_scenario().with_mode(MODE_MANUAL))
     beacon_ts: dict[str, list[int]] = {}
     for f in run.trace:
         if f.label == LABEL_BEACON:
             beacon_ts.setdefault(f.src, []).append(f.ts_start)
-    entity_of = {}
-    fetch_ts: dict[str, list[int]] = {}
-    for rec in run.journal:
-        if rec["record_kind"] == "register":
-            entity_of[rec["body"]["agent_id"]] = rec["body"]["entity"]
-        elif rec["record_kind"] == "fetch":
-            entity = entity_of[rec["body"]["agent_id"]]
-            fetch_ts.setdefault(entity, []).append(rec["time_ms"])
     # one poll per beacon, and polls happen exactly at beacon times
-    assert fetch_ts == beacon_ts
-    for rec in run.journal:
+    assert _times_by_entity(records, ("fetch",)) == beacon_ts
+    for rec in records:
         if rec["record_kind"] == "task_issue":
             task = run.hub.tasks[rec["body"]["task_id"]]
             assert task.fetched_at >= rec["time_ms"]
@@ -267,9 +305,9 @@ def test_manual_slows_with_beacon_interval():
 
 def test_manual_determinism():
     sc = default_scenario().with_mode(MODE_MANUAL)
-    a = run_scenario(sc)
-    b = run_scenario(sc)
-    assert journal_lines(a.journal) == journal_lines(b.journal)
+    a, a_journal, _ = _journaled(sc)
+    b, b_journal, _ = _journaled(sc)
+    assert a_journal == b_journal
     assert a.trace == b.trace
 
 
@@ -317,23 +355,29 @@ def test_compare_rejects_too_few_seeds():
         compare(default_scenario(), n_seeds=2)
 
 
-def test_journal_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
+def test_journal_is_closed_when_a_handler_raises(tmp_path, monkeypatch,
+                                                 capsys):
     handles = []
 
     class RecordingHub(Hub):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            handles.append(self._fh)
+            handles.append(self.journal)
 
     def fail(self, ev):
         raise RuntimeError("handler failed")
 
     monkeypatch.setattr(orchestrate, "Hub", RecordingHub)
     monkeypatch.setattr(orchestrate._SwarmRun, "_on_checkin", fail)
-    with pytest.raises(RuntimeError, match="handler failed"):
-        run_scenario(default_scenario(), journal_path=tmp_path / "j.ndjson")
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(default_scenario_text(), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "handler failed" in capsys.readouterr().err
     assert len(handles) == 1 and handles[0].closed
-    assert (tmp_path / "j.ndjson").read_bytes()  # records before the failure
+    # the records before the failure
+    assert (out / "journal.ndjson").read_bytes()
 
 
 @pytest.mark.parametrize("mode", [MODE_SWARM, MODE_MANUAL])

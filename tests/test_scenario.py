@@ -811,27 +811,41 @@ def test_events_a_scenario_asks_for_are_bounded(text, expected, tmp_path,
 # integers are below 2^63, the detector's int64
 @pytest.mark.parametrize("fits,over,expected", [
     pytest.param(
-        "[beacon]\nrequest_size = uniform(1, 9223372036854774784)\n",
-        "[beacon]\nrequest_size = uniform(1, 9223372036854775808)\n",
+        _add("[beacon]\nrequest_size = uniform(1, 9223372036854774784)\n"),
+        _add("[beacon]\nrequest_size = uniform(1, 9223372036854775808)\n"),
         "[beacon] request_size: largest draw 9.223372036854776e+18 rounds "
         "to 2^63 or more, past the int64 cells of a trace (line 15)",
         id="uniform-size"),
     pytest.param(
-        "[background]\nduration = exponential(2.5e17)\n",
-        "[background]\nduration = exponential(2.6e17)\n",
+        _add("[background]\nduration = exponential(2.5e17)\n"),
+        _add("[background]\nduration = exponential(2.6e17)\n"),
         "[background] duration: largest draw 9.551568148116046e+18 rounds "
         "to 2^63 or more, past the int64 cells of a trace (line 15)",
         id="exponential-duration"),
     pytest.param(
-        "[timing]\nplanner_turns = uniform(10, 10)\n\n[channels]\n"
-        "request_size = uniform(1, 1)\ncontext_growth = uniform(1e18, 1e18)\n",
-        "[timing]\nplanner_turns = uniform(11, 11)\n\n[channels]\n"
-        "request_size = uniform(1, 1)\ncontext_growth = uniform(1e18, 1e18)\n",
+        _add("[timing]\nplanner_turns = uniform(10, 10)\n\n[channels]\n"
+             "request_size = uniform(1, 1)\n"
+             "context_growth = uniform(1e18, 1e18)\n"),
+        _add("[timing]\nplanner_turns = uniform(11, 11)\n\n[channels]\n"
+             "request_size = uniform(1, 1)\n"
+             "context_growth = uniform(1e18, 1e18)\n"),
         "[channels] request_size: largest draw 1.0 + (planner_turns 11.0 - 1) "
         "x context_growth 1e+18 rounds to 2^63 or more, past the int64 cells "
         "of a trace (line 18)",
         id="grown-request"),
+    # a flow that starts at the horizon ends at most 5000000 ms later; two
+    # polls, 2^62 ms apart
+    pytest.param(
+        _with_horizon(2**63 - 1 - 5_000_000)
+        + "\n[beacon]\ninterval_ms = 4611686018427387904\n"
+        "duration = uniform(40, 5000000)\n",
+        _with_horizon(2**63 - 5_000_000)
+        + "\n[beacon]\ninterval_ms = 4611686018427387904\n"
+        "duration = uniform(40, 5000000)\n",
+        "[scenario] horizon_ms: 9223372036849775808 + largest duration draw "
+        "5000000 is 2^63 or more, past the int64 cells of a trace (line 4)",
+        id="horizon-plus-duration"),
 ])
 def test_trace_integers_are_bounded(fits, over, expected, tmp_path, capsys):
-    assert parse_scenario(_add(fits))
-    _assert_refused(_add(over), expected, tmp_path, capsys)
+    assert parse_scenario(fits)
+    _assert_refused(over, expected, tmp_path, capsys)

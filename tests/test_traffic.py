@@ -114,36 +114,22 @@ def test_bad_beacon_configs_rejected():
 # -- event-driven hub flows ---------------------------------------------------------
 
 
-def _journal():
-    return [
-        {"seq": 0, "time_ms": 0, "record_kind": "register",
-         "body": {"agent_id": "agent-1", "entity": "implant-1",
-                  "capabilities": ["a"], "window_ms": 5}},
-        {"seq": 1, "time_ms": 10, "record_kind": "task_issue",
-         "body": {"task_id": "t-1", "objective_ref": "o", "description": "d",
-                  "requires": [], "assigned_to": "agent-1",
-                  "work_model": "", "meta": {}}},
-        {"seq": 2, "time_ms": 1200, "record_kind": "fetch",
-         "body": {"agent_id": "agent-1", "task_ids": ["t-1"]}},
-        {"seq": 3, "time_ms": 61_000, "record_kind": "submit",
-         "body": {"agent_id": "agent-1", "items": []}},
-        {"seq": 4, "time_ms": 61_500, "record_kind": "task_close",
-         "body": {"task_id": "t-1", "state": "completed"}},
-    ]
+def _contact_flows(seed: int):
+    """The flows of implant-1's hub contacts at 1200 ms (a fetch) and
+    61000 ms (a submit)."""
+    stream = Simulator(seed).stream("implant-1/tasking-bytes")
+    return synth_event_flows([1200, 61_000], stream, src="implant-1")
 
 
 def test_event_flows_are_one_per_fetch_and_submit():
-    sim = Simulator(3)
-    flows = synth_event_flows(_journal(), sim.stream)
+    flows = _contact_flows(3)
     assert [f.ts_start for f in flows] == [1200, 61_000]
     assert all(f.src == "implant-1" and f.dst == "hub" for f in flows)
     assert all(f.leg == "tasking" and f.label == "event_c2" for f in flows)
 
 
 def test_event_flows_deterministic_across_runs():
-    a = synth_event_flows(_journal(), Simulator(3).stream)
-    b = synth_event_flows(_journal(), Simulator(3).stream)
-    assert a == b
+    assert _contact_flows(3) == _contact_flows(3)
 
 
 # -- reasoning sessions --------------------------------------------------------------
