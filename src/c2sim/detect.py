@@ -15,9 +15,11 @@ arrival timestamps gets four component scores in [0, 1]:
 The ACF and the periodogram work from the occupied bins and their counts,
 not from a dense series over the channel's span. Each picks, per channel,
 the method with less work, counted from the event count, the span and the
-band size: an exact sparse method over event positions or an FFT of the
-dense series. The two agree to rounding, so the choice changes the cost,
-not the scores.
+band size. Either can take an exact sparse method over event positions.
+The ACF's other method is an FFT of the dense series, which agrees with it
+to rounding. The periodogram's is a type-1 NUFFT over the band alone,
+whose amplitudes are within about 1e-12 of the channel's event count. So
+the choice changes the cost, not the flags or the periods.
 
 The detector's settings are fixed: one-second bins, a lag band of 10 to
 4096 bins (periods of 10 s to about 68 min), an ACF peak floor of 0.1 for
@@ -152,13 +154,15 @@ def interval_regularity(series: ChannelSeries) -> float | None:
     return _inverse_cv([float(g) for g in gaps])
 
 
-_BLOCK_ELEMENTS = 1 << 18   # phasors per event chunk in the sparse DFT
-# Each detector picks the exact method with less work, counted in points of
-# an FFT per log2 of its length. Measured with numpy's pocketfft and
-# OpenBLAS, one element of a sparse ACF pass costs about 8 of those units,
-# and one unit of an rfft at an arbitrary length about 8 multiply-adds of
-# the blocked DFT; the choices on the benchmark's channels stay the same for
-# any value from 5 to 10. The choice never changes a score, only its cost.
+_BLOCK_ELEMENTS = 1 << 18   # elements per event chunk: sparse DFT, NUFFT
+_SPREAD = 12   # grid points on each side of an event in the NUFFT
+# Each detector picks the method with less work, counted in points of an
+# FFT per log2 of its length. Measured with numpy's pocketfft and OpenBLAS,
+# one element of a sparse ACF pass costs about 8 of those units, and one
+# unit of an rfft at an arbitrary length about 8 multiply-adds of the
+# blocked DFT; the choices on the benchmark's channels stay the same for any
+# value from 5 to 10. The periodogram's FFT side is a NUFFT that costs less
+# than the length-n rfft counted here, so the count bounds it from above.
 _ACF_ELEMENT_WORK = 8.0
 _RFFT_UNIT_WORK = 8.0
 
@@ -310,23 +314,56 @@ def _band_power_sparse(bins: np.ndarray, counts: np.ndarray, n: int,
     return np.abs(spectrum.ravel()[:m]) ** 2
 
 
-def _band_power_dense(bins: np.ndarray, counts: np.ndarray, n: int,
+def _band_power_nufft(bins: np.ndarray, counts: np.ndarray, n: int,
                       f_lo: int, f_hi: int) -> np.ndarray:
-    """The same band from an rfft at exactly n: padding would move the grid."""
-    d = _demeaned(bins, counts, n)
-    return np.abs(np.fft.rfft(d)[f_lo:f_hi + 1]) ** 2
+    """The same band by a type-1 NUFFT with Gaussian gridding (Dutt and
+    Rokhlin 1993; Greengard and Lee, SIAM Review 2004), centred on the band.
+
+    Each count is turned by the exact integer phase of the band centre fc,
+    which leaves the offsets k = f - fc in [-M/2, M/2). An event at
+    x = 2 pi b / n is spread by the Gaussian exp(-x^2 / 4 tau) over the
+    2 _SPREAD nearest points of a power-of-two grid of at least 2M points;
+    one FFT of the grid gives each X(fc + k) times
+    sqrt(tau / pi) exp(-k^2 tau), which is divided out. tau is Greengard
+    and Lee's choice for the grid's actual oversampling ratio R in [2, 4),
+    so each |X| stays within about 1e-12 of the total count whatever R the
+    band gets. Memory follows the grid, not the event count.
+    """
+    m = f_hi - f_lo + 1
+    fc = f_lo + m // 2
+    size = 1 << (2 * m - 1).bit_length()
+    ratio = size / m
+    tau = math.pi * _SPREAD / (m * m * ratio * (ratio - 0.5))
+    # the Gaussian in grid steps: exp(-x^2 / 4 tau) = exp(-decay * steps^2)
+    decay = math.pi * (ratio - 0.5) / (_SPREAD * ratio)
+    steps = np.arange(1 - _SPREAD, _SPREAD + 1)
+    grid = np.zeros(size, dtype=np.complex128)
+    chunk = max(_BLOCK_ELEMENTS, size) // len(steps)
+    for i in range(0, len(bins), chunk):
+        b = bins[i:i + chunk]
+        # grid position b * size / n, split exactly into point and fraction
+        near, frac = np.divmod(b * size, n)
+        kernel = (np.exp(-decay * (steps - frac[:, None] / n) ** 2)
+                  * (counts[i:i + chunk] * _phasor(fc * b % n, n))[:, None])
+        at = ((near[:, None] + steps) % size).ravel()
+        grid.real += np.bincount(at, kernel.real.ravel(), size)
+        grid.imag += np.bincount(at, kernel.imag.ravel(), size)
+    k = np.arange(f_lo - fc, f_hi - fc + 1)
+    x = np.fft.fft(grid)[k] * np.exp(k * k * tau)
+    return (math.pi / tau / (size * size)) * np.abs(x) ** 2
 
 
 def _band_power(bins: np.ndarray, counts: np.ndarray, n: int,
                 f_lo: int, f_hi: int) -> np.ndarray:
     """In-band power by the method with less work: the sparse DFT does about
-    k (M + 2 sqrt(M)) multiply-adds and phasors for M band bins, the rfft
-    about n log2 n units."""
+    k (M + 2 sqrt(M)) multiply-adds and phasors for M band bins, against
+    n log2 n units of a length-n rfft. The NUFFT that runs in its place
+    costs less than that rfft, which bounds it from above."""
     m = f_hi - f_lo + 1
     sparse = len(bins) * (m + 2 * (math.isqrt(m - 1) + 1))
     if sparse <= _RFFT_UNIT_WORK * n * math.log2(n):
         return _band_power_sparse(bins, counts, n, f_lo, f_hi)
-    return _band_power_dense(bins, counts, n, f_lo, f_hi)
+    return _band_power_nufft(bins, counts, n, f_lo, f_hi)
 
 
 def periodogram_strength(series: ChannelSeries, bin_ms: int,

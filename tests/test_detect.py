@@ -4,8 +4,9 @@ The ACF comparison uses a direct O(n^2) reimplementation, the periodogram
 comparison a direct O(k*M) DFT over the occupied bins, and the AUC
 comparison the integer Mann-Whitney statistic, so the fast paths are
 validated against slow unambiguous math rather than against themselves.
-Both ACF methods and both periodogram methods (sparse over event positions,
-dense by FFT) are checked, and so is the choice between them.
+Both ACF methods (sparse over event positions, dense by FFT) and both
+periodogram methods (sparse over event positions, a NUFFT over the band)
+are checked, and so is the choice between them.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def _fail(*args):
 
 def test_cost_model_scores_sparse_series_from_event_positions(monkeypatch):
     monkeypatch.setattr(detect, "_autocov_dense", _fail)
-    monkeypatch.setattr(detect, "_band_power_dense", _fail)
+    monkeypatch.setattr(detect, "_band_power_nufft", _fail)
     rnd = random.Random(8)
     for count, span_ms in ((100, 604_800_000), (500, 172_800_000)):
         series = _series(sorted(rnd.sample(range(span_ms), count)))
@@ -310,13 +311,41 @@ def test_periodogram_methods_match_oracle(shape):
         arrivals = shape(rnd)
         want_power, want, (k_lo, k_hi) = _pgram_oracle(arrivals, 1000, 512, 4)
         bins, counts, n = detect._occupancy(arrivals, 1000)
-        for method in (detect._band_power_sparse, detect._band_power_dense):
+        for method in (detect._band_power_sparse, detect._band_power_nufft):
             got_power = method(bins, counts, n, k_lo, k_hi)
             assert (np.max(np.abs(got_power - want_power))
                     <= 1e-9 * max(want_power))
         got = periodogram_strength(_series(arrivals), 1000, 512,
                                    min_lag_bins=4)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("max_lag, width", [(10, 1), (15, 2), (30, 3)])
+def test_nufft_matches_oracle_on_bands_narrower_than_its_spread(max_lag,
+                                                                 width):
+    # a band of 1 to 3 bins gets a grid of 2 to 8 points, so every event's
+    # spread wraps the grid several times; bins 0 and n - 1 are occupied
+    rnd = random.Random(2004 + width)
+    for _ in range(5):
+        arrivals = [0, *sorted(rnd.sample(range(1000, 29_000), 8)), 29_500]
+        want, _, (k_lo, k_hi) = _pgram_oracle(arrivals, 1000, max_lag, 10)
+        bins, counts, n = detect._occupancy(arrivals, 1000)
+        assert (bins[0], bins[-1], k_hi - k_lo + 1) == (0, n - 1, width)
+        got = detect._band_power_nufft(bins, counts, n, k_lo, k_hi)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(want)
+
+
+def test_nufft_matches_sparse_dft_at_a_length_with_large_prime_factors():
+    # a jittered minute beacon over 33 h: 119,161 = 7 * 29 * 587 bins
+    rnd = random.Random(1993)
+    n = 119_161
+    bins = np.array(sorted({0, n - 1, *(60 * i + rnd.randrange(6)
+                                        for i in range(1985))}))
+    counts = np.array([float(rnd.randrange(1, 4)) for _ in bins])
+    k_lo, k_hi = -(-n // detect.MAX_LAG_BINS), n // detect.MIN_LAG_BINS
+    want = detect._band_power_sparse(bins, counts, n, k_lo, k_hi)
+    got = detect._band_power_nufft(bins, counts, n, k_lo, k_hi)
+    assert np.max(np.abs(got - want)) <= 1e-9 * want.max()
 
 
 def test_periodogram_matches_oracle_on_long_sparse_span():
@@ -327,7 +356,7 @@ def test_periodogram_matches_oracle_on_long_sparse_span():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("method", ["_band_power_sparse", "_band_power_dense"])
+@pytest.mark.parametrize("method", ["_band_power_sparse", "_band_power_nufft"])
 def test_periodogram_of_constant_series_is_zero(monkeypatch, method):
     # one arrival in every bin: no spectrum, whichever method runs
     monkeypatch.setattr(detect, "_band_power", getattr(detect, method))
@@ -351,6 +380,23 @@ def test_score_cost_follows_events_not_span():
         assert all(math.isfinite(v) for v in (
             score.regularity, score.acf_strength, score.periodogram,
             score.size_uniformity, score.combined))
+
+
+def test_dense_periodogram_memory_follows_the_band(monkeypatch):
+    # 3,000 events over MAX_BINS bins take the NUFFT, whose grid is about
+    # 4 M band bins; a length-n rfft of the dense series peaked at 269 MiB
+    monkeypatch.setattr(detect, "_band_power_sparse", _fail)
+    rnd = random.Random(24)
+    span = (MAX_BINS - 1) * BIN_MS
+    series = _series([0, *sorted(rnd.sample(range(1, span), 2998)), span])
+    tracemalloc.start()
+    try:
+        score = score_channel(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 2**20
+    assert 0.0 <= score.periodogram <= 1.0
 
 
 def test_score_widens_the_bin_only_past_max_bins(monkeypatch):
