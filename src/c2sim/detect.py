@@ -161,8 +161,8 @@ _SPREAD = 12   # grid points on each side of an event in the NUFFT
 # one element of a sparse ACF pass costs about 8 of those units, and one
 # unit of an rfft at an arbitrary length about 8 multiply-adds of the
 # blocked DFT; the choices on the benchmark's channels stay the same for any
-# value from 5 to 10. The periodogram's FFT side is a NUFFT that costs less
-# than the length-n rfft counted here, so the count bounds it from above.
+# value from 5 to 10. The periodogram's FFT side is a NUFFT, whose cost
+# follows the events and the band rather than this length-n rfft's count.
 _ACF_ELEMENT_WORK = 8.0
 _RFFT_UNIT_WORK = 8.0
 
@@ -358,7 +358,9 @@ def _band_power(bins: np.ndarray, counts: np.ndarray, n: int,
     """In-band power by the method with less work: the sparse DFT does about
     k (M + 2 sqrt(M)) multiply-adds and phasors for M band bins, against
     n log2 n units of a length-n rfft. The NUFFT that runs in its place
-    costs less than that rfft, which bounds it from above."""
+    spreads each event over 2 _SPREAD grid points, then runs an FFT of about
+    4M points: less than that rfft when events fill a small share of the
+    bins, as a beacon's do over days, more when they fill most of them."""
     m = f_hi - f_lo + 1
     sparse = len(bins) * (m + 2 * (math.isqrt(m - 1) + 1))
     if sparse <= _RFFT_UNIT_WORK * n * math.log2(n):
