@@ -15,11 +15,10 @@ arrival timestamps gets four component scores in [0, 1]:
 The ACF and the periodogram work from the occupied bins and their counts,
 not from a dense series over the channel's span. Each picks, per channel,
 the method with less work, counted from the event count, the span and the
-band size. Either can take an exact sparse method over event positions.
-The ACF's other method is an FFT of the dense series, which agrees with it
-to rounding. The periodogram's is a type-1 NUFFT over the band alone,
-whose amplitudes are within about 1e-12 of the channel's event count. So
-the choice changes the cost, not the flags or the periods.
+band size: an exact sparse method over event positions, or an FFT of the
+dense series (ACF, equal to rounding) or a type-1 NUFFT of the band alone
+(periodogram, amplitudes within about 1e-12 of the event count). So the
+choice changes the cost, not the flags or the periods.
 
 The detector's settings are fixed: one-second bins, a lag band of 10 to
 4096 bins (periods of 10 s to about 68 min), an ACF peak floor of 0.1 for
@@ -228,12 +227,13 @@ def _autocov_dense(bins: np.ndarray, counts: np.ndarray, n: int,
     """The same lags by FFT of the dense series, zero-padded past 2n - 1 so
     the circular correlation is the linear one."""
     d = _demeaned(bins, counts, n)
-    nfft = _acf_fft_length(n)
+    nfft = _fft_length(n)
     spec = np.fft.rfft(d, nfft)
     return np.fft.irfft(spec * np.conj(spec), nfft)[lo:hi + 1]
 
 
-def _acf_fft_length(n: int) -> int:
+def _fft_length(n: int) -> int:
+    """The least power of two of at least 2n."""
     return 1 << (2 * n - 1).bit_length()
 
 
@@ -247,7 +247,7 @@ def _autocov(bins: np.ndarray, counts: np.ndarray, n: int,
     """
     later = np.searchsorted(bins, bins + hi, side="right")
     passes = int(np.max(later - np.arange(1, len(bins) + 1)))
-    nfft = _acf_fft_length(n)
+    nfft = _fft_length(n)
     if _ACF_ELEMENT_WORK * len(bins) * passes <= nfft * math.log2(nfft):
         return _autocov_sparse(bins, counts, n, lo, hi)
     return _autocov_dense(bins, counts, n, lo, hi)
@@ -331,7 +331,7 @@ def _band_power_nufft(bins: np.ndarray, counts: np.ndarray, n: int,
     """
     m = f_hi - f_lo + 1
     fc = f_lo + m // 2
-    size = 1 << (2 * m - 1).bit_length()
+    size = _fft_length(m)
     ratio = size / m
     tau = math.pi * _SPREAD / (m * m * ratio * (ratio - 0.5))
     # the Gaussian in grid steps: exp(-x^2 / 4 tau) = exp(-decay * steps^2)

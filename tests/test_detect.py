@@ -383,8 +383,8 @@ def test_score_cost_follows_events_not_span():
 
 
 def test_dense_periodogram_memory_follows_the_band(monkeypatch):
-    # 3,000 events over MAX_BINS bins take the NUFFT, whose grid is about
-    # 4 M band bins; a length-n rfft of the dense series peaked at 269 MiB
+    # 3,000 events over MAX_BINS bins take the NUFFT, whose memory follows
+    # its grid of 2^22 points (a 168 MiB peak measured), not the 2^24 bins
     monkeypatch.setattr(detect, "_band_power_sparse", _fail)
     rnd = random.Random(24)
     span = (MAX_BINS - 1) * BIN_MS
