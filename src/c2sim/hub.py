@@ -220,9 +220,6 @@ class SharedContext:
     items: dict[str, IntelItem] = field(default_factory=dict)
     provenance: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
 
-    def keys(self) -> set[str]:
-        return set(self.items)
-
 
 @dataclass(frozen=True)
 class HeartbeatPolicy:

@@ -3,9 +3,10 @@ operator baseline, driven over the same hub, topology, and timing model.
 
 Swarm mode: a planner turn decomposes the objective into one reconnaissance
 task per subnet, agents are notified of assignments after a short dispatch
-delay, results are pushed the moment work finishes, and later planner turns
-issue pivot tasks once a usable credential shows up in shared context. The
-operator appears exactly once, to state the objective.
+delay, and results are pushed the moment work finishes. The planner turns
+again after each submit, never on a clock, and issues pivot tasks once a
+usable credential shows up in shared context. The operator appears exactly
+once, to state the objective.
 
 Manual mode: agents poll the hub on their beacon schedule and nothing else.
 A single operator thinks, issues one probe at a time, waits for the tasking
@@ -22,10 +23,11 @@ import dataclasses
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Collection, Iterator, TextIO
 
 from .engine import Simulator, draw_int
-from .hub import TASK_COMPLETED, Hub, IntelItem, Task, make_content_key
+from .hub import (TASK_COMPLETED, AgentRecord, Hub, IntelItem, Task,
+                  make_content_key)
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
@@ -105,41 +107,42 @@ class ScenarioRun:
     trace: list[FlowRecord]
 
 
-def _least_loaded(candidates: list[AgentSpec], load: dict[str, int],
-                  roster: tuple[AgentSpec, ...]) -> str:
-    """The least-loaded candidate, roster order breaking ties; its load
-    goes up by the task it is handed."""
-    order = {spec.entity: i for i, spec in enumerate(roster)}
-    entity = min(candidates,
-                 key=lambda s: (load.get(s.entity, 0), order[s.entity])).entity
+def _least_loaded(candidates: list[AgentRecord | AgentSpec],
+                  load: dict[str, int]) -> str:
+    """The least-loaded candidate, the first in roster order breaking ties;
+    its load goes up by the task it is handed."""
+    entity = min(candidates, key=lambda a: load.get(a.entity, 0)).entity
     load[entity] = load.get(entity, 0) + 1
     return entity
 
 
-def decompose(topology: Topology, agents: tuple[AgentSpec, ...],
+def decompose(topology: Topology,
+              agents: Collection[AgentRecord | AgentSpec],
               load: dict[str, int]) -> list[PlannedTask]:
     """One reconnaissance task per subnet, spread over capable agents.
 
     Subnets nobody can reach yet still get a task; it sits queued until a
     pivot grant makes some agent eligible. Updates load in place.
     """
-    planned = []
-    for subnet in topology.subnets:
-        capable = [a for a in agents if subnet in a.capabilities]
-        planned.append(PlannedTask(
-            kind="recon", subnet=subnet,
-            assignee=_least_loaded(capable, load, agents) if capable else None))
-    return planned
+    capable: dict[str, list] = {}  # subnet -> its agents, in roster order
+    for agent in agents:
+        for subnet in agent.capabilities:
+            capable.setdefault(subnet, []).append(agent)
+    return [PlannedTask(kind="recon", subnet=subnet,
+                        assignee=(_least_loaded(capable[subnet], load)
+                                  if subnet in capable else None))
+            for subnet in topology.subnets]
 
 
-def follow_up(topology: Topology, context_keys: set[str],
-              issued_pivots: set[str], agents: tuple[AgentSpec, ...],
+def follow_up(topology: Topology, context_keys: Collection[str],
+              issued_pivots: set[str],
+              agents: Collection[AgentRecord | AgentSpec],
               load: dict[str, int]) -> list[PlannedTask]:
     """Pivot tasks for credentials that are in hand and usable.
 
     Usable means the edge's source subnet has been explored (some host there
-    is in shared context), so a credential that arrives early is retried on
-    every later planner turn instead of being dropped. Updates load in place.
+    is in shared context); an early credential waits for the submit that
+    explores its subnet, which wakes the planner again. Updates load in place.
     """
     planned = []
     for edge in topology.pivot_edges:
@@ -156,8 +159,7 @@ def follow_up(topology: Topology, context_keys: set[str],
         issued_pivots.add(edge.credential_key)
         planned.append(PlannedTask(
             kind="pivot", subnet=edge.from_subnet,
-            assignee=_least_loaded(capable, load, agents),
-            grants=edge.to_subnet))
+            assignee=_least_loaded(capable, load), grants=edge.to_subnet))
     return planned
 
 
@@ -227,7 +229,8 @@ class _RunBase:
         self.hub.close_task(task_id, TASK_COMPLETED, now)
         if p.kind == "pivot":
             self.pivots += 1
-        if self.done_at is None and self.required <= self.hub.context.keys():
+        context = self.hub.context.items
+        if self.done_at is None and self.required <= context.keys():
             self.done_at = now
         return p, {item.content_key for item in items}
 
@@ -266,7 +269,6 @@ class _SwarmRun(_RunBase):
         self.load: dict[str, int] = {}
         self.issued_pivots: set[str] = set()
         self.busy_until: dict[str, int] = {}
-        self.decomposed = False
         self.sim.on("planner-turn", self._on_planner_turn)
         self.sim.on("agent-checkin", self._on_checkin)
         self.sim.on("task-complete", self._on_complete)
@@ -287,18 +289,16 @@ class _SwarmRun(_RunBase):
     def _on_planner_turn(self, ev) -> None:
         now = self.sim.clock
         planned: list[PlannedTask] = []
-        if not self.decomposed:
-            self.decomposed = True
+        roster = self.hub.roster.values()
+        if not self.plans:
             self.operator_actions = 1  # the one human act: stating the objective
-            planned += decompose(self.sc.topology, self.sc.agents, self.load)
-        planned += follow_up(self.sc.topology, self.hub.context.keys(),
-                             self.issued_pivots, self.sc.agents, self.load)
+            planned += decompose(self.sc.topology, roster, self.load)
+        planned += follow_up(self.sc.topology, self.hub.context.items.keys(),
+                             self.issued_pivots, roster, self.load)
         for p in planned:
             self._issue(p, now)
             if p.assignee is not None:
                 self._dispatch(p.assignee, now)
-        if self.done_at is None:
-            self._schedule_planner_turn(now)
 
     def _on_checkin(self, ev) -> None:
         now = self.sim.clock
@@ -323,8 +323,10 @@ class _SwarmRun(_RunBase):
         agent_id = self.hub.agent_id_for(ev.entity)
         self.contacts[ev.entity].append(now)  # the submit
         self._complete(agent_id, ev.payload, now)
-        if self.done_at is None and self.hub.has_work_for(agent_id):
-            self._dispatch(ev.entity, now)
+        if self.done_at is None:
+            self._schedule_planner_turn(now)  # new intelligence: plan on it
+            if self.hub.has_work_for(agent_id):
+                self._dispatch(ev.entity, now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile

@@ -521,9 +521,9 @@ _PINNED_TEXT = {
 # any of these changes what the simulator produces and must say why.
 _PINNED = {
     "default-swarm": (
-        "55d88aceabf3c92da04bfa5a1302c37175d4ea53ebc006b508fb62a79f8059bf",
-        "1d6aeb6ad8ee1dbf96c7cf19d463d65f930ee152b022d3485dc4050145c016ca",
-        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+        "d055bafff5d10f25b42c11b99fc137bc1c33bfdd2fa64451457891cece858337",
+        "cde1490bb820306e0b39952938829fe524e1eaa5255df542b80c9998444a6e98",
+        "09b997d08fb147ad113d9a60bce1baf1da062cffa9f47dd961753318b73281df"),
     "default-manual": (
         "16814fc89bef526dd1e07577e2f02ac5fcdcd867267b6a64194ab3aceb121e58",
         "a950b5241f78251474c438acd84d85e43f8bfa891d1e002f19aca85c4efbaaf5",
@@ -533,17 +533,17 @@ _PINNED = {
         "73afe8b2121b5503937ccdf1e7c53c6d4f48f351fc61f87a0dadfb7656848312",
         "392cb795a856e1821eef4349f6fb9e8df42935179b11f256b61369657020f443"),
     "chaff-users-swarm": (
-        "e8addcfa9c0175afbae64812648b21023eb033137b74316d4498d23eb18f5a3b",
-        "1d6aeb6ad8ee1dbf96c7cf19d463d65f930ee152b022d3485dc4050145c016ca",
-        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+        "3e6e61f3abd16cac8eb892dbb557306bd177abd6a593545c65d2fcbd7c3af53e",
+        "cde1490bb820306e0b39952938829fe524e1eaa5255df542b80c9998444a6e98",
+        "09b997d08fb147ad113d9a60bce1baf1da062cffa9f47dd961753318b73281df"),
     "chaff-users-manual": (
         "6af5eed5005a65167e501cd118fd1e5e87908de19ad35570f352cc8677591d19",
         "a950b5241f78251474c438acd84d85e43f8bfa891d1e002f19aca85c4efbaaf5",
         "6171f34670c5fbd68cfad29184ec5d67234e21f646156640d2f94783b07728ca"),
     "streaming-overrides": (
-        "c5d8e46e928681be16a666abaf5e56ad084580f234443d0641fac6df73715606",
-        "d7721e4564a075cf0914af5af1c2755aebcf3f757e233458b248e3ca773603a6",
-        "db255ca1c22a71091476ba3875aab8e99775baf01f64292834a7a2d631444673"),
+        "72f7684249cf70c67a70122f5f02017ed8c696ebeb39b88bdf55c27342a1e3bd",
+        "bd09c23c4febf97bfdcfadab7e3c75a452af57d0c490ca1052431bc4982c3873",
+        "09b997d08fb147ad113d9a60bce1baf1da062cffa9f47dd961753318b73281df"),
     "beacon-overrides-manual": (
         "3c86b9317f65ee032d1d2eaf540c279ffbe13803a05fe83c79ee9890d67b51d1",
         "bc76413dc63e9e0bbe43d0f9540ce22511acfaa7aa19015c726e1e859ebb2447",
@@ -648,9 +648,9 @@ _PINNED_DETECTION = {
             0.09154637454155513, 0.8184565021124334,
             0.35055452562489997)),
         ("implant-2", "planner", "event_c2", False, None, (
-            0.5295731384663399, 0.0,
-            0.09721340316388997, 0.5114797392148844,
-            0.2863759101364241)),
+            0.5290635057019047, 0.0,
+            0.09665296577704297, 0.5114797392148844,
+            0.28605742932216005)),
         ("implant-3", "hub", "event_c2", False, None, None),
         ("implant-3", "planner", "event_c2", False, None, (
             0.46191787759120945, 0.0,

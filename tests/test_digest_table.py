@@ -1,5 +1,6 @@
 """Every scenario of the generated corpus against its row of the digest table:
-the artifacts' bytes, a second run's bytes, and replay of its journal."""
+the artifacts' bytes, a second run's bytes and objective, and replay of its
+journal."""
 
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ def test_generated_scenario_matches_its_digests(name, tmp_path):
     # a second run of the same scenario writes the same bytes
     journal = io.StringIO()
     run = run_scenario(parse_scenario(text), journal=journal)
+    # every scenario is built to be winnable, in both modes
+    assert run.metrics.objective_met
     sim = tmp_path / "sim"
     blob = journal.getvalue().encode()
     assert blob == (sim / "journal.ndjson").read_bytes()

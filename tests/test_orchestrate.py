@@ -5,12 +5,14 @@ from __future__ import annotations
 import gc
 import io
 import json
+import random
 import weakref
 
 import pytest
 
 from c2sim import orchestrate
 from c2sim.cli import main
+from c2sim.engine import Simulator
 from c2sim.hub import Hub
 from c2sim.orchestrate import (
     MODE_MANUAL,
@@ -20,7 +22,12 @@ from c2sim.orchestrate import (
     follow_up,
     run_scenario,
 )
-from c2sim.scenario import default_scenario, default_scenario_text, parse_scenario
+from c2sim.scenario import (
+    Topology,
+    default_scenario,
+    default_scenario_text,
+    parse_scenario,
+)
 from c2sim.traffic import LABEL_BEACON, LABEL_BENIGN, LABEL_CHAFF, LABEL_EVENT
 
 
@@ -140,6 +147,51 @@ count = 1
     assert [(p.subnet, p.grants) for p in planned] == [("a", "c")]
 
 
+class _CountedAgent:
+    """A roster record whose capability reads are counted in reads[0]."""
+
+    def __init__(self, entity: str, capabilities: set[str], reads: list[int]):
+        self.entity = entity
+        self._capabilities = capabilities
+        self._reads = reads
+
+    @property
+    def capabilities(self) -> set[str]:
+        self._reads[0] += 1
+        return self._capabilities
+
+
+def test_decompose_reads_each_agent_once_and_assigns_as_the_pairwise_rule():
+    rng = random.Random(7)
+    subnets = [f"s{i}" for i in range(300)]
+    reads = [0]
+    agents = [_CountedAgent(f"implant-{i}", set(rng.sample(subnets, 3)), reads)
+              for i in range(200)]
+    topology = Topology(subnets=tuple(subnets), hosts_per_subnet=1, intel=(),
+                        pivot_edges=(), required_keys=())
+    load = {a.entity: rng.randrange(3) for a in agents[::4]}
+    expected_load = dict(load)
+    planned = decompose(topology, agents, load)
+    # each agent's capabilities are read once, not once per subnet
+    assert reads[0] == len(agents)
+    # the rule as it reads: per subnet, the least-loaded capable agent,
+    # roster order breaking ties
+    expected = []
+    for subnet in subnets:
+        capable = [i for i, a in enumerate(agents)
+                   if subnet in a._capabilities]
+        if not capable:
+            expected.append(None)
+            continue
+        i = min(capable,
+                key=lambda i: (expected_load.get(agents[i].entity, 0), i))
+        entity = agents[i].entity
+        expected_load[entity] = expected_load.get(entity, 0) + 1
+        expected.append(entity)
+    assert [p.assignee for p in planned] == expected
+    assert None in expected and load == expected_load
+
+
 # -- autonomous runner -----------------------------------------------------------
 
 
@@ -245,6 +297,35 @@ def test_swarm_ignores_beacon_interval():
     assert base_journal == slow_journal
     assert base.metrics == slow.metrics
     assert base.trace == slow.trace
+
+
+@pytest.mark.parametrize("edits", [
+    (),
+    # every task outlasts the horizon, so no submit ever wakes the planner;
+    # a planner on a 1 ms clock would turn 200,000 times
+    (("horizon_ms = 604800000", "horizon_ms = 200000"),
+     ("task_duration = lognormal(10.9, 0.35)",
+      "task_duration = uniform(1000000000, 1000000000)"),
+     ("planner_turn_latency = lognormal(9.0, 0.4)",
+      "planner_turn_latency = uniform(1, 1)")),
+], ids=["default", "unit-latency-long-tasks"])
+def test_planner_turns_at_start_and_after_each_submit(edits, monkeypatch):
+    text = default_scenario_text()
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    turns = []
+    schedule = Simulator.schedule
+
+    def counted(sim, time, entity, kind, payload=None):
+        if kind == "planner-turn":
+            turns.append(time)
+        return schedule(sim, time, entity, kind, payload)
+
+    monkeypatch.setattr(Simulator, "schedule", counted)
+    _, _, records = _journaled(parse_scenario(text))
+    submits = sum(r["record_kind"] == "submit" for r in records)
+    assert 1 <= len(turns) <= 1 + submits
 
 
 def test_agent_scaling_speeds_up_parallel_work():
