@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .detect import DetectorConfig, evaluate, write_report, write_roc_csv
 from .orchestrate import compare, run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import MODE_MANUAL, MODE_SWARM, ScenarioError, load_scenario
 from .traffic import read_trace, write_trace
 
 
@@ -144,8 +144,8 @@ def cmd_compare(args) -> int:
     result = compare(sc, n_seeds=args.seeds)
     if result.summary["speedup"] is None:
         raise ValueError(
-            f"no seed met the objective in both {result.mode_a} and "
-            f"{result.mode_b} within horizon_ms={sc.horizon_ms}; "
+            f"no seed met the objective in both {MODE_SWARM} and "
+            f"{MODE_MANUAL} within horizon_ms={sc.horizon_ms}; "
             f"nothing to compare (raise horizon_ms)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,17 +153,14 @@ def cmd_compare(args) -> int:
     manifest_path = out / "manifest.json"
     _claim_outputs([table_path, manifest_path], args.force)
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["seed", "time_swarm_ms", "time_manual_ms",
-                    "actions_swarm", "actions_manual", "speedup"])
-        for row in result.rows + [result.summary]:
-            w.writerow([row["seed"], row["time_a_ms"], row["time_b_ms"],
-                        row["actions_a"], row["actions_b"], row["speedup"]])
+        w = csv.DictWriter(fh, list(result.summary), lineterminator="\n")
+        w.writeheader()
+        w.writerows(result.rows + [result.summary])
     _write_manifest(manifest_path, "compare", _scenario_input(scenario_path),
                     sc.seed, [table_path], started)
     s = result.summary
-    print(f"{args.seeds} seeds: median time {s['time_a_ms']} ms ({result.mode_a}) "
-          f"vs {s['time_b_ms']} ms ({result.mode_b}), "
+    print(f"{args.seeds} seeds: median time {s['time_swarm_ms']} ms "
+          f"({MODE_SWARM}) vs {s['time_manual_ms']} ms ({MODE_MANUAL}), "
           f"median speedup {s['speedup']:.2f}x -> {out}")
     return 0
 

@@ -1,6 +1,10 @@
 """Deterministic discrete-event core: integer-millisecond virtual clock,
 an ordered event queue, and named reproducible random streams.
 
+An event is a handler call: schedule(time, handler, *args) queues
+handler(*args), and the queue runs its calls in (time, scheduling sequence)
+order.
+
 Determinism rules enforced here:
   * virtual time is integer milliseconds, never floats;
   * ties at the same timestamp dispatch in scheduling order (global sequence);
@@ -24,31 +28,12 @@ from typing import Callable
 
 SimTime = int  # milliseconds of virtual time since scenario start
 
-EVENT_KINDS = frozenset({
-    "agent-checkin",
-    "task-issued",
-    "task-complete",
-    "planner-turn",
-})
-
-
 class SchedulingError(RuntimeError):
     """Raised when an event is scheduled before the current clock."""
 
 
 class ParameterError(ValueError):
     """Raised for invalid distribution names or parameters."""
-
-
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    """One scheduled occurrence. The queue orders events by (time, seq)."""
-
-    time: SimTime
-    seq: int
-    entity: str
-    kind: str
-    payload: object = None
 
 
 _DIST_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
@@ -192,10 +177,11 @@ class Simulator:
     def __init__(self, seed: int):
         self.seed = seed
         self.clock: SimTime = 0
-        # (time, seq, event) tuples: seq is unique, so no event is compared
-        self._queue: list[tuple[SimTime, int, SimEvent]] = []
+        # (time, seq, handler, args) tuples: seq is unique, so no handler is
+        # compared
+        self._queue: list[tuple[SimTime, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
-        self._handlers: dict[str, Callable[[SimEvent], None]] = {}
+        self._t_end: SimTime = 0  # where the current run_until stops
         self._streams: dict[str, RngStream] = {}
 
     # -- random streams ----------------------------------------------------
@@ -209,43 +195,36 @@ class Simulator:
 
     # -- event queue -------------------------------------------------------
 
-    def on(self, kind: str, handler: Callable[[SimEvent], None]) -> None:
-        if kind not in EVENT_KINDS:
-            raise ParameterError(f"unknown event kind {kind!r}")
-        self._handlers[kind] = handler
-
-    def drop_handlers(self) -> None:
-        """Forget every handler, and with them whatever they hold."""
-        self._handlers.clear()
-
-    def schedule(self, time: SimTime, entity: str, kind: str, payload=None) -> SimEvent:
-        """Queue an event; returns it as the acknowledgment."""
-        if kind not in EVENT_KINDS:
-            raise ParameterError(f"unknown event kind {kind!r}")
+    def schedule(self, time: SimTime, handler: Callable[..., None],
+                 *args) -> None:
+        """Queue the call handler(*args) for time."""
         if time < self.clock:
             raise SchedulingError(
-                f"cannot schedule {kind} for {entity} at t={time}; clock is {self.clock}"
-            )
-        ev = SimEvent(time=int(time), seq=next(self._seq), entity=entity,
-                      kind=kind, payload=payload)
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
-        return ev
+                f"cannot schedule {handler.__qualname__}{args} at t={time}; "
+                f"clock is {self.clock}")
+        heapq.heappush(self._queue, (int(time), next(self._seq), handler, args))
 
-    def next_event_time(self) -> SimTime | None:
-        return self._queue[0][0] if self._queue else None
+    def stop(self) -> None:
+        """End the current run_until at this millisecond: the events queued
+        for it still run, later ones stay queued."""
+        self._t_end = self.clock
+
+    def clear(self) -> None:
+        """Forget every queued event, and with them whatever they hold."""
+        self._queue.clear()
 
     def run_until(self, t_end: SimTime) -> None:
-        """Dispatch every event with time <= t_end in order; clock ends at t_end.
+        """Dispatch every event with time <= t_end in order; clock ends at
+        t_end, or at the time of a stop().
 
         A handler that schedules into the past aborts the run by raising
-        SchedulingError with the offending event named.
+        SchedulingError with the offending handler named.
         """
         if t_end < self.clock:
             raise SchedulingError(f"run_until({t_end}) is before clock {self.clock}")
-        queue, handlers = self._queue, self._handlers
-        while queue and queue[0][0] <= t_end:
-            self.clock, _, ev = heapq.heappop(queue)
-            handler = handlers.get(ev.kind)
-            if handler is not None:
-                handler(ev)
-        self.clock = t_end
+        self._t_end = t_end
+        queue = self._queue
+        while queue and queue[0][0] <= self._t_end:
+            self.clock, _, handler, args = heapq.heappop(queue)
+            handler(*args)
+        self.clock = self._t_end

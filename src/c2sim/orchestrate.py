@@ -165,7 +165,7 @@ def follow_up(topology: Topology, context_keys: Collection[str],
 
 class _RunBase:
     """The engagement both modes share: one task record, one issue path, one
-    completion path, one run loop and one trace merge. A runner adds its
+    completion path, one run and one trace merge. A runner adds its
     contact discipline: how tasks reach agents and results come back, and
     the times of each agent's hub contacts, which its tasking flows mirror."""
 
@@ -190,12 +190,7 @@ class _RunBase:
         for spec in self.sc.agents:
             self.hub.register_agent(spec.entity, sorted(spec.capabilities), 0)
         self._start()
-        horizon = self.sc.horizon_ms
-        while self.done_at is None:
-            nt = self.sim.next_event_time()
-            if nt is None or nt > horizon:
-                break
-            self.sim.run_until(nt)
+        self.sim.run_until(self.sc.horizon_ms)
         return self._finish()
 
     def _issue(self, p: PlannedTask, now: int) -> None:
@@ -232,6 +227,7 @@ class _RunBase:
         context = self.hub.context.items
         if self.done_at is None and self.required <= context.keys():
             self.done_at = now
+            self.sim.stop()
         return p, {item.content_key for item in items}
 
     def _finish(self) -> ScenarioRun:
@@ -269,9 +265,6 @@ class _SwarmRun(_RunBase):
         self.load: dict[str, int] = {}
         self.issued_pivots: set[str] = set()
         self.busy_until: dict[str, int] = {}
-        self.sim.on("planner-turn", self._on_planner_turn)
-        self.sim.on("agent-checkin", self._on_checkin)
-        self.sim.on("task-complete", self._on_complete)
 
     def _start(self) -> None:
         self._schedule_planner_turn(0)
@@ -279,14 +272,14 @@ class _SwarmRun(_RunBase):
     def _schedule_planner_turn(self, now: int) -> None:
         gap = draw_int(self.sim.stream("planner/turn-latency"),
                        self.sc.timing.planner_turn_latency, 1)
-        self.sim.schedule(now + gap, "planner", "planner-turn")
+        self.sim.schedule(now + gap, self._on_planner_turn)
 
     def _dispatch(self, entity: str, now: int) -> None:
         delay = draw_int(self.sim.stream(f"{entity}/dispatch"),
                          self.sc.timing.event_dispatch_latency, 1)
-        self.sim.schedule(now + delay, entity, "agent-checkin")
+        self.sim.schedule(now + delay, self._on_checkin, entity)
 
-    def _on_planner_turn(self, ev) -> None:
+    def _on_planner_turn(self) -> None:
         now = self.sim.clock
         planned: list[PlannedTask] = []
         roster = self.hub.roster.values()
@@ -300,9 +293,8 @@ class _SwarmRun(_RunBase):
             if p.assignee is not None:
                 self._dispatch(p.assignee, now)
 
-    def _on_checkin(self, ev) -> None:
+    def _on_checkin(self, entity: str) -> None:
         now = self.sim.clock
-        entity = ev.entity
         agent_id = self.hub.agent_id_for(entity)
         self.contacts[entity].append(now)  # the fetch
         for task in self.hub.get_tasks(agent_id, now):
@@ -315,18 +307,18 @@ class _SwarmRun(_RunBase):
             self.sessions.append(Session(task_id=task.task_id, entity=entity,
                                          start=start, length_ms=dur,
                                          turns=turns))
-            self.sim.schedule(start + dur, entity, "task-complete",
-                              payload=task.task_id)
+            self.sim.schedule(start + dur, self._on_complete, entity,
+                              task.task_id)
 
-    def _on_complete(self, ev) -> None:
+    def _on_complete(self, entity: str, task_id: str) -> None:
         now = self.sim.clock
-        agent_id = self.hub.agent_id_for(ev.entity)
-        self.contacts[ev.entity].append(now)  # the submit
-        self._complete(agent_id, ev.payload, now)
+        agent_id = self.hub.agent_id_for(entity)
+        self.contacts[entity].append(now)  # the submit
+        self._complete(agent_id, task_id, now)
         if self.done_at is None:
             self._schedule_planner_turn(now)  # new intelligence: plan on it
             if self.hub.has_work_for(agent_id):
-                self._dispatch(ev.entity, now)
+                self._dispatch(entity, now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
         profile = self.sc.channels.profile
@@ -363,8 +355,6 @@ class _ManualRun(_RunBase):
         # (entity, task_id, completion time) of the one task in flight
         self.executing: tuple[str, str, int] | None = None
         self.awaiting_think = False
-        self.sim.on("agent-checkin", self._on_tick)
-        self.sim.on("task-issued", self._on_issue)
 
     def _start(self) -> None:
         for spec in self.sc.agents:
@@ -383,7 +373,7 @@ class _ManualRun(_RunBase):
     def _schedule_tick(self, entity: str) -> None:
         t = next(self.ticks[entity], None)
         if t is not None:
-            self.sim.schedule(t, entity, "agent-checkin")
+            self.sim.schedule(t, self._on_tick, entity)
 
     def _queue_probes(self, subnet: str) -> None:
         for host in self.sc.topology.hosts(subnet):
@@ -398,17 +388,15 @@ class _ManualRun(_RunBase):
         self.awaiting_think = True
         think = draw_int(self.sim.stream("operator/think"),
                          self.sc.timing.manual_think_time, 1)
-        self.sim.schedule(now + think, "operator", "task-issued",
-                          payload=self.queue.popleft())
+        self.sim.schedule(now + think, self._on_issue, self.queue.popleft())
 
-    def _on_issue(self, ev) -> None:
+    def _on_issue(self, p: PlannedTask) -> None:
         self.awaiting_think = False
-        self._issue(ev.payload, self.sim.clock)
+        self._issue(p, self.sim.clock)
         self.operator_actions += 1
 
-    def _on_tick(self, ev) -> None:
+    def _on_tick(self, entity: str) -> None:
         now = self.sim.clock
-        entity = ev.entity
         self.contacts[entity].append(now)  # the poll, carrying any upload
         agent_id = self.hub.agent_id_for(entity)
         # upload leg: results ride the beacon that follows completion
@@ -460,47 +448,43 @@ def run_scenario(scenario: Scenario,
     try:
         return runner.run()
     finally:
-        # The handlers are the runner's bound methods and the hub holds the
-        # simulator's streams, so runner, simulator and hub form a cycle;
+        # Queued events call the runner's bound methods and the hub holds
+        # the simulator's streams, so runner, simulator and hub form a cycle;
         # broken here, reference counting frees the hub with the run.
-        runner.sim.drop_handlers()
+        runner.sim.clear()
 
 
 @dataclass
 class CompareResult:
-    mode_a: str
-    mode_b: str
     rows: list[dict]
     summary: dict
 
 
 def compare(scenario: Scenario, n_seeds: int) -> CompareResult:
-    """Paired runs over consecutive seeds plus a median summary row: mode a
-    is the autonomous swarm, mode b the manual baseline.
+    """Paired swarm and manual runs over consecutive seeds plus a median
+    summary row, each keyed by the columns of comparison.csv.
 
-    speedup is time_b / time_a: "the manual baseline takes this many times
-    longer".
+    speedup is time_manual / time_swarm: "the manual baseline takes this
+    many times longer".
     """
     if n_seeds < 3:
         raise ValueError("need at least 3 seeds for a stable median")
-    mode_a, mode_b = MODE_SWARM, MODE_MANUAL
     rows = []
     for i in range(n_seeds):
         seed = scenario.seed + i
-        run_a = run_scenario(scenario.with_seed(seed).with_mode(mode_a))
-        run_b = run_scenario(scenario.with_seed(seed).with_mode(mode_b))
-        ta = run_a.metrics.time_to_objective_ms
-        tb = run_b.metrics.time_to_objective_ms
+        swarm = run_scenario(scenario.with_seed(seed).with_mode(MODE_SWARM))
+        manual = run_scenario(scenario.with_seed(seed).with_mode(MODE_MANUAL))
+        ts = swarm.metrics.time_to_objective_ms
+        tm = manual.metrics.time_to_objective_ms
         rows.append({
             "seed": seed,
-            "time_a_ms": ta, "time_b_ms": tb,
-            "actions_a": run_a.metrics.operator_actions,
-            "actions_b": run_b.metrics.operator_actions,
-            "speedup": (tb / ta) if ta and tb else None,
+            "time_swarm_ms": ts, "time_manual_ms": tm,
+            "actions_swarm": swarm.metrics.operator_actions,
+            "actions_manual": manual.metrics.operator_actions,
+            "speedup": (tm / ts) if ts and tm else None,
         })
     summary: dict = {"seed": "median"}
-    for col in ("time_a_ms", "time_b_ms", "actions_a", "actions_b", "speedup"):
+    for col in list(rows[0])[1:]:
         values = [r[col] for r in rows if r[col] is not None]
         summary[col] = statistics.median(values) if values else None
-    return CompareResult(mode_a=mode_a, mode_b=mode_b, rows=rows,
-                         summary=summary)
+    return CompareResult(rows=rows, summary=summary)

@@ -451,6 +451,30 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         del workday["workday_start_hour"], workday["workday_end_hour"]
     background = WorkdayModel(horizon_ms=horizon, **workday)
     n_users = r.read("background", "n_users", 0, lo=0)
+    # benign traffic loops over every user-day, even one that draws no
+    # session, and draws each session's flows
+    days = max(1, -(-horizon // 86_400_000))
+    sessions = max(1, round(background.sessions_per_day.largest))
+    flows = max(1, round(background.flows_per_session.largest))
+    if n_users * days * sessions * flows > MAX_EVENTS:
+        r.fail("background", "n_users",
+               f"n_users x days x sessions_per_day x flows_per_session = "
+               f"{n_users} x {days} x {sessions} x {flows}, more than "
+               f"{MAX_EVENTS} benign flows")
+    # a swarm runs one reasoning session per recon (one a subnet) and per
+    # pivot (one an edge): turns of a request each, or bursts when streaming
+    if channels.streaming:
+        section, key, dist = ("channels", "burst_count",
+                              channels.profile.burst_count)
+    else:
+        section, key, dist = ("timing", "planner_turns",
+                              timing_dists["planner_turns"])
+    per_session = max(1, round(dist.largest))
+    if (len(subnets) + len(edges)) * per_session > MAX_EVENTS:
+        r.fail(section, key,
+               f"(subnets + pivot_edges) x {key} = ({len(subnets)} + "
+               f"{len(edges)}) x {per_session}, more than {MAX_EVENTS} "
+               "reasoning flows")
 
     # every byte count and duration a trace holds must be below 2^63
     for section, record in (("beacon", beacon), ("channels", channels.profile),

@@ -6,7 +6,6 @@ are deterministic; expected values come from closed-form moments.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import sys
@@ -18,7 +17,6 @@ from c2sim.engine import (
     ParameterError,
     RngStream,
     SchedulingError,
-    SimEvent,
     Simulator,
     draw,
 )
@@ -27,10 +25,9 @@ from c2sim.engine import (
 def test_same_time_events_dispatch_in_scheduling_order():
     sim = Simulator(seed=1)
     order = []
-    sim.on("planner-turn", lambda ev: order.append(ev.payload))
-    sim.schedule(500, "a", "planner-turn", payload="first")
-    sim.schedule(500, "b", "planner-turn", payload="second")
-    sim.schedule(200, "c", "planner-turn", payload="early")
+    sim.schedule(500, order.append, "first")
+    sim.schedule(500, order.append, "second")
+    sim.schedule(200, order.append, "early")
     sim.run_until(1000)
     assert order == ["early", "first", "second"]
 
@@ -41,12 +38,11 @@ def test_checkin_loop_emits_at_exact_multiples():
     interval = 60_000
     log = []
 
-    def checkin(ev):
-        log.append((ev.entity, sim.clock))
-        sim.schedule(sim.clock + interval, ev.entity, "agent-checkin")
+    def checkin(entity):
+        log.append((entity, sim.clock))
+        sim.schedule(sim.clock + interval, checkin, entity)
 
-    sim.on("agent-checkin", checkin)
-    sim.schedule(interval, "agent-1", "agent-checkin")
+    sim.schedule(interval, checkin, "agent-1")
     sim.run_until(200_000)
     assert log == [("agent-1", 60_000), ("agent-1", 120_000), ("agent-1", 180_000)]
     assert sim.clock == 200_000
@@ -55,31 +51,63 @@ def test_checkin_loop_emits_at_exact_multiples():
 def test_run_until_is_resumable_and_clock_lands_on_t_end():
     sim = Simulator(seed=3)
     seen = []
-    sim.on("planner-turn", lambda ev: seen.append(sim.clock))
-    sim.schedule(10, "x", "planner-turn")
-    sim.schedule(30, "x", "planner-turn")
+
+    def tick():
+        seen.append(sim.clock)
+
+    sim.schedule(10, tick)
+    sim.schedule(30, tick)
     sim.run_until(20)
     assert seen == [10] and sim.clock == 20
     sim.run_until(50)
     assert seen == [10, 30] and sim.clock == 50
 
 
+def test_stop_ends_the_run_after_its_millisecond():
+    sim = Simulator(seed=3)
+    seen = []
+
+    def record(name):
+        seen.append((name, sim.clock))
+
+    def stopper():
+        record("stop")
+        sim.stop()
+        sim.schedule(sim.clock, record, "same ms, scheduled after stop")
+
+    sim.schedule(10, record, "before")
+    sim.schedule(20, stopper)
+    sim.schedule(20, record, "same ms")
+    sim.schedule(21, record, "later")
+    sim.run_until(100)
+    assert seen == [("before", 10), ("stop", 20), ("same ms", 20),
+                    ("same ms, scheduled after stop", 20)]
+    assert sim.clock == 20
+    sim.run_until(100)
+    assert seen[-1] == ("later", 21) and sim.clock == 100
+
+
 def test_schedule_into_past_is_rejected_with_context():
     sim = Simulator(seed=1)
     sim.run_until(1000)
+
+    def checkin(entity):
+        pass
+
     with pytest.raises(SchedulingError) as exc:
-        sim.schedule(999, "agent-1", "agent-checkin")
-    assert "999" in str(exc.value) and "1000" in str(exc.value)
+        sim.schedule(999, checkin, "agent-1")
+    message = str(exc.value)
+    assert "999" in message and "1000" in message
+    assert "checkin" in message and "agent-1" in message
 
 
 def test_handler_scheduling_into_past_aborts_run():
     sim = Simulator(seed=1)
 
-    def bad(ev):
-        sim.schedule(ev.time - 1, ev.entity, "agent-checkin")
+    def bad():
+        sim.schedule(sim.clock - 1, bad)
 
-    sim.on("planner-turn", bad)
-    sim.schedule(100, "x", "planner-turn")
+    sim.schedule(100, bad)
     with pytest.raises(SchedulingError):
         sim.run_until(200)
 
@@ -91,12 +119,6 @@ def test_run_until_backwards_is_rejected():
         sim.run_until(99)
 
 
-def test_unknown_event_kind_rejected():
-    sim = Simulator(seed=1)
-    with pytest.raises(ParameterError):
-        sim.schedule(10, "x", "not-a-kind")
-
-
 def test_randomized_event_order_matches_sorted_time_seq():
     # property: dispatch order equals sorting by (time, seq) regardless of
     # insertion order of timestamps
@@ -104,11 +126,11 @@ def test_randomized_event_order_matches_sorted_time_seq():
     for _ in range(25):
         sim = Simulator(seed=0)
         seen: list[tuple[int, int]] = []
-        sim.on("agent-checkin", lambda ev: seen.append((ev.time, ev.seq)))
-        events = [sim.schedule(rnd.randrange(0, 500), "e", "agent-checkin")
-                  for _ in range(40)]
+        events = [(rnd.randrange(0, 500), seq) for seq in range(40)]
+        for event in events:
+            sim.schedule(event[0], seen.append, event)
         sim.run_until(500)
-        assert seen == sorted((e.time, e.seq) for e in events)
+        assert seen == sorted(events)
         assert all(a <= b for a, b in zip([t for t, _ in seen], [t for t, _ in seen][1:]))
 
 
@@ -277,19 +299,3 @@ def test_dist_round_trips_through_str():
     d = Dist.parse("lognormal(10.5, 0.8)")
     assert Dist.parse(str(d)) == d
 
-
-def test_event_is_immutable_record():
-    ev = SimEvent(time=5, seq=0, entity="x", kind="planner-turn")
-    with pytest.raises(Exception):
-        ev.time = 6  # type: ignore[misc]
-
-
-def test_event_is_a_slotted_value_record():
-    ev = SimEvent(time=5, seq=0, entity="x", kind="planner-turn", payload="p")
-    twin = SimEvent(time=5, seq=0, entity="x", kind="planner-turn", payload="p")
-    assert ev == twin and hash(ev) == hash(twin)
-    assert ev != SimEvent(time=5, seq=1, entity="x", kind="planner-turn",
-                          payload="p")
-    assert not hasattr(ev, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ev.time = 6  # type: ignore[misc]

@@ -317,10 +317,10 @@ def test_planner_turns_at_start_and_after_each_submit(edits, monkeypatch):
     turns = []
     schedule = Simulator.schedule
 
-    def counted(sim, time, entity, kind, payload=None):
-        if kind == "planner-turn":
+    def counted(sim, time, handler, *args):
+        if handler.__name__ == "_on_planner_turn":
             turns.append(time)
-        return schedule(sim, time, entity, kind, payload)
+        return schedule(sim, time, handler, *args)
 
     monkeypatch.setattr(Simulator, "schedule", counted)
     _, _, records = _journaled(parse_scenario(text))
@@ -419,16 +419,19 @@ def test_chaff_and_background_layers():
 
 def test_compare_rows_and_summary():
     result = compare(default_scenario(), n_seeds=3)
-    assert result.mode_a == MODE_SWARM and result.mode_b == MODE_MANUAL
+    columns = ("seed", "time_swarm_ms", "time_manual_ms", "actions_swarm",
+               "actions_manual", "speedup")
     assert len(result.rows) == 3
     assert [r["seed"] for r in result.rows] == [42, 43, 44]
     for row in result.rows:
-        assert row["actions_a"] == 1
-        assert row["actions_b"] >= 10
+        assert tuple(row) == columns
+        assert row["actions_swarm"] == 1
+        assert row["actions_manual"] >= 10
         assert row["speedup"] > 2.5
+    assert tuple(result.summary) == columns
     assert result.summary["seed"] == "median"
     assert result.summary["speedup"] > 2.5
-    assert result.summary["actions_a"] == 1
+    assert result.summary["actions_swarm"] == 1
 
 
 def test_compare_rejects_too_few_seeds():

@@ -782,8 +782,9 @@ def _with_horizon(horizon_ms: int) -> str:
                 f"mode = manual_baseline\nhorizon_ms = {horizon_ms}")
 
 
-# Validated only, at the bound and at bound + 1: a run of either would write
-# millions of polls or decoy queries. Each text asks for n events.
+# Validated only, at the bound and at bound + 1: a run of any would write
+# millions of polls, decoy queries, benign flows or reasoning flows. Each
+# text asks for n events.
 @pytest.mark.parametrize("text,expected", [
     pytest.param(
         lambda n: _with_horizon(n - 1) + "\n[beacon]\ninterval_ms = 1\n",
@@ -797,6 +798,29 @@ def _with_horizon(horizon_ms: int) -> str:
         "3600000 = 1 x {over}.0 x 3600000 / 3600000, more than {bound} "
         "decoy queries (line 16)",
         id="decoys"),
+    pytest.param(
+        lambda n: _with_horizon(86_400_000)
+        + f"\n[background]\nn_users = {n}\n"
+        "sessions_per_day = uniform(0, 0)\n"
+        "flows_per_session = uniform(1, 1)\n",
+        "[background] n_users: n_users x days x sessions_per_day x "
+        "flows_per_session = {over} x 1 x 1 x 1, more than {bound} benign "
+        "flows (line 16)",
+        id="benign"),
+    pytest.param(
+        lambda n: _add(f"[timing]\nplanner_turns = uniform({n}, {n})\n\n"
+                       "[channels]\ncontext_growth = uniform(0, 0)\n"),
+        "[timing] planner_turns: (subnets + pivot_edges) x planner_turns = "
+        "(1 + 0) x {over}, more than {bound} reasoning flows (line 15)",
+        id="turns"),
+    pytest.param(
+        lambda n: _add("[timing]\ntask_duration = uniform(1e15, 1e15)\n\n"
+                       f"[channels]\nstreaming = true\n"
+                       f"burst_count = uniform({n}, {n})\n"
+                       "burst_interval = uniform(1, 1)\n"),
+        "[channels] burst_count: (subnets + pivot_edges) x burst_count = "
+        "(1 + 0) x {over}, more than {bound} reasoning flows (line 19)",
+        id="bursts"),
 ])
 def test_events_a_scenario_asks_for_are_bounded(text, expected, tmp_path,
                                                 capsys):
