@@ -408,23 +408,12 @@ def size_uniformity(series: ChannelSeries) -> float | None:
     return _inverse_cv([float(s) for s in series.sizes])
 
 
-def combine(components: dict[str, float | None], weights: dict[str, float]) -> float | None:
-    """Weighted mean over present components, renormalizing absent weight."""
-    total_w = 0.0
-    acc = 0.0
-    for name, w in weights.items():
-        v = components.get(name)
-        if v is None:
-            continue
-        acc += w * v
-        total_w += w
-    if total_w == 0.0:
-        return None
-    return acc / total_w
-
-
 def score_channel(series: ChannelSeries) -> BeaconScore | None:
-    """Score one channel; None means insufficient data (< 3 distinct arrivals)."""
+    """Score one channel; None means insufficient data (< 3 distinct arrivals).
+    A scored channel has all four components, summed under WEIGHTS (sum 1)."""
+    if len(series.sizes) != len(series.arrivals):
+        raise ValueError(f"channel {series.key}: {len(series.sizes)} sizes "
+                         f"for {len(series.arrivals)} arrivals")
     if len(series.arrivals) < 3:
         return None
     reg = interval_regularity(series)
@@ -433,8 +422,8 @@ def score_channel(series: ChannelSeries) -> BeaconScore | None:
     acf, period = acf_period(series, bin_ms, MAX_LAG_BINS)
     pg = periodogram_strength(series, bin_ms, MAX_LAG_BINS)
     size = size_uniformity(series)
-    combined = combine({"regularity": reg, "acf": acf, "periodogram": pg,
-                        "size": size}, WEIGHTS)
+    combined = sum(w * v for w, v in zip(WEIGHTS.values(),
+                                         (reg, acf, pg, size)))
     return BeaconScore(key=series.key, regularity=reg, acf_strength=acf,
                        periodogram=pg, size_uniformity=size,
                        combined=combined, period_ms=period)
@@ -508,9 +497,9 @@ def evaluate(trace: Iterable[FlowRecord],
             tn += 1
     points, pos, neg = _roc_points(scored)
     auc = _auc_from_points(points, pos, neg)
+    # the thresholds descend, so fpr and tpr ascend
     roc = [(fp_i / neg if neg else 0.0, tp_i / pos if pos else 0.0, t)
            for t, fp_i, tp_i in points]
-    roc.sort(key=lambda r: (r[0], r[1]))
     degenerate = None
     if not scored:
         degenerate = "no scorable channels"

@@ -48,7 +48,7 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past this
 
 @dataclass(frozen=True)
 class Dist:
-    """A parsed distribution spec such as lognormal(10.5, 0.8)."""
+    """One of uniform(a, b), exponential(mean) and lognormal(mu, sigma)."""
 
     name: str
     params: tuple[float, ...]
@@ -91,27 +91,19 @@ class Dist:
                 raise ParameterError(
                     f"lognormal's largest draw, exp(mu + sigma sqrt(106 ln 2)), "
                     f"is not finite for {p}")
-        elif n == "choice":
-            if not p or any(w < 0 for w in p) or not 0 < sum(p) < math.inf:
-                raise ParameterError(
-                    "choice needs non-negative weights with a positive finite "
-                    f"sum, got {p}")
         else:
             raise ParameterError(f"unknown distribution {n!r}")
 
     @property
     def largest(self) -> float:
-        """The largest value draw() returns, inf where that overflows; the
-        last index for choice."""
+        """The largest value draw() returns, inf where that overflows."""
         n, p = self.name, self.params
         if n == "uniform":
             return p[1]
         if n == "exponential":
             return -p[0] * _LN_MIN_UNIT
-        if n == "lognormal":
-            log = p[0] + p[1] * _Z_MAX
-            return math.exp(log) if log <= _LN_FLOAT_MAX else math.inf
-        return float(len(p) - 1)
+        log = p[0] + p[1] * _Z_MAX  # lognormal
+        return math.exp(log) if log <= _LN_FLOAT_MAX else math.inf
 
     def __str__(self) -> str:
         inner = ", ".join(format(v, "g") for v in self.params)
@@ -138,10 +130,8 @@ class RngStream:
 
 
 def draw(stream: RngStream, dist: Dist) -> float:
-    """Sample one value from dist using only stream.unit() draws.
-
-    choice(...) returns a float-valued index; callers int() it.
-    """
+    """Sample one value from dist (uniform, exponential or lognormal) using
+    only stream.unit() draws."""
     name, p = dist.name, dist.params
     if name == "uniform":
         a, b = p
@@ -149,21 +139,11 @@ def draw(stream: RngStream, dist: Dist) -> float:
     if name == "exponential":
         # inverse CDF; 1-u is in (0, 1] so the log argument is never zero
         return -p[0] * math.log(1.0 - stream.unit())
-    if name == "lognormal":
-        mu, sigma = p
-        u1 = 1.0 - stream.unit()
-        u2 = stream.unit()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return math.exp(mu + sigma * z)
-    if name == "choice":
-        total = sum(p)
-        target = stream.unit() * total
-        acc = 0.0
-        for i, w in enumerate(p):
-            acc += w
-            if target < acc:
-                return float(i)
-        return float(len(p) - 1)  # guard for target == total under rounding
+    mu, sigma = p  # lognormal
+    u1 = 1.0 - stream.unit()
+    u2 = stream.unit()
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.exp(mu + sigma * z)
 
 
 def draw_int(stream: RngStream, dist: Dist, least: int) -> int:

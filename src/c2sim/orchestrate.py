@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, TextIO
 
 from .engine import Simulator, draw_int
-from .hub import (TASK_COMPLETED, AgentRecord, Hub, IntelItem, Task,
-                  make_content_key)
+from .hub import (TASK_COMPLETED, AgentRecord, HeartbeatPolicy, Hub,
+                  IntelItem, Task, make_content_key)
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
@@ -174,8 +174,9 @@ class _RunBase:
     def __init__(self, sc: Scenario, journal: TextIO | None = None):
         self.sc = sc
         self.sim = Simulator(sc.seed)
-        self.hub = Hub(sc.timing.heartbeat, journal=journal,
-                       streams=self.sim.stream)
+        self.hub = Hub(HeartbeatPolicy(sc.timing.heartbeat_min_window_ms,
+                                       sc.timing.heartbeat_max_window_ms),
+                       journal=journal, streams=self.sim.stream)
         # entity -> the times of its hub contacts, in the order they were made
         self.contacts: dict[str, list[int]] = {spec.entity: []
                                                for spec in sc.agents}
@@ -321,14 +322,14 @@ class _SwarmRun(_RunBase):
                 self._dispatch(entity, now)
 
     def _trace(self, window: int) -> list[FlowRecord]:
-        profile = self.sc.channels.profile
+        profile = self.sc.channels
         parts = [synth_event_flows(
             self.contacts[spec.entity],
             self.sim.stream(f"{spec.entity}/tasking-bytes"), src=spec.entity)
             for spec in self.sc.agents]
         for s in sorted(self.sessions, key=lambda s: (s.start, s.task_id)):
             st = self.sim.stream(f"{s.entity}/reasoning/{s.task_id}")
-            if self.sc.channels.streaming:
+            if profile.streaming:
                 parts.append(synth_reasoning_streaming(
                     s.length_ms, profile, st, t_start=s.start, src=s.entity))
             else:
@@ -336,7 +337,7 @@ class _SwarmRun(_RunBase):
                     s.turns, profile, st, t_start=s.start, src=s.entity))
         for spec in self.sc.agents:
             parts.append(synth_chaff(
-                self.sc.channels.chaff_per_hour, window, profile,
+                profile.chaff_per_hour, window, profile,
                 self.sim.stream(f"{spec.entity}/chaff"), src=spec.entity))
         return self._with_background(parts, window)
 
@@ -358,9 +359,8 @@ class _ManualRun(_RunBase):
 
     def _start(self) -> None:
         for spec in self.sc.agents:
-            cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)
             self.ticks[spec.entity] = beacon_ticks(
-                cfg, self.sim.stream(f"{spec.entity}/beacon"))
+                self.sc.beacon, self.sim.stream(f"{spec.entity}/beacon"))
             self._schedule_tick(spec.entity)
         reachable = set()
         for spec in self.sc.agents:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import Dist, ParameterError
-from .hub import INTEL_KINDS, HeartbeatPolicy, make_content_key
+from .hub import INTEL_KINDS, make_content_key
 from .traffic import (DST_HUB, TASKING_DURATION, BeaconConfig, ChannelProfile,
                       WorkdayModel, chaff_gap)
 
@@ -95,19 +95,14 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Timing:
-    heartbeat: HeartbeatPolicy
     task_duration: Dist = Dist("lognormal", (10.9, 0.35))
     planner_turns: Dist = Dist("uniform", (2.0, 6.0))
     planner_turn_latency: Dist = Dist("lognormal", (9.0, 0.4))
     event_dispatch_latency: Dist = Dist("uniform", (200.0, 1500.0))
     manual_think_time: Dist = Dist("lognormal", (10.3, 0.4))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    profile: ChannelProfile = ChannelProfile()
-    streaming: bool = False
-    chaff_per_hour: float = 0.0
+    # the hub's HeartbeatPolicy windows
+    heartbeat_min_window_ms: int = 3_600_000
+    heartbeat_max_window_ms: int = 172_800_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class Scenario:
     agents: tuple[AgentSpec, ...]
     timing: Timing
     beacon: BeaconConfig  # src is set per agent by the runner
-    channels: ChannelParams
+    channels: ChannelProfile
     background: WorkdayModel
     n_users: int
 
@@ -132,14 +127,25 @@ class Scenario:
         return dataclasses.replace(self, mode=mode)
 
     def with_beacon_interval(self, interval_ms: int) -> "Scenario":
+        """Raises ScenarioError for more polls than parse_scenario accepts."""
         beacon = dataclasses.replace(self.beacon, interval_ms=interval_ms)
+        if excess := _excess_polls(len(self.agents), beacon):
+            raise ScenarioError([f"[beacon] interval_ms: {excess}"])
         return dataclasses.replace(self, beacon=beacon)
+
+
+def _excess_polls(count: int, beacon: BeaconConfig) -> str | None:
+    """Why count agents polling as beacon says make more than MAX_EVENTS
+    polls, or None when they make no more."""
+    ticks = beacon.horizon_ms // beacon.interval_ms + 1
+    return None if count * ticks <= MAX_EVENTS else (
+        f"count x (horizon_ms // interval_ms + 1) = {count} x {ticks}, "
+        f"more than {MAX_EVENTS} polls")
 
 
 def _key_fields(cls) -> list[dataclasses.Field]:
     """The fields of record cls that are scenario keys: those whose default
-    is a value the reader reads. The parser sets the others (horizon_ms,
-    src, dst, heartbeat, profile)."""
+    is a value the reader reads. The parser sets horizon_ms, src and dst."""
     return [f for f in dataclasses.fields(cls)
             if isinstance(f.default, (Dist, bool, int, float))]
 
@@ -153,10 +159,9 @@ _SECTIONS = {
     "topology": {"subnets", "hosts_per_subnet", "intel", "pivot_edges",
                  "required_intel"},
     "agents": {"count", "capabilities"},
-    "timing": _keys(Timing) | {"heartbeat_min_window_ms",
-                               "heartbeat_max_window_ms"},
+    "timing": _keys(Timing),
     "beacon": _keys(BeaconConfig),
-    "channels": _keys(ChannelProfile, ChannelParams),
+    "channels": _keys(ChannelProfile),
     "background": _keys(WorkdayModel) | {"n_users"},
 }
 _REQUIRED_SECTIONS = ("scenario", "topology", "agents")
@@ -400,29 +405,25 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                    for e in entities)
 
     # [timing]
-    timing_dists = r.get_fields("timing", Timing)
-    hb_min = r.read("timing", "heartbeat_min_window_ms", 3_600_000, lo=1)
-    hb_max = r.read("timing", "heartbeat_max_window_ms", 172_800_000, lo=1)
-    if hb_min > hb_max:
+    timing = Timing(**r.get_fields("timing", Timing,
+                                   heartbeat_min_window_ms={"lo": 1},
+                                   heartbeat_max_window_ms={"lo": 1}))
+    if timing.heartbeat_min_window_ms > timing.heartbeat_max_window_ms:
         r.fail("timing", "heartbeat_min_window_ms",
-               f"min window {hb_min} exceeds max window {hb_max}")
-        hb_min = hb_max
+               f"min window {timing.heartbeat_min_window_ms} exceeds max "
+               f"window {timing.heartbeat_max_window_ms}")
 
     # [beacon]
     beacon = BeaconConfig(
         horizon_ms=horizon, src="", dst=DST_HUB,
         **r.get_fields("beacon", BeaconConfig, interval_ms={"lo": 1},
                        jitter_fraction={"lo": 0.0, "hi": 1.0, "hi_open": True}))
-    ticks = horizon // beacon.interval_ms + 1
-    if count * ticks > MAX_EVENTS:
-        r.fail("beacon", "interval_ms",
-               f"count x (horizon_ms // interval_ms + 1) = {count} x {ticks}, "
-               f"more than {MAX_EVENTS} polls")
+    if excess := _excess_polls(count, beacon):
+        r.fail("beacon", "interval_ms", excess)
 
     # [channels]
-    channels = ChannelParams(
-        profile=ChannelProfile(**r.get_fields("channels", ChannelProfile)),
-        **r.get_fields("channels", ChannelParams, chaff_per_hour={"lo": 0.0}))
+    channels = ChannelProfile(**r.get_fields("channels", ChannelProfile,
+                                             chaff_per_hour={"lo": 0.0}))
     if channels.chaff_per_hour > 0:
         try:
             chaff_gap(channels.chaff_per_hour)
@@ -464,11 +465,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     # a swarm runs one reasoning session per recon (one a subnet) and per
     # pivot (one an edge): turns of a request each, or bursts when streaming
     if channels.streaming:
-        section, key, dist = ("channels", "burst_count",
-                              channels.profile.burst_count)
+        section, key, dist = ("channels", "burst_count", channels.burst_count)
     else:
-        section, key, dist = ("timing", "planner_turns",
-                              timing_dists["planner_turns"])
+        section, key, dist = ("timing", "planner_turns", timing.planner_turns)
     per_session = max(1, round(dist.largest))
     if (len(subnets) + len(edges)) * per_session > MAX_EVENTS:
         r.fail(section, key,
@@ -477,7 +476,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                "reasoning flows")
 
     # every byte count and duration a trace holds must be below 2^63
-    for section, record in (("beacon", beacon), ("channels", channels.profile),
+    for section, record in (("beacon", beacon), ("channels", channels),
                             ("background", background)):
         for key in _TRACE_INT_KEYS:
             dist = getattr(record, key, None)
@@ -488,7 +487,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     # and lasts at most the largest draw of its duration (one refused above
     # is left out)
     durations = [round(dist.largest) for dist in (
-        beacon.duration, channels.profile.duration, background.duration,
+        beacon.duration, channels.duration, background.duration,
         TASKING_DURATION)]
     longest = max(d for d in durations if d < 2 ** 63)
     if horizon + longest >= 2 ** 63:
@@ -497,9 +496,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                "more, past the int64 cells of a trace")
     # and a non-streaming request grows by context_growth each turn after
     # the first
-    request = channels.profile.request_size.largest
-    turns = timing_dists["planner_turns"].largest
-    growth = channels.profile.context_growth.largest
+    request = channels.request_size.largest
+    turns = timing.planner_turns.largest
+    growth = channels.context_growth.largest
     if round(request) < 2 ** 63 <= round(request) + (
             max(1, round(turns)) - 1) * max(0, round(growth)):
         r.fail("channels", "request_size",
@@ -532,7 +531,6 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     topology = Topology(subnets=subnets, hosts_per_subnet=hosts_per,
                         intel=tuple(intel), pivot_edges=tuple(edges),
                         required_keys=tuple(required))
-    timing = Timing(heartbeat=HeartbeatPolicy(hb_min, hb_max), **timing_dists)
     return Scenario(seed=seed, mode=mode, horizon_ms=horizon,
                     topology=topology, agents=agents, timing=timing,
                     beacon=beacon, channels=channels, background=background,

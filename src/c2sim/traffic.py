@@ -15,6 +15,7 @@ caller-supplied named streams, so traces are reproducible byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .engine import Dist, RngStream, draw, draw_int
+from .engine import Dist, RngStream, draw_int
 
 DST_HUB = "hub"
 DST_PLANNER = "planner"
@@ -49,10 +50,10 @@ _TASKING_REQUEST = Dist("lognormal", (6.9, 0.3))
 _TASKING_RESPONSE = Dist("lognormal", (8.0, 0.5))
 TASKING_DURATION = Dist("lognormal", (5.3, 0.4))
 
-# Where benign users' sessions go, and how often each is picked
+# Where benign users' sessions go, and the running sums of their shares 0.4,
+# 0.2, 0.2, 0.2: the last is exactly 1.0, so every unit in [0, 1) picks one
 _BACKGROUND_DESTINATIONS = (DST_PLANNER, "svc-mail", "svc-repo", "svc-files")
-_PICK_DESTINATION = Dist(
-    "choice", (0.4,) + (0.2,) * (len(_BACKGROUND_DESTINATIONS) - 1))
+_DESTINATION_BOUNDS = tuple(itertools.accumulate((0.4, 0.2, 0.2, 0.2)))
 
 TRACE_COLUMNS = ("ts_start_ms", "duration_ms", "src", "dst", "dst_class",
                  "bytes_init", "bytes_resp", "leg", "label")
@@ -113,7 +114,8 @@ class BeaconConfig:
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Size and pacing model for one agent's planner channel."""
+    """One agent's planner channel, the keys of [channels]: sizes and pacing,
+    burst trains when streaming, and chaff_per_hour decoy queries an hour."""
 
     request_size: Dist = Dist("lognormal", (7.2, 0.4))
     response_size: Dist = Dist("lognormal", (8.5, 0.6))
@@ -124,6 +126,8 @@ class ChannelProfile:
     burst_count: Dist = Dist("uniform", (8.0, 40.0))
     burst_interval: Dist = Dist("lognormal", (8.0, 1.2))
     burst_size: Dist = Dist("lognormal", (6.5, 1.0))
+    streaming: bool = False
+    chaff_per_hour: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,7 @@ def synth_background(n_users: int, model: WorkdayModel,
                     window_end = work_start + work_len
                     is_off = False
                 dst = _BACKGROUND_DESTINATIONS[
-                    int(draw(st, _PICK_DESTINATION))]
+                    bisect.bisect_right(_DESTINATION_BOUNDS, st.unit())]
                 dst_class = DST_PLANNER if dst == DST_PLANNER else DST_BENIGN
                 t = day_base + start_in_day
                 end = day_base + window_end

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from c2sim.detect import (
+    WEIGHTS,
     ChannelSeries,
     DetectorConfig,
     _auc_from_points,
@@ -384,3 +385,22 @@ def test_criterion_8_reference_oracles():
             f"50 random series: ACF peak within one bin of the O(n^2) oracle "
             f"({acf_failures} misses); 50 random score sets: trapezoid AUC "
             f"bit-equal to pairwise Mann-Whitney ({auc_failures} misses)")
+
+
+# -- beyond the criteria ----------------------------------------------------------
+
+
+def test_combined_is_the_fixed_weighted_sum_on_criterion_2_flows(beacon_report):
+    # the renormalizing mean the detector once took, over all four
+    # components: the weights sum to exactly 1.0, so it is their plain sum
+    report, _ = beacon_report
+    scored = [v.score for v in report.channels if v.score is not None]
+    assert len(scored) >= 100
+    for s in scored:
+        acc = total = 0.0
+        for w, v in zip(WEIGHTS.values(), (s.regularity, s.acf_strength,
+                                           s.periodogram, s.size_uniformity)):
+            acc += w * v
+            total += w
+        assert total == 1.0
+        assert s.combined == acc / total, s.key

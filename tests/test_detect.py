@@ -24,11 +24,9 @@ from c2sim import detect
 from c2sim.detect import (
     BIN_MS,
     MAX_BINS,
-    WEIGHTS,
     BeaconScore,
     ChannelSeries,
     acf_period,
-    combine,
     evaluate,
     group_channels,
     interval_regularity,
@@ -480,24 +478,20 @@ def test_size_uniformity_hand_values():
 # -- combination -------------------------------------------------------------------
 
 
-def test_combine_uses_configured_weights():
-    w = WEIGHTS
-    got = combine({"regularity": 1.0, "acf": 0.0, "periodogram": 0.0,
-                   "size": 0.0}, w)
-    assert got == pytest.approx(0.35, abs=1e-12)
-
-
-def test_combine_renormalizes_missing_components():
-    w = WEIGHTS
-    got = combine({"regularity": 0.8, "acf": None, "periodogram": None,
-                   "size": 0.6}, w)
-    assert got == pytest.approx((0.35 * 0.8 + 0.15 * 0.6) / 0.5, abs=1e-12)
-    assert combine({"regularity": None}, w) is None
-
-
 def test_score_channel_insufficient_below_three_events():
     assert score_channel(_series([1, 2])) is None
     assert score_channel(_series([1, 2, 3])) is not None
+
+
+@pytest.mark.parametrize("arrivals, sizes", [
+    ([1, 2, 3], [100, 100]),
+    ([1, 2, 3], [100, 100, 100, 100]),
+    ([1, 2], [100]),    # refused even where it would not be scored
+])
+def test_score_channel_refuses_sizes_not_aligned_with_arrivals(arrivals,
+                                                               sizes):
+    with pytest.raises(ValueError, match="sizes for"):
+        score_channel(_series(arrivals, sizes=sizes))
 
 
 # -- ROC / AUC ---------------------------------------------------------------------

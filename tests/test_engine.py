@@ -183,20 +183,6 @@ def test_lognormal_log_moments():
     assert abs(math.sqrt(var) - 0.8) < 0.03
 
 
-def test_choice_single_positive_weight_always_wins():
-    st = RngStream(2, "c")
-    d = Dist.parse("choice(0, 0, 3, 0)")
-    assert all(int(draw(st, d)) == 2 for _ in range(200))
-
-
-def test_choice_frequencies_track_weights():
-    st = RngStream(77, "c2")
-    d = Dist.parse("choice(1, 3)")
-    n = 10_000
-    ones = sum(1 for _ in range(n) if int(draw(st, d)) == 1)
-    assert abs(ones / n - 0.75) < 0.02
-
-
 @pytest.mark.parametrize("text", [
     "uniform(5)",             # wrong arity
     "uniform(9, 2)",          # inverted bounds
@@ -287,7 +273,6 @@ class _Units:
     Dist("uniform", (2.0, 5.0)),
     Dist("exponential", (9000.0,)),
     Dist("lognormal", (7.8, 0.7)),
-    Dist("choice", (1.0, 2.0, 3.0)),
 ], ids=str)
 def test_largest_is_the_draw_at_the_top_unit(dist):
     # Random.random() tops out at 1 - 2**-53; a second unit of 0 puts the

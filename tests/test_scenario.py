@@ -59,7 +59,7 @@ def test_minimal_scenario_defaults():
     assert sc.topology.hosts_per_subnet == 4
     # no capabilities block: everyone defaults to the first subnet
     assert sc.agents[0].capabilities == frozenset({"alpha"})
-    assert sc.timing.heartbeat.min_window_ms == 3_600_000
+    assert sc.timing.heartbeat_min_window_ms == 3_600_000
     assert sc.channels.streaming is False
     assert sc.n_users == 0
     assert str(sc.timing.task_duration) == "lognormal(10.9, 0.35)"
@@ -265,6 +265,18 @@ def test_replace_helpers():
         sc.with_mode("other")
     # originals untouched
     assert sc.seed == 42 and sc.beacon.interval_ms == 60_000
+
+
+def test_with_beacon_interval_keeps_the_poll_bound():
+    # 3 agents over 604,800,000 ms: 3 x (604800000 // 454 + 1) = 3,996,477
+    # polls, and 3 x (604800000 // 453 + 1) = 4,005,300; neither is run
+    sc = default_scenario()
+    assert sc.with_beacon_interval(454).beacon.interval_ms == 454
+    with pytest.raises(ScenarioError) as err:
+        sc.with_beacon_interval(453)
+    assert err.value.diagnostics == [
+        "[beacon] interval_ms: count x (horizon_ms // interval_ms + 1) = "
+        f"3 x 1335100, more than {scenario.MAX_EVENTS} polls"]
 
 
 def test_heartbeat_window_ordering():
@@ -661,6 +673,10 @@ _PINNED_DIAGNOSTICS = [
         ["[timing] task_duration: unknown distribution 'triangle' (line "
          '15)'],
         id='dist-name'),
+    pytest.param(
+        _add("[timing]\ntask_duration = choice(1, 2)\n"),
+        ["[timing] task_duration: unknown distribution 'choice' (line 15)"],
+        id='dist-choice'),
     pytest.param(
         _add("[channels]\nburst_size = nope\n"),
         ["[channels] burst_size: unparseable distribution 'nope' (line 15)"],

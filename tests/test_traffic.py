@@ -6,12 +6,16 @@ universally over randomized configurations, not just on examples.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import dataclasses
+import math
 import random
 import statistics
 
 import pytest
 
+from c2sim import traffic
 from c2sim.engine import Dist, RngStream, Simulator
 from c2sim.traffic import (
     BeaconConfig,
@@ -249,6 +253,44 @@ def test_background_reproducible_and_user_isolated():
     # user 0..3 flows are a prefix-stable subset when more users are added
     wider = synth_background(6, model, Simulator(7).stream)
     assert [f for f in wider if f.src in {"user-0", "user-1", "user-2", "user-3"}] == a
+
+
+def _pick_by_cumulative_loop(unit: float) -> int:
+    """The index a walk over running sums of the destination weights picks."""
+    weights = (0.4, 0.2, 0.2, 0.2)
+    target = unit * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if target < acc:
+            return i
+    return len(weights) - 1
+
+
+def test_destination_pick_equals_the_cumulative_loop():
+    bounds = traffic._DESTINATION_BOUNDS
+    units = [0.0, 1.0 - 2.0 ** -53]
+    for b in bounds[:-1]:
+        units += [math.nextafter(b, 0.0), b, math.nextafter(b, 1.0)]
+    rnd = random.Random(15)
+    units += [rnd.random() for _ in range(10_000)]
+    for u in units:
+        assert bisect.bisect_right(bounds, u) == _pick_by_cumulative_loop(u), u
+
+
+def test_background_destinations_follow_their_weights():
+    # one flow a session, so each flow's destination is one session's pick
+    model = WorkdayModel(horizon_ms=86_400_000,
+                         sessions_per_day=Dist("uniform", (10.0, 10.0)),
+                         flows_per_session=Dist("uniform", (1.0, 1.0)))
+    flows = synth_background(1000, model, Simulator(3).stream)
+    assert len(flows) == 10_000
+    counts = collections.Counter(f.dst for f in flows)
+    shares = {dst: counts[dst] / len(flows)
+              for dst in traffic._BACKGROUND_DESTINATIONS}
+    assert shares == pytest.approx({"planner": 0.4, "svc-mail": 0.2,
+                                    "svc-repo": 0.2, "svc-files": 0.2},
+                                   abs=0.02)
 
 
 def test_background_none_requested_none_generated():
