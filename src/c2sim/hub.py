@@ -35,7 +35,6 @@ from .engine import RngStream
 
 AGENT_ACTIVE = "active"
 AGENT_POTENTIALLY_LOST = "potentially_lost"
-AGENT_RETIRED = "retired"
 
 TASK_QUEUED = "queued"
 TASK_FETCHED = "fetched"
@@ -137,10 +136,6 @@ class UnknownAgentError(HubError):
     pass
 
 
-class RetiredAgentError(HubError):
-    pass
-
-
 class TaskStateError(HubError):
     pass
 
@@ -183,10 +178,10 @@ class Task:
 
 def _eligible(task: Task, agent: AgentRecord) -> bool:
     """The matching rule: a queued task goes to its assignee or, unassigned,
-    to any agent holding every capability it requires."""
-    return task.state == TASK_QUEUED and (
-        task.assigned_to == agent.agent_id
-        or (task.assigned_to is None and task.requires <= agent.capabilities))
+    to any agent holding every capability it requires. Callers take the task
+    from Hub._queued, which _apply keeps equal to the queued tasks."""
+    return (task.assigned_to == agent.agent_id
+            or (task.assigned_to is None and task.requires <= agent.capabilities))
 
 
 def _valid_item(kind, payload, content_key) -> bool:
@@ -287,10 +282,10 @@ class Hub:
         Every body has exactly the fields _BODY_FIELDS names, of their
         types. An agent registers once, under a new id, with some
         capability; a task is issued once, granting at most one capability
-        tag, fetched once, by an agent that is not retired while the task
-        is queued and eligible for it, and closed once, from fetched, as
-        completed or failed; a submit carries only valid items; a liveness
-        mark names a known agent and a status the hub sets.
+        tag, fetched once, by a known agent while the task is queued and
+        eligible for it, and closed once, from fetched, as completed or
+        failed; a submit carries only valid items; a liveness mark names a
+        known agent and the one status a sweep sets, potentially_lost.
         """
         if not _fits(body, _BODY_FIELDS[kind]):
             raise HubError(f"malformed {kind} body")
@@ -316,8 +311,6 @@ class Hub:
                                "not a capability tag")
         elif kind == "fetch":
             agent = self._require(body["agent_id"])
-            if agent.status == AGENT_RETIRED:
-                raise RetiredAgentError(f"{agent.agent_id} is retired")
             task_ids = body["task_ids"]
             if len(task_ids) > 1 and len(set(task_ids)) < len(task_ids):
                 raise TaskStateError(f"fetch names a task twice: {task_ids!r}")
@@ -344,7 +337,7 @@ class Hub:
                     raise HubError(f"invalid intel item {raw['intel_id']!r}")
         elif kind == "liveness_mark":
             self._require(body["agent_id"])
-            if body["status"] not in (AGENT_POTENTIALLY_LOST, AGENT_RETIRED):
+            if body["status"] != AGENT_POTENTIALLY_LOST:
                 raise HubError(f"unknown liveness status {body['status']!r}")
 
     def _apply(self, kind: str, t: int, body: dict) -> dict:
@@ -483,10 +476,6 @@ class Hub:
                          {"agent_id": agent_id, "status": AGENT_POTENTIALLY_LOST})
         return flagged
 
-    def retire_agent(self, agent_id: str, now: int) -> None:
-        self._record(now, "liveness_mark",
-                     {"agent_id": agent_id, "status": AGENT_RETIRED})
-
     def agent_id_for(self, entity: str) -> str:
         return self._by_entity[entity]
 
@@ -585,8 +574,3 @@ def _frame(raw: bytes) -> tuple | None:
     if type(seq) is not int or type(t) is not int or kind not in RECORD_KINDS:
         return None
     return seq, t, kind, rec["body"]
-
-
-def journal_lines(records: list[dict]) -> bytes:
-    """Serialize journal records exactly as the hub writes them."""
-    return b"".join((_encode(r) + "\n").encode() for r in records)

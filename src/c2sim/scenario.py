@@ -177,6 +177,8 @@ class _Reader:
     def __init__(self, cp: configparser.ConfigParser, text: str):
         self.cp = cp
         self.diagnostics: list[str] = []
+        # (section, key) of each diagnostic
+        self.refused: set[tuple[str, str | None]] = set()
         # (section, key) -> the first line that sets the key, and
         # (section, None) -> the section's header line. Keys are lowercased,
         # as configparser reads them.
@@ -192,10 +194,14 @@ class _Reader:
                 self.lines.setdefault((section, key), i)
 
     def fail(self, section: str, key: str | None, message: str) -> None:
+        self.refused.add((section, key))
         where = f"[{section}]" + (f" {key}" if key else "")
         line = self.lines.get((section, key))
         suffix = f" (line {line})" if line else ""
         self.diagnostics.append(f"{where}: {message}{suffix}")
+
+    def refused_any(self, section: str, *keys: str) -> bool:
+        return any((section, key) in self.refused for key in keys)
 
     def get(self, section: str, key: str) -> str | None:
         if not self.cp.has_section(section) or not self.cp.has_option(section, key):
@@ -286,9 +292,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     # [topology]
     subnets_raw = r.get("topology", "subnets") or ""
     subnets = tuple(s.strip() for s in subnets_raw.split(",") if s.strip())
+    subnet_set = set(subnets)
     if not subnets:
         r.fail("topology", "subnets", "at least one subnet is required")
-    elif len(set(subnets)) != len(subnets):
+    elif len(subnet_set) != len(subnets):
         r.fail("topology", "subnets", "subnet names must be unique")
     hosts_per = r.read("topology", "hosts_per_subnet",
                        DEFAULT_HOSTS_PER_SUBNET, lo=1)
@@ -316,7 +323,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             r.fail("topology", "intel",
                    f"kind must be port/service/credential/share/misc, got {kind!r}")
             continue
-        if subnet not in subnets:
+        if subnet not in subnet_set:
             r.fail("topology", "intel", f"unknown subnet {subnet!r} in {line!r}")
             continue
         if f"{subnet}/{host}" not in host_subnet:
@@ -344,7 +351,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             r.fail("topology", "pivot_edges",
                    f"{cred!r} is not a declared credential")
             continue
-        if from_s not in subnets or to_s not in subnets:
+        if from_s not in subnet_set or to_s not in subnet_set:
             r.fail("topology", "pivot_edges", f"unknown subnet in {line!r}")
             continue
         edges.append(PivotEdge(credential_key=spec.content_key,
@@ -379,8 +386,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     count = r.read("agents", "count", 0, lo=1, hi=MAX_AGENTS)
     if r.get("agents", "count") is None:
         r.fail("agents", None, "count is required")
-    entities = [f"implant-{i}" for i in range(1, count + 1)]
-    caps: dict[str, set[str]] = {}
+    default_caps = {subnets[0]} if subnets else set()
+    caps = {f"implant-{i}": default_caps for i in range(1, count + 1)}
     for line in r.multiline("agents", "capabilities"):
         m = re.fullmatch(r"([\w-]+)\s*:\s*(.+)", line)
         if not m:
@@ -388,27 +395,28 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                    f"expected '<implant>: <subnet, ...>', got {line!r}")
             continue
         entity, rest = m.groups()
-        if entity not in entities:
+        if entity not in caps:
             r.fail("agents", "capabilities",
                    f"{entity!r} is not implant-1..implant-{count}")
             continue
         tags = {t.strip() for t in rest.split(",") if t.strip()}
-        bad = tags - set(subnets)
+        bad = tags - subnet_set
         if bad:
             r.fail("agents", "capabilities",
                    f"unknown subnet(s) {sorted(bad)} for {entity}")
             continue
         caps[entity] = tags
-    default_caps = {subnets[0]} if subnets else set()
-    agents = tuple(AgentSpec(entity=e,
-                             capabilities=frozenset(caps.get(e, default_caps)))
-                   for e in entities)
+    agents = tuple(AgentSpec(entity=e, capabilities=frozenset(c))
+                   for e, c in caps.items())
 
     # [timing]
     timing = Timing(**r.get_fields("timing", Timing,
                                    heartbeat_min_window_ms={"lo": 1},
                                    heartbeat_max_window_ms={"lo": 1}))
-    if timing.heartbeat_min_window_ms > timing.heartbeat_max_window_ms:
+    # an ordering check compares only values the file sets, not a default
+    if (timing.heartbeat_min_window_ms > timing.heartbeat_max_window_ms
+            and not r.refused_any("timing", "heartbeat_min_window_ms",
+                                  "heartbeat_max_window_ms")):
         r.fail("timing", "heartbeat_min_window_ms",
                f"min window {timing.heartbeat_min_window_ms} exceeds max "
                f"window {timing.heartbeat_max_window_ms}")
@@ -446,8 +454,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                            off_hours_fraction={"lo": 0.0, "hi": 1.0})
     start_h, end_h = workday["workday_start_hour"], workday["workday_end_hour"]
     if start_h >= end_h:
-        r.fail("background", "workday_start_hour",
-               f"start hour {start_h} must precede end hour {end_h}")
+        if not r.refused_any("background", "workday_start_hour",
+                             "workday_end_hour"):
+            r.fail("background", "workday_start_hour",
+                   f"start hour {start_h} must precede end hour {end_h}")
         # fall back to WorkdayModel's own hours
         del workday["workday_start_hour"], workday["workday_end_hour"]
     background = WorkdayModel(horizon_ms=horizon, **workday)
@@ -509,16 +519,21 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     # reachability: every required item must be collectable by some agent
     # through the declared pivot chain
     if subnets and agents and required:
+        # an edge is looked at again only when its source subnet or its
+        # credential's subnet turns reachable
+        waiting: dict[str, list[PivotEdge]] = {}
+        for edge in edges:
+            for subnet in {edge.from_subnet, sits_in[edge.credential_key]}:
+                waiting.setdefault(subnet, []).append(edge)
         reachable = set().union(*(spec.capabilities for spec in agents))
-        changed = True
-        while changed:
-            changed = False
-            for edge in edges:
+        frontier = list(reachable)
+        while frontier:
+            for edge in waiting.pop(frontier.pop(), ()):
                 if (edge.to_subnet not in reachable
                         and edge.from_subnet in reachable
                         and sits_in[edge.credential_key] in reachable):
                     reachable.add(edge.to_subnet)
-                    changed = True
+                    frontier.append(edge.to_subnet)
         for key in required:
             subnet = sits_in[key]
             if subnet not in reachable:

@@ -415,8 +415,6 @@ def read_trace(path) -> list[FlowRecord]:
         if head == "{":
             flows = []
             for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
                     values = json.loads(line)
                 except ValueError as exc:  # not JSON, or too many digits

@@ -222,6 +222,15 @@ def test_detect_threshold_flag(tmp_path):
     assert summary["threshold"] == 0.9
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "nan"])
+def test_detect_refuses_a_threshold_outside_the_unit_interval(threshold,
+                                                              tmp_path, capsys):
+    trace = _mixed_trace_file(tmp_path)
+    assert main(["detect", str(trace), "--out", str(tmp_path / "det"),
+                 "--threshold", threshold]) == 1
+    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+
+
 def test_detect_malformed_trace(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text(
@@ -253,6 +262,15 @@ def test_detect_rejects_rows_of_the_wrong_shape(fmt, second, tmp_path, capsys):
     assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
     row = 3 if fmt == "csv" else 2  # a CSV trace's first row is its header
     assert f"malformed trace row {row}" in capsys.readouterr().err
+
+
+def test_detect_refuses_a_blank_jsonl_line(tmp_path, capsys):
+    # write_trace never writes a blank line, in JSONL as in CSV
+    p = tmp_path / "blank.jsonl"
+    p.write_text(json.dumps(_ROW) + "\n\n" + json.dumps(_ROW) + "\n",
+                 encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(tmp_path / "det")]) == 1
+    assert "malformed trace row 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells", [

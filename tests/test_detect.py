@@ -475,6 +475,13 @@ def test_size_uniformity_hand_values():
     assert size_uniformity(_series([1, 2], sizes=[5, 5])) is None
 
 
+def test_channel_of_zero_byte_flows_is_scored_with_size_uniformity_zero():
+    flows = [_flow(t, "h", "hub", size=0) for t in (0, 60_000, 120_000, 180_000)]
+    (verdict,) = evaluate(flows).channels
+    assert verdict.score is not None
+    assert verdict.score.size_uniformity == 0.0
+
+
 # -- combination -------------------------------------------------------------------
 
 

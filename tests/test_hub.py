@@ -28,19 +28,22 @@ from c2sim.hub import (
     IntelItem,
     RECORD_KINDS,
     TASK_FETCHED,
-    RetiredAgentError,
     Task,
     TaskStateError,
     UnknownAgentError,
     _encode,
     _fetch_line,
-    journal_lines,
     make_content_key,
 )
 from c2sim.orchestrate import MODE_MANUAL, run_scenario
 from c2sim.scenario import default_scenario
 
 POLICY = HeartbeatPolicy(min_window_ms=3_600_000, max_window_ms=172_800_000)
+
+
+def journal_lines(records: list[dict]) -> bytes:
+    """Serialize journal records exactly as the hub writes them."""
+    return b"".join((_encode(r) + "\n").encode() for r in records)
 
 
 def _hub(policy=POLICY, seed=11, journal=None):
@@ -162,10 +165,6 @@ def test_get_tasks_errors():
     hub = _hub()
     with pytest.raises(UnknownAgentError):
         hub.get_tasks("agent-9", now=0)
-    aid = hub.register_agent("implant-1", ["a"], now=0)
-    hub.retire_agent(aid, now=5)
-    with pytest.raises(RetiredAgentError):
-        hub.get_tasks(aid, now=6)
 
 
 def test_close_task_transitions_are_guarded():
@@ -263,6 +262,12 @@ def test_content_key_is_pure_and_order_insensitive():
 # -- liveness ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 1), (2, 1)])
+def test_heartbeat_policy_needs_a_positive_ordered_range(lo, hi):
+    with pytest.raises(ValueError):
+        HeartbeatPolicy(lo, hi)
+
+
 def test_sweep_boundary_is_strict():
     hub = _hub(policy=HeartbeatPolicy(1000, 1000))
     aid = hub.register_agent("implant-1", ["a"], now=0)
@@ -341,7 +346,8 @@ def _scripted_hub(journal=None):
     hub.get_tasks(a1, now=300)
     hub.close_task("t-3", "completed", now=350)
     hub.sweep_liveness(now=400)
-    hub.retire_agent(a2, now=500)
+    # past both agents' windows, so the journal holds liveness marks
+    hub.sweep_liveness(now=400 + POLICY.max_window_ms)
     return hub
 
 
@@ -573,7 +579,7 @@ _ISSUE = {"task_id": "t-1", "objective_ref": "obj-1", "description": "d",
           "requires": ["a"], "assigned_to": None, "work_model": "", "meta": {}}
 
 # (record kind, body) of a record the live hub refuses, written after agent-1
-# (implant-1, active), agent-2 (implant-2, retired) and task t-0 (queued,
+# (implant-1, active), agent-2 (implant-2, active) and task t-0 (queued,
 # requires a); _ISSUE's t-1 is not issued, so each task_issue case is refused
 # for its field alone
 _REFUSED_RECORDS = {
@@ -588,17 +594,21 @@ _REFUSED_RECORDS = {
         "window_ms": 5}),
     "liveness-bogus-status": ("liveness_mark",
                               {"agent_id": "agent-1", "status": "bogus"}),
-    "liveness-unknown-agent": ("liveness_mark",
-                               {"agent_id": "agent-9", "status": "retired"}),
+    "liveness-unknown-agent": ("liveness_mark", {
+        "agent_id": "agent-9", "status": "potentially_lost"}),
+    # a sweep sets one status; the live hub writes no other
+    "liveness-retired-status": ("liveness_mark",
+                                {"agent_id": "agent-2", "status": "retired"}),
     "submit-bogus-kind": ("submit", {"agent_id": "agent-1", "items": [
         _item("bogus", {"name": "x"}, "bogus:name=x")]}),
     "submit-empty-payload": ("submit", {"agent_id": "agent-1", "items": [
         _item("host", {}, "host:")]}),
     "submit-made-up-key": ("submit", {"agent_id": "agent-1", "items": [
         _item("host", {"name": "x"}, "host:name=y")]}),
-    "fetch-by-retired": ("fetch", {"agent_id": "agent-2", "task_ids": []}),
     "fetch-same-task-twice": ("fetch", {"agent_id": "agent-1",
                                         "task_ids": ["t-0", "t-0"]}),
+    "issue-unknown-assignee": ("task_issue", {**_ISSUE,
+                                              "assigned_to": "agent-9"}),
     # one field of the wrong type, or a field too many
     "type-register-capabilities": ("register", {
         "entity": "implant-3", "agent_id": "agent-3", "capabilities": "ab",
@@ -627,7 +637,7 @@ def test_recovery_stops_at_any_record_the_live_hub_refuses(case):
     kind, body = _REFUSED_RECORDS[case]
     hub = _hub()
     hub.register_agent("implant-1", ["a"], now=0)
-    hub.retire_agent(hub.register_agent("implant-2", ["a"], now=1), now=2)
+    hub.register_agent("implant-2", ["a"], now=1)
     hub.issue_task(_task("t-0", requires=["a"]), now=3)
     prefix = _bytes(hub)
     bad = {"seq": len(_records(hub)), "time_ms": 9, "record_kind": kind,

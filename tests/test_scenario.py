@@ -100,6 +100,36 @@ def test_diagnostics_cost_follows_the_file():
     assert len(diags) == 4000
 
 
+def _chain(n: int, skip: int | None = None) -> str:
+    """n subnets in a pivot chain, its edges listed last to first (edge skip
+    left out), the prize at its end, and n agents with one capability line
+    each, all in the first subnet."""
+    intel = "".join(f"    credential c{i} @ s{i}/host-0\n" for i in range(n - 1))
+    edges = "".join(f"    c{i}: s{i} -> s{i + 1}\n"
+                    for i in reversed(range(n - 1)) if i != skip)
+    caps = "".join(f"    implant-{i}: s0\n" for i in range(1, n + 1))
+    return ("[scenario]\nseed = 1\nmode = manual_baseline\n"
+            "horizon_ms = 3600000\n\n[topology]\nsubnets = "
+            + ", ".join(f"s{i}" for i in range(n))
+            + "\nhosts_per_subnet = 1\nrequired_intel = share:prize\n"
+            f"intel =\n{intel}    share prize @ s{n - 1}/host-0\n"
+            f"pivot_edges =\n{edges}\n[agents]\ncount = {n}\n"
+            f"capabilities =\n{caps}")
+
+
+def test_topology_validation_cost_follows_the_file():
+    # a scan of the subnets or of the edges for each line or chain link
+    # would make this quadratic
+    text = _chain(10_000)
+    start = time.perf_counter()
+    sc = parse_scenario(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(sc.topology.pivot_edges) == 9_999
+    assert _diags(_chain(10_000, skip=5_000)) == [
+        "[topology] required_intel: 'share:name=prize' sits in 's9999', "
+        "which no agent can reach (line 9)"]
+
+
 def test_missing_required_sections():
     diags = _diags("[scenario]\nseed = 1\nmode = manual_baseline\n")
     assert any("[topology]" in d and "missing" in d for d in diags)
@@ -544,6 +574,17 @@ _PINNED_DIAGNOSTICS = [
         ['[background] workday_start_hour: start hour 9 must precede end '
          'hour 9 (line 15)'],
         id='workday-equal'),
+    # a refused value is not compared in an ordering check
+    pytest.param(
+        _add("[timing]\nheartbeat_min_window_ms = 0\n"
+             "heartbeat_max_window_ms = 10\n"),
+        ['[timing] heartbeat_min_window_ms: must be >= 1, got 0 (line 15)'],
+        id='heartbeat-order-after-refused-min'),
+    pytest.param(
+        _add("[background]\nworkday_start_hour = 30\n"
+             "workday_end_hour = 5\n"),
+        ['[background] workday_start_hour: must be <= 23, got 30 (line 15)'],
+        id='workday-order-after-refused-start'),
     pytest.param(
         _TWO_SUBNETS.replace("@ alpha/host-0", "@ beta/host-0"),
         ["[topology] required_intel: 'share:name=prize' sits in 'beta', "
@@ -748,8 +789,6 @@ _PINNED_DIAGNOSTICS = [
          '[background] workday_start_hour: must be <= 23, got 30 (line 33)',
          '[background] off_hours_fraction: must be <= 1.0, got 2.0 (line '
          '35)',
-         '[background] workday_start_hour: start hour 9 must precede end '
-         'hour 3 (line 33)',
          "[background] n_users: expected an integer, got 'two' (line 32)",
          "[topology] required_intel: 'share:name=prize' sits in 'vault', "
          'which no agent can reach (line 7)'],
