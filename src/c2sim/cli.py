@@ -22,10 +22,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .detect import DetectorConfig, evaluate, write_report, write_roc_csv
+from .detect import (
+    DetectorConfig,
+    evaluate,
+    read_columns,
+    write_report,
+    write_roc_csv,
+)
 from .orchestrate import compare, run_scenario
 from .scenario import MODE_MANUAL, MODE_SWARM, ScenarioError, load_scenario
-from .traffic import read_trace, write_trace
+from .traffic import write_trace
 
 
 def _utc_now() -> str:
@@ -40,12 +46,17 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _claim_outputs(paths: list[Path], force: bool) -> None:
+def _existing_outputs(paths: list[Path], force: bool) -> list[Path]:
+    """The paths that exist; raises FileExistsError for any unless force."""
     existing = [p for p in paths if p.exists()]
     if existing and not force:
         raise FileExistsError(
             f"output already exists: {existing[0]} (use --force to overwrite)")
-    for p in existing:
+    return existing
+
+
+def _claim_outputs(paths: list[Path], force: bool) -> None:
+    for p in _existing_outputs(paths, force):
         p.unlink()
 
 
@@ -112,16 +123,20 @@ def cmd_simulate(args) -> int:
 def cmd_detect(args) -> int:
     started = _utc_now()
     trace_path = Path(args.trace)
-    flows = read_trace(trace_path)
-    config = (DetectorConfig(threshold=args.threshold)
-              if args.threshold is not None else DetectorConfig())
-    report = evaluate(flows, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.ndjson"
     roc_path = out / "roc.csv"
     manifest_path = out / "manifest.json"
-    _claim_outputs([report_path, roc_path, manifest_path], args.force)
+    outputs = [report_path, roc_path, manifest_path]
+    # refuse before the read; --force removes the old outputs only after
+    # it, so a trace inside --out is read before it can be deleted
+    _existing_outputs(outputs, args.force)
+    columns = read_columns(trace_path)
+    config = (DetectorConfig(threshold=args.threshold)
+              if args.threshold is not None else DetectorConfig())
+    report = evaluate(columns, config)
+    out.mkdir(parents=True, exist_ok=True)
+    _claim_outputs(outputs, args.force)
     write_report(report, report_path)
     write_roc_csv(report, roc_path)
     _write_manifest(manifest_path, "detect",

@@ -26,6 +26,18 @@ asserting a period, a periodogram null scale of 8, and the weights 0.35
 regularity, 0.25 ACF, 0.25 periodogram and 0.15 size. The flagging threshold
 (DetectorConfig, `c2sim detect --threshold`) is the only one a user sets.
 
+A trace reaches the detector as columns (TraceColumns): each flow's
+channel, ts_start, bytes_initiator and label rank. read_columns reads a CSV
+trace in the layout write_trace writes from its bytes with numpy, building
+no object per row: the comma and newline positions give every cell, the
+integer columns are parsed digit by digit, and the strings are coded as
+(src, dst, dst_class) and (leg, label) spans. Any other file, such as
+JSONL, or a CSV file that breaks a rule of the format, goes to
+traffic.read_trace, the reference reader, which gives the same columns or
+its exact diagnostic. group_channels and evaluate take columns, or a list
+of records, which they first turn into columns; one stable sort over
+(channel, ts) then groups the channels.
+
 Channels with fewer than three distinct arrivals are reported as
 insufficient data, never scored, and count as not-flagged in the confusion
 summary. AUC is computed with integer trapezoid arithmetic so it equals the
@@ -37,12 +49,27 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .traffic import LABEL_BEACON, LABEL_CHAFF, LABEL_EVENT, FlowRecord
+from .traffic import (
+    DST_CLASSES,
+    DST_PLANNER,
+    LABEL_BEACON,
+    LABEL_BENIGN,
+    LABEL_CHAFF,
+    LABEL_EVENT,
+    LABELS,
+    LEG_TASKING,
+    LEGS,
+    TRACE_COLUMNS,
+    FlowRecord,
+    read_trace,
+)
 
 _EULER = 0.5772156649015329
 
@@ -112,29 +139,213 @@ class DetectionReport:
     degenerate: str | None
 
 
-_LABEL_RANK = {LABEL_BEACON: 3, LABEL_EVENT: 2, LABEL_CHAFF: 1}
+# Labels by rank: a channel takes the highest-ranked label of its flows
+_LABELS_BY_RANK = (LABEL_BENIGN, LABEL_CHAFF, LABEL_EVENT, LABEL_BEACON)
 
 
-def group_channels(trace: Iterable[FlowRecord]) -> list[ChannelSeries]:
-    """Partition a trace into per-(src, dst) series, deduping equal timestamps."""
-    buckets: dict[tuple[str, str], list[FlowRecord]] = {}
-    for flow in trace:
-        buckets.setdefault((flow.src, flow.dst), []).append(flow)
-    series = []
-    for key in sorted(buckets):
-        flows = sorted(buckets[key], key=lambda f: f.ts_start)
-        arrivals: list[int] = []
-        sizes: list[int] = []
-        for f in flows:
-            if arrivals and f.ts_start == arrivals[-1]:
-                continue
-            arrivals.append(f.ts_start)
-            sizes.append(f.bytes_initiator)
-        label = max((f.label for f in flows),
-                    key=lambda lb: _LABEL_RANK.get(lb, 0))
-        series.append(ChannelSeries(key=key, arrivals=arrivals, sizes=sizes,
-                                    n_flows=len(flows), label=label))
-    return series
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """The columns of a trace that the detector reads, one entry per flow in
+    trace order: its channel, an index into keys, which holds the trace's
+    distinct (src, dst) pairs in ascending order; its ts_start and
+    bytes_initiator; and its label's index in _LABELS_BY_RANK."""
+
+    keys: list[tuple[str, str]]
+    channel: np.ndarray   # intp
+    ts: np.ndarray        # int64
+    size: np.ndarray      # int64
+    rank: np.ndarray      # int8
+
+
+def _record_columns(flows: Iterable[FlowRecord]) -> TraceColumns:
+    """The columns of a sequence of flow records."""
+    flows = list(flows)
+    keys = sorted({(f.src, f.dst) for f in flows})
+    index = {key: i for i, key in enumerate(keys)}
+    rank = {label: i for i, label in enumerate(_LABELS_BY_RANK)}
+    n = len(flows)
+    return TraceColumns(
+        keys,
+        np.fromiter((index[f.src, f.dst] for f in flows), np.intp, n),
+        np.fromiter((f.ts_start for f in flows), np.int64, n),
+        np.fromiter((f.bytes_initiator for f in flows), np.int64, n),
+        np.fromiter((rank[f.label] for f in flows), np.int8, n))
+
+
+def read_columns(path) -> TraceColumns:
+    """The columns of a trace file. A CSV trace in the layout write_trace
+    writes is read from its bytes with numpy; any other file goes to
+    read_trace, the reference reader, which gives the same columns or its
+    exact diagnostic."""
+    columns = _csv_columns(path)
+    return _record_columns(read_trace(path)) if columns is None else columns
+
+
+_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
+_MIX = 0x9E3779B97F4A7C15   # an odd 64-bit multiplier: 2^64 / golden ratio
+
+
+def _csv_columns(path) -> TraceColumns | None:
+    """The columns of a CSV trace, or None for a file this reader leaves to
+    read_trace.
+
+    It takes a file that is the exact header line and then rows of 8 commas
+    and a newline, in ASCII without a double quote, CR or NUL, so that
+    csv.reader splits each row at its commas. Each integer cell is 1 to 18
+    digits with no sign and no leading zero, so it and ts + duration are
+    below 2^63. Each dst_class, leg and label is one of its set, and the two
+    cross-field rules hold. read_trace accepts every such file and reads the
+    same flows from it. Memory is the file, one array of the rows' comma and
+    newline positions, and one column at a time.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None   # a pipe can be read only once: by read_trace
+        n_bytes = info.st_size
+        # 8 bytes past the end, so that a word can be read at every offset
+        buf = np.zeros(n_bytes + 8, np.uint8)
+        if fh.readinto(buf[:n_bytes]) != n_bytes or fh.read(1):
+            return None   # the file changed size while it was read
+    if (n_bytes <= len(_HEADER) or buf[:len(_HEADER)].tobytes() != _HEADER
+            or buf[n_bytes - 1] != ord("\n")):
+        return None
+    # 1 a comma, 2 a newline, 3 a byte csv.reader or the UTF-8 decoder may
+    # read otherwise: non-ASCII, a double quote, CR or NUL. Every row must
+    # be 8 1s and a 2, so one 3 anywhere leaves the file to read_trace.
+    table = np.zeros(256, np.uint8)
+    table[[ord(","), ord("\n")]] = 1, 2
+    table[[0, ord("\r"), ord('"')]] = 3
+    table[128:] = 3
+    kind = table[buf[:n_bytes]]
+    ends = np.flatnonzero(kind)
+    if len(ends) % 9 or np.any(kind[ends].reshape(-1, 9) != [1] * 8 + [2]):
+        return None
+    del kind
+    # the comma or newline after each field, the header's row first
+    ends = ends.reshape(-1, 9)
+
+    def cells(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's bytes from the start of field first to the end of
+        field last, as start and end offsets."""
+        before = ends[:-1, 8] if first == 0 else ends[1:, first - 1]
+        return before + 1, ends[1:, last]
+
+    # duration_ms and bytes_resp are checked, not kept
+    if any(_decimals(buf, *cells(j, j)) is None for j in (1, 6)):
+        return None
+    ts = _decimals(buf, *cells(0, 0))
+    sizes = _decimals(buf, *cells(5, 5))
+    # (src, dst, dst_class) and (leg, label), each coded as one span
+    distinct = _distinct(buf, *cells(2, 4)), _distinct(buf, *cells(7, 8))
+    if ts is None or sizes is None or any(d is None for d in distinct):
+        return None
+    (triples, triple_of), (pairs, pair_of) = distinct
+    if (any(dst_class not in DST_CLASSES for *_, dst_class in triples)
+            or any(leg not in LEGS or label not in LABELS
+                   or (label == LABEL_BEACON and leg != LEG_TASKING)
+                   for leg, label in pairs)):
+        return None
+    chaff = np.array([label == LABEL_CHAFF for _, label in pairs])[pair_of]
+    planner = np.array([c == DST_PLANNER for *_, c in triples])[triple_of]
+    if np.any(chaff & ~planner):
+        return None
+    keys = sorted({(src, dst) for src, dst, _ in triples})
+    index = {key: i for i, key in enumerate(keys)}
+    channel = np.array([index[src, dst] for src, dst, _ in triples], np.intp)
+    rank = np.array([_LABELS_BY_RANK.index(label) for _, label in pairs],
+                    np.int8)
+    return TraceColumns(keys, channel[triple_of], ts, sizes, rank[pair_of])
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray | None:
+    """Each cell buf[start:end] as an int64, or None unless every cell is 1
+    to 18 decimal digits without a leading zero, as str() writes an int in
+    [0, 10^18)."""
+    lengths = ends - starts
+    if (lengths.min() < 1 or lengths.max() > 18
+            or np.any((buf[starts] == ord("0")) & (lengths > 1))):
+        return None
+    values = np.zeros(len(starts), np.int64)
+    last = ends - 1
+    for k in range(int(lengths.max())):   # the digits worth 10^k
+        digit = buf[last - k] - np.uint8(ord("0"))   # others wrap past 9
+        digit[lengths <= k] = 0
+        if digit.max() > 9:
+            return None
+        values += digit.astype(np.int64) * 10 ** k
+    return values
+
+
+def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+              ) -> tuple[list[list[str]], np.ndarray] | None:
+    """The distinct ASCII spans buf[start:end], each split at its commas,
+    and each span's index into them; or None when two distinct spans share
+    a key.
+
+    A span's key mixes its 8-byte words into one integer, so np.unique sorts
+    one integer per span. Each span is then compared word by word with the
+    span that stands for its key, so the grouping is exact.
+    """
+    lengths = ends - starts
+    words = np.ndarray(len(buf) - 7, np.dtype("<u8"), buffer=buf, strides=(1,))
+    # a word's first r bytes, for r in [0, 8]
+    masks = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+
+    def word(j: int) -> np.ndarray:
+        # a span shorter than 8 j bytes may start its word past the file;
+        # its mask is 0, so where it reads is of no account. (take() would
+        # copy the whole unaligned view first.)
+        at = np.minimum(starts + 8 * j, len(words) - 1)
+        return words[at] & masks[np.clip(lengths - 8 * j, 0, 8)]
+
+    n_words = -(-int(lengths.max()) // 8)
+    key = np.zeros(len(starts), np.uint64)
+    for j in range(n_words):
+        key = (key ^ word(j)) * np.uint64(_MIX)
+    # flattened, as the inverse's shape changed across numpy 2.x
+    codes = np.unique(key, return_inverse=True)[1].ravel()
+    stands_for = np.empty(int(codes.max()) + 1, np.intp)
+    stands_for[codes] = np.arange(len(codes))
+    rep = stands_for[codes]
+    for j in range(n_words):
+        w = word(j)
+        if np.any(w != w[rep]):
+            return None
+    return ([buf[s:e].tobytes().decode("ascii").split(",")
+             for s, e in zip(starts[stands_for], ends[stands_for])], codes)
+
+
+def group_channels(trace: TraceColumns | Iterable[FlowRecord]
+                   ) -> list[ChannelSeries]:
+    """Partition a trace into per-(src, dst) series in key order.
+
+    One stable sort by (channel, ts) orders each channel's flows by time and
+    keeps trace order among equal timestamps; the first flow at each
+    timestamp gives its arrival and size. A list of records is first turned
+    into columns.
+    """
+    cols = trace if isinstance(trace, TraceColumns) else _record_columns(trace)
+    if not cols.keys:
+        return []
+    order = np.lexsort((cols.ts, cols.channel))
+    channel, ts = cols.channel[order], cols.ts[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (channel[1:] != channel[:-1]) | (ts[1:] != ts[:-1])
+    kept = np.flatnonzero(first)
+    bounds = np.arange(len(cols.keys) + 1)
+    flows_at = np.searchsorted(channel, bounds)
+    arrivals_at = np.searchsorted(channel[kept], bounds).tolist()
+    ranks = np.maximum.reduceat(cols.rank[order], flows_at[:-1]).tolist()
+    arrivals = ts[kept].tolist()
+    sizes = cols.size[order[kept]].tolist()
+    return [ChannelSeries(key=key, arrivals=arrivals[lo:hi],
+                          sizes=sizes[lo:hi], n_flows=int(n),
+                          label=_LABELS_BY_RANK[rank])
+            for key, lo, hi, n, rank in zip(
+                cols.keys, arrivals_at, arrivals_at[1:], np.diff(flows_at),
+                ranks)]
 
 
 def _inverse_cv(values: list[float]) -> float:
@@ -464,9 +675,10 @@ def _auc_from_points(points: list, pos: int, neg: int) -> float | None:
     return num / (2 * neg * pos)
 
 
-def evaluate(trace: Iterable[FlowRecord],
+def evaluate(trace: TraceColumns | Iterable[FlowRecord],
              config: DetectorConfig = DetectorConfig()) -> DetectionReport:
-    """Score every channel in a labeled trace and summarize detection quality.
+    """Score every channel in a labeled trace, given as columns or as flow
+    records, and summarize detection quality.
 
     Ground-truth positive means the channel carries beacon-labeled flows.
     Insufficient-data channels are never flagged, so they land in the

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scenario_corpus import artifact_digests, corpus, read_table
 
+from c2sim import detect
 from c2sim.cli import main
 from c2sim.detect import evaluate
 from c2sim.engine import RngStream
@@ -229,6 +231,29 @@ def test_detect_refuses_a_threshold_outside_the_unit_interval(threshold,
     assert main(["detect", str(trace), "--out", str(tmp_path / "det"),
                  "--threshold", threshold]) == 1
     assert "threshold must be in [0, 1]" in capsys.readouterr().err
+
+
+def test_detect_refuses_existing_outputs_before_reading(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_text("not a trace\n", encoding="utf-8")
+    out = tmp_path / "det"
+    out.mkdir()
+    (out / "report.ndjson").write_text("kept\n", encoding="utf-8")
+    assert main(["detect", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "output already exists" in err and "report.ndjson" in err
+    assert (out / "report.ndjson").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_detect_force_reads_a_trace_inside_out_before_replacing_it(tmp_path):
+    out = tmp_path / "det"
+    out.mkdir()
+    trace = _mixed_trace_file(out, name="roc.csv")   # one of detect's outputs
+    channels = {(f.src, f.dst) for f in read_trace(trace)}
+    assert main(["detect", str(trace), "--out", str(out), "--force"]) == 0
+    assert (out / "roc.csv").read_text().startswith("fpr,tpr,threshold\n")
+    summary = json.loads((out / "report.ndjson").read_text().splitlines()[-1])
+    assert summary["channels"] == len(channels)
 
 
 def test_detect_malformed_trace(tmp_path, capsys):
@@ -713,3 +738,47 @@ def test_detector_output_on_pinned_traces_is_pinned(case):
         assert s.period_ms == period_ms
         assert (s.regularity, s.acf_strength, s.periodogram, s.size_uniformity,
                 s.combined) == pytest.approx(scores, rel=0, abs=1e-9)
+
+
+# sha256 of (report.ndjson, roc.csv) that `c2sim detect` writes on each
+# pinned case's trace
+_PINNED_REPORTS = {
+    "beacon-overrides-manual": (
+        "c65dbb56e237e4a3b8055b16c02bd4c4bbf5c1560ae10ea2bdc9cdfdf5014b11",
+        "2bc34f2f86a117af1c0a8acd1105c1f86d601ff10512a09ebfd436cec1748302"),
+    "chaff-users-manual": (
+        "5aede04cd2859e7524562cb324d7bab44627ec00e249e76e50b78aa657dd89de",
+        "916712a2082c1f4f2ecb11bd318830e2747a4419064ce22b592d9ae97d9aa988"),
+    "chaff-users-swarm": (
+        "baa644df16e2784486d1b20ec2455eacb85e75ac51ba94761eee70e01343f6f0",
+        "9942939bfb36df7910739c9dfe2e7e3d10b6b3330b663d53b8aa5f3c84f3dd2c"),
+    "default-manual": (
+        "d6e015e1d285ffd44ada938547d04ff29f1bdfb7936f480fcbe3645e13866d3b",
+        "d0655835df229d31f6a0392660a36049d5217196603a576a65fa2eeaab676861"),
+    "default-swarm": (
+        "085d48278f4b9460c6e823d304883640e84a152bd22351b5296fae0a73918721",
+        "e8e5466545f94803aa5f855ca1cc84a00ee60414398af2539d99b6451cbdcc65"),
+    "pivot-chain": (
+        "6b5ea1e1c4c8fd4bb652bf0f4e62cbfc77664fda706ca55b714f0e45da855cc3",
+        "fd1f4e2a8862dee2d16470ded6df04d2b4abf7c70496615605800a9663996af0"),
+    "streaming-overrides": (
+        "8d5aa169fcd6c75cc27fc836fabc0c63f6d328b1d575fe4eb7d5c487940e8288",
+        "e4fd7a9c79172cc51f4a7f62ff2910626a09bd2d18703d092c96ef4332374fb7"),
+}
+_CORPUS = corpus()
+_CORPUS_SAMPLE = list(_CORPUS)[::10]
+
+
+def _no_read_trace(path):
+    raise AssertionError(f"{path} was left to read_trace")
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS) + _CORPUS_SAMPLE)
+def test_simulated_traces_take_the_column_reader(name, tmp_path, monkeypatch):
+    # a trace left to the per-row reader would exit 2 here
+    monkeypatch.setattr(detect, "read_trace", _no_read_trace)
+    if name in _PINNED_REPORTS:
+        text, reports = _PINNED_TEXT[name], _PINNED_REPORTS[name]
+    else:
+        text, reports = _CORPUS[name], read_table()[name][3:]
+    assert artifact_digests(text, tmp_path)[3:] == reports

@@ -12,13 +12,18 @@ are checked, and so is the choice between them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import statistics
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim import detect
 from c2sim.detect import (
@@ -31,16 +36,28 @@ from c2sim.detect import (
     group_channels,
     interval_regularity,
     periodogram_strength,
+    read_columns,
     report_records,
     score_channel,
     size_uniformity,
     write_report,
     write_roc_csv,
     _auc_from_points,
+    _csv_columns,
     _roc_points,
 )
 from c2sim.engine import RngStream
-from c2sim.traffic import BeaconConfig, FlowRecord, synth_beacon_trace
+from c2sim.traffic import (
+    DST_CLASSES,
+    LABELS,
+    LEGS,
+    TRACE_COLUMNS,
+    BeaconConfig,
+    FlowRecord,
+    read_trace,
+    synth_beacon_trace,
+    write_trace,
+)
 
 
 def _series(arrivals, sizes=None, key=("a", "b"), label="benign", n_flows=None):
@@ -82,6 +99,241 @@ def test_group_channels_label_priority():
     trace = [_flow(1, "a", "x"), _flow(2, "a", "x", label="beacon_c2",
                                        leg="tasking", dst_class="hub")]
     assert group_channels(trace)[0].label == "beacon_c2"
+
+
+# -- reading a trace as columns ------------------------------------------------
+
+
+# names that csv.writer writes unquoted, as simulate's are
+_PLAIN = st.characters(min_codepoint=1, max_codepoint=127,
+                       exclude_characters=',"\r\n')
+_NAMES = st.one_of(st.sampled_from(["a", "b", "implant-1"]),
+                   st.text(_PLAIN, max_size=4))
+_VALID_KINDS = [(c, leg, label) for c, leg, label
+                in itertools.product(DST_CLASSES, LEGS, LABELS)
+                if (label != "beacon_c2" or leg == "tasking")
+                and (label != "chaff" or c == "planner")]
+_TIMES = st.one_of(st.integers(0, 20), st.integers(0, 2**62))
+_SIZES = st.integers(0, 10**6)
+
+
+@st.composite
+def _flows(draw):
+    dst_class, leg, label = draw(st.sampled_from(_VALID_KINDS))
+    return FlowRecord(draw(_TIMES), draw(_SIZES), draw(_NAMES), draw(_NAMES),
+                      dst_class, draw(_SIZES), draw(_SIZES), leg, label)
+
+
+# Edits to a trace's text that read_trace accepts or refuses, and that the
+# column reader takes or leaves to it: integer texts str() never writes, 18
+# to 20 digits and the int64 edge; an empty, quoted, non-ASCII, NUL or CR
+# name; dst_class, leg and label values in and out of their sets and the
+# cross-field rules; rows of 8 or 10 fields, or a newline in place of the
+# comma after src; and whole-text edits.
+_INT_TEXTS = ["07", "00", "-0", "+7", " 7", "1_000", "\u0663", "9" * 18,
+              "1" + "0" * 18, "1" + "0" * 19, str(2**63 - 1), str(2**63), ""]
+_NAME_TEXTS = ["", '"a,b"', '"x"', "\u00e9", "a\x00b", "a\rb", "\ufeffa"]
+_KIND_TEXTS = [  # (dst_class, leg, label)
+    ("hub", "tasking", "chaff"), ("benign_service", "background", "chaff"),
+    ("planner", "reasoning", "beacon_c2"), ("hub", "background", "beacon_c2"),
+    ("hubx", "tasking", "event_c2"), ("hub", "Tasking", "event_c2"),
+    ("hub", "tasking", "beacon"), ("planner", "reasoning", "chaff"),
+    ("hub", "tasking", "beacon_c2"),
+    ("benign_service", "background", "benign")]
+_TEXT_EDITS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr": lambda t: t.replace("\n", "\r", 2),
+    "blank line": lambda t: t.replace("\n", "\n\n", 1),
+    "bom": lambda t: "\ufeff" + t,
+    "no final newline": lambda t: t[:-1],
+    "unterminated last row": lambda t: t + "7",
+    "bad header": lambda t: t.replace("label", "labels", 1),
+}
+_ROW = st.integers(0, 99)
+_EDITS = st.one_of(
+    st.tuples(st.just("end"), _ROW),   # ts + duration = 2^63
+    st.tuples(st.just("fields"), _ROW, st.sampled_from([-1, 1])),
+    st.tuples(st.just("split"), _ROW),
+    st.tuples(st.just("cells"), _ROW, st.builds(
+        dict, st.tuples(st.tuples(st.sampled_from([0, 1, 5, 6]),
+                                  st.sampled_from(_INT_TEXTS))))),
+    st.tuples(st.just("cells"), _ROW, st.builds(
+        dict, st.tuples(st.tuples(st.sampled_from([2, 3]),
+                                  st.sampled_from(_NAME_TEXTS))))),
+    st.tuples(st.just("cells"), _ROW, st.sampled_from(_KIND_TEXTS).map(
+        lambda kind: dict(zip((4, 7, 8), kind)))),
+    st.tuples(st.just("text"), st.sampled_from(sorted(_TEXT_EDITS))))
+
+
+def _edited(text: str, edits: list[tuple]) -> str:
+    """text with its row edits applied, then its whole-text edits."""
+    lines = text.split("\n")   # the header, the rows, then ""
+    order = ("end", "fields", "split", "cells", "text")
+    for edit in sorted(edits, key=lambda e: order.index(e[0])):
+        if edit[0] == "text":
+            continue
+        row = 1 + edit[1] % (len(lines) - 2)
+        cells = lines[row].split(",")
+        if edit[0] == "end":
+            cells[0] = str(2**63 - int(cells[1]))
+        elif edit[0] == "fields":
+            cells = cells[:-1] if edit[2] < 0 else cells + ["x"]
+        elif edit[0] == "split":
+            cells[2:4] = [cells[2] + "\n" + cells[3]]
+        else:
+            for col, value in edit[2].items():
+                cells[col % len(cells)] = value
+        lines[row] = ",".join(cells)
+    text = "\n".join(lines)
+    for edit in edits:
+        if edit[0] == "text":
+            text = _TEXT_EDITS[edit[1]](text)
+    return text
+
+
+def _loop_groups(trace: list[FlowRecord]) -> list[ChannelSeries]:
+    """group_channels as a loop over records: the reference for the sort."""
+    rank = {"beacon_c2": 3, "event_c2": 2, "chaff": 1, "benign": 0}
+    buckets: dict[tuple[str, str], list[FlowRecord]] = {}
+    for flow in trace:
+        buckets.setdefault((flow.src, flow.dst), []).append(flow)
+    series = []
+    for key in sorted(buckets):
+        flows = sorted(buckets[key], key=lambda f: f.ts_start)
+        arrivals: list[int] = []
+        sizes: list[int] = []
+        for f in flows:
+            if not arrivals or f.ts_start != arrivals[-1]:
+                arrivals.append(f.ts_start)
+                sizes.append(f.bytes_initiator)
+        label = max((f.label for f in flows), key=rank.__getitem__)
+        series.append(ChannelSeries(key=key, arrivals=arrivals, sizes=sizes,
+                                    n_flows=len(flows), label=label))
+    return series
+
+
+def _read_alike(path: Path, flows: list[FlowRecord],
+                edits: list[tuple]) -> bool:
+    """Write flows as a trace, edit its text, and check that read_columns
+    reads what read_trace reads, or raises its message; returns whether the
+    column reader took the file rather than leaving it to read_trace."""
+    write_trace(path, flows)
+    text = _edited(path.read_text(encoding="utf-8"), edits)
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        records = read_trace(path)
+    except ValueError as exc:
+        assert _csv_columns(path) is None
+        with pytest.raises(ValueError) as got:
+            read_columns(path)
+        assert str(got.value) == str(exc)
+        return False
+    columns = read_columns(path)
+    assert group_channels(columns) == _loop_groups(records)
+    assert evaluate(columns) == evaluate(records)
+    return _csv_columns(path) is not None
+
+
+# two channels with equal timestamps, a beacon and a chaff flow among them
+_BASE = [_flow(t, src, dst, size=100 + t, **kind) for t, src, dst, kind in [
+    (5, "a", "hub", {}), (3, "a", "hub", {}), (5, "a", "hub", {}),
+    (9, "b", "planner", dict(label="chaff", leg="reasoning",
+                             dst_class="planner")),
+    (2, "a", "hub", dict(label="beacon_c2", leg="tasking", dst_class="hub")),
+    (9, "b", "planner", {})]]
+# name -> (edits to _BASE, whether the column reader takes the result)
+_EDIT_CASES = {
+    "unedited": ([], True),
+    **{f"int {text!r} in {TRACE_COLUMNS[col]}": (
+        [("cells", row, {col: text})], text == "9" * 18)
+       for row, (col, text) in enumerate(zip(itertools.cycle([0, 1, 5, 6]),
+                                             _INT_TEXTS))},
+    "ts + duration = 2^63": ([("end", 2)], False),
+    **{f"name {text!r} in {TRACE_COLUMNS[col]}": (
+        [("cells", row, {col: text})], text == "")
+       for row, (col, text) in enumerate(zip(itertools.cycle([2, 3]),
+                                             _NAME_TEXTS))},
+    **{f"kind {kind}": ([("cells", 1, dict(zip((4, 7, 8), kind)))],
+                        kind in _VALID_KINDS)
+       for kind in _KIND_TEXTS},
+    **{f"text {name}": ([("text", name)], False) for name in _TEXT_EDITS},
+    "8 fields": ([("fields", 3, -1)], False),
+    "10 fields": ([("fields", 3, 1)], False),
+    # the trace's commas and newlines still come in nines
+    "8 fields then 10": ([("fields", 3, -1), ("fields", 4, 1)], False),
+    "newline after src": ([("split", 3)], False),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDIT_CASES))
+def test_column_reader_on_each_edit(case, tmp_path):
+    edits, taken = _EDIT_CASES[case]
+    assert _read_alike(tmp_path / "trace.csv", _BASE, edits) is taken
+
+
+def test_column_reader_matches_read_trace():
+    """The numpy reader takes only files read_trace accepts, and reads the
+    same columns from them; read_columns gives read_trace's exact
+    diagnostic for every file read_trace refuses."""
+    taken = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(flows=st.lists(_flows(), min_size=1, max_size=10),
+           edits=st.lists(_EDITS, max_size=2))
+    def check(flows, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            taken.append(_read_alike(Path(tmp) / "trace.csv", flows, edits))
+
+    check()
+    # unedited traces and edits read_trace accepts keep the fast path busy
+    assert sum(taken) >= 100, sum(taken)
+
+
+def test_column_reader_leaves_a_header_only_trace_to_read_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, [])
+    assert _csv_columns(path) is None
+    assert group_channels(read_columns(path)) == []
+
+
+def test_column_reader_is_exact_when_keys_collide(monkeypatch, tmp_path):
+    # with a multiplier of 0 a cell's key is its last word, so the triples
+    # "bbbbbbbb,hub,hub" and "cccccccc,hub,hub" share one; the word check
+    # finds it and leaves the file to read_trace
+    monkeypatch.setattr(detect, "_MIX", 0)
+    flows = [_flow(t, src, "hub", label="event_c2", leg="tasking",
+                   dst_class="hub")
+             for t in range(5) for src in ("b" * 8, "c" * 8)]
+    path = tmp_path / "trace.csv"
+    write_trace(path, flows)
+    assert _csv_columns(path) is None
+    assert group_channels(read_columns(path)) == group_channels(flows)
+
+
+def test_column_read_memory_follows_rows(tmp_path):
+    # 200,000 rows of 59 bytes on average, as simulate writes a beacon and
+    # a user. Measured here, the column reader peaks at 235 bytes a row, and
+    # read_trace's records with the grouping of them at 503.
+    n = 200_000
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{2000 * i + i % 97},{40 + i % 80},implant-{1 + i % 3},hub,hub,"
+            f"{580 + i % 40},{280 + i % 40},tasking,beacon_c2\n"
+            if i % 10 else
+            f"{2000 * i},{900 + i % 300},user-{i % 7},svc-mail,"
+            f"benign_service,{1500 + i % 999},{8000 + i % 777},background,"
+            "benign\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        series = group_channels(read_columns(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(s.n_flows for s in series) == n
+    assert peak < 320 * n
 
 
 # -- interval regularity -----------------------------------------------------------
