@@ -30,9 +30,10 @@ A trace reaches the detector as columns (TraceColumns): each flow's
 channel, ts_start, bytes_initiator and label rank. read_columns reads a CSV
 trace in the layout write_trace writes from its bytes with numpy, building
 no object per row: the comma and newline positions give every cell, the
-integer columns are parsed digit by digit, and the strings are coded as
-(src, dst, dst_class) and (leg, label) spans. Any other file, such as
-JSONL, or a CSV file that breaks a rule of the format, goes to
+integer columns are parsed digit by digit, and the (src, dst, dst_class)
+and (leg, label) spans of at most 64 bytes are coded exactly by one sort
+over their 8-byte words. Any other file, such as JSONL, a span past 64
+bytes, or a CSV file that breaks a rule of the format, goes to
 traffic.read_trace, the reference reader, which gives the same columns or
 its exact diagnostic. group_channels and evaluate take columns, or a list
 of records, which they first turn into columns; one stable sort over
@@ -47,8 +48,10 @@ Mann-Whitney statistic exactly, not just approximately.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -57,17 +60,13 @@ from typing import Iterable
 import numpy as np
 
 from .traffic import (
-    DST_CLASSES,
-    DST_PLANNER,
     LABEL_BEACON,
     LABEL_BENIGN,
     LABEL_CHAFF,
     LABEL_EVENT,
-    LABELS,
-    LEG_TASKING,
-    LEGS,
     TRACE_COLUMNS,
     FlowRecord,
+    kind_error,
     read_trace,
 )
 
@@ -182,7 +181,9 @@ def read_columns(path) -> TraceColumns:
 
 
 _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
-_MIX = 0x9E3779B97F4A7C15   # an odd 64-bit multiplier: 2^64 / golden ratio
+# The longest span _distinct codes (8 words): its sort holds rows x words x 8
+# bytes. simulate writes at most 37 (user-3999999,svc-files,benign_service).
+_MAX_SPAN = 64
 
 
 def _csv_columns(path) -> TraceColumns | None:
@@ -193,10 +194,11 @@ def _csv_columns(path) -> TraceColumns | None:
     and a newline, in ASCII without a double quote, CR or NUL, so that
     csv.reader splits each row at its commas. Each integer cell is 1 to 18
     digits with no sign and no leading zero, so it and ts + duration are
-    below 2^63. Each dst_class, leg and label is one of its set, and the two
-    cross-field rules hold. read_trace accepts every such file and reads the
-    same flows from it. Memory is the file, one array of the rows' comma and
-    newline positions, and one column at a time.
+    below 2^63. Each string span is at most _MAX_SPAN bytes, and each
+    (dst_class, leg, label) it holds passes traffic.kind_error, FlowRecord's
+    own rule. read_trace accepts every such file and reads the same flows
+    from it. Memory is the file, one array of the rows' comma and newline
+    positions, and one column at a time.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -241,14 +243,11 @@ def _csv_columns(path) -> TraceColumns | None:
     if ts is None or sizes is None or any(d is None for d in distinct):
         return None
     (triples, triple_of), (pairs, pair_of) = distinct
-    if (any(dst_class not in DST_CLASSES for *_, dst_class in triples)
-            or any(leg not in LEGS or label not in LABELS
-                   or (label == LABEL_BEACON and leg != LEG_TASKING)
-                   for leg, label in pairs)):
-        return None
-    chaff = np.array([label == LABEL_CHAFF for _, label in pairs])[pair_of]
-    planner = np.array([c == DST_PLANNER for *_, c in triples])[triple_of]
-    if np.any(chaff & ~planner):
+    # each (dst_class, leg, label) the file holds, coded class x pairs + pair
+    classes, class_of = np.unique([c for *_, c in triples], return_inverse=True)
+    kinds = np.unique(class_of[triple_of] * len(pairs) + pair_of)
+    if any(kind_error(classes[k // len(pairs)], *pairs[k % len(pairs)])
+           for k in kinds.tolist()):
         return None
     keys = sorted({(src, dst) for src, dst, _ in triples})
     index = {key: i for i, key in enumerate(keys)}
@@ -281,14 +280,16 @@ def _decimals(buf: np.ndarray, starts: np.ndarray,
 def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
               ) -> tuple[list[list[str]], np.ndarray] | None:
     """The distinct ASCII spans buf[start:end], each split at its commas,
-    and each span's index into them; or None when two distinct spans share
-    a key.
+    and each span's index into them; or None past _MAX_SPAN bytes.
 
-    A span's key mixes its 8-byte words into one integer, so np.unique sorts
-    one integer per span. Each span is then compared word by word with the
-    span that stands for its key, so the grouping is exact.
+    A span is read as its 8-byte words, masked to its bytes. No span holds a
+    NUL, so two spans are equal exactly when their words are. One lexsort
+    over the word columns puts equal spans side by side, and a span whose
+    words differ from the one before it starts a new index.
     """
     lengths = ends - starts
+    if lengths.max() > _MAX_SPAN:
+        return None
     words = np.ndarray(len(buf) - 7, np.dtype("<u8"), buffer=buf, strides=(1,))
     # a word's first r bytes, for r in [0, 8]
     masks = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
@@ -300,21 +301,16 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
         at = np.minimum(starts + 8 * j, len(words) - 1)
         return words[at] & masks[np.clip(lengths - 8 * j, 0, 8)]
 
-    n_words = -(-int(lengths.max()) // 8)
-    key = np.zeros(len(starts), np.uint64)
-    for j in range(n_words):
-        key = (key ^ word(j)) * np.uint64(_MIX)
-    # flattened, as the inverse's shape changed across numpy 2.x
-    codes = np.unique(key, return_inverse=True)[1].ravel()
-    stands_for = np.empty(int(codes.max()) + 1, np.intp)
-    stands_for[codes] = np.arange(len(codes))
-    rep = stands_for[codes]
-    for j in range(n_words):
-        w = word(j)
-        if np.any(w != w[rep]):
-            return None
+    columns = [word(j) for j in range(-(-int(lengths.max()) // 8))]
+    order = np.lexsort(columns)
+    # a span is new where a word differs: uint64 diffs wrap, but 0 iff equal
+    new = np.ones(len(order), bool)
+    new[1:] = np.any([np.diff(column[order]) != 0 for column in columns], 0)
+    codes = np.empty(len(order), np.intp)
+    codes[order] = np.cumsum(new) - 1
+    firsts = order[new]
     return ([buf[s:e].tobytes().decode("ascii").split(",")
-             for s, e in zip(starts[stands_for], ends[stands_for])], codes)
+             for s, e in zip(starts[firsts], ends[firsts])], codes)
 
 
 def group_channels(trace: TraceColumns | Iterable[FlowRecord]
@@ -348,11 +344,17 @@ def group_channels(trace: TraceColumns | Iterable[FlowRecord]
                 ranks)]
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """0.0 + values, added left to right. sum() compensates float sums from
+    Python 3.12 on, which would make report bytes depend on the version."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _inverse_cv(values: list[float]) -> float:
-    mean = sum(values) / len(values)
+    mean = _left_sum(values) / len(values)
     if mean == 0:
         return 0.0
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+    var = _left_sum((v - mean) ** 2 for v in values) / len(values)
     return 1.0 / (1.0 + math.sqrt(var) / mean)
 
 
@@ -633,8 +635,8 @@ def score_channel(series: ChannelSeries) -> BeaconScore | None:
     acf, period = acf_period(series, bin_ms, MAX_LAG_BINS)
     pg = periodogram_strength(series, bin_ms, MAX_LAG_BINS)
     size = size_uniformity(series)
-    combined = sum(w * v for w, v in zip(WEIGHTS.values(),
-                                         (reg, acf, pg, size)))
+    combined = _left_sum(w * v for w, v in zip(WEIGHTS.values(),
+                                               (reg, acf, pg, size)))
     return BeaconScore(key=series.key, regularity=reg, acf_strength=acf,
                        periodogram=pg, size_uniformity=size,
                        combined=combined, period_ms=period)

@@ -80,16 +80,23 @@ class FlowRecord:
             raise ValueError("duration must be non-negative")
         if self.bytes_initiator < 0 or self.bytes_responder < 0:
             raise ValueError("byte counts must be non-negative")
-        if self.dst_class not in DST_CLASSES:
-            raise ValueError(f"bad dst_class {self.dst_class!r}")
-        if self.leg not in LEGS:
-            raise ValueError(f"bad leg {self.leg!r}")
-        if self.label not in LABELS:
-            raise ValueError(f"bad label {self.label!r}")
-        if self.label == LABEL_BEACON and self.leg != LEG_TASKING:
-            raise ValueError("beacon flows ride the tasking leg")
-        if self.label == LABEL_CHAFF and self.dst_class != DST_PLANNER:
-            raise ValueError("chaff targets the planner")
+        if problem := kind_error(self.dst_class, self.leg, self.label):
+            raise ValueError(problem)
+
+
+def kind_error(dst_class: str, leg: str, label: str) -> str | None:
+    """FlowRecord's message for a (dst_class, leg, label) it refuses, or None."""
+    if dst_class not in DST_CLASSES:
+        return f"bad dst_class {dst_class!r}"
+    if leg not in LEGS:
+        return f"bad leg {leg!r}"
+    if label not in LABELS:
+        return f"bad label {label!r}"
+    if label == LABEL_BEACON and leg != LEG_TASKING:
+        return "beacon flows ride the tasking leg"
+    if label == LABEL_CHAFF and dst_class != DST_PLANNER:
+        return "chaff targets the planner"
+    return None
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import math
 import random
 import statistics
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -297,18 +298,68 @@ def test_column_reader_leaves_a_header_only_trace_to_read_trace(tmp_path):
     assert group_channels(read_columns(path)) == []
 
 
-def test_column_reader_is_exact_when_keys_collide(monkeypatch, tmp_path):
-    # with a multiplier of 0 a cell's key is its last word, so the triples
-    # "bbbbbbbb,hub,hub" and "cccccccc,hub,hub" share one; the word check
-    # finds it and leaves the file to read_trace
-    monkeypatch.setattr(detect, "_MIX", 0)
-    flows = [_flow(t, src, "hub", label="event_c2", leg="tasking",
-                   dst_class="hub")
-             for t in range(5) for src in ("b" * 8, "c" * 8)]
+def _spans_near(length: int) -> list[tuple[str, str]]:
+    """(src, dst) names whose "src,dst,hub" spans are length bytes long, or
+    one shorter, and differ from one another in one byte."""
+    a = "a" * (length - 6)   # all but one byte of src and dst together
+    return [(a + "a", ""), ("", a + "a"), (a + "b", ""), ("b" + a, ""),
+            (a, "a"), (a, "b"), (a, "")]
+
+
+# (src, dst) names whose src,dst,dst_class spans _distinct must tell apart
+_SPAN_CASES = {
+    # spans that share their last word
+    "first word differs": [("b" * 8, "hub"), ("c" * 8, "hub")],
+    "one word differs": [("x" * 40, "hub"), ("x" * 40, "hob")] + [
+        ("x" * k + "y" + "x" * (39 - k), "hub") for k in (0, 7, 8, 31, 39)],
+    "prefixes": [("a", "b"), ("a", "bb"), ("ab", "b"), ("a", ""), ("", "a"),
+                 ("implant", "hub"), ("implant-1", "hub")],
+    **{f"{length}-byte spans": _spans_near(length) for length in (8, 16, 64)},
+}
+
+
+@pytest.mark.parametrize("case", list(_SPAN_CASES))
+def test_column_reader_groups_spans_exactly(case, tmp_path):
+    legs = [("tasking", "event_c2"), ("tasking", "beacon_c2"),
+            ("background", "benign"), ("reasoning", "benign")]
+    flows = [_flow(1000 * t + i, src, dst, leg=legs[(t + i) % 4][0],
+                   label=legs[(t + i) % 4][1], dst_class="hub")
+             for t in range(4)
+             for i, (src, dst) in enumerate(_SPAN_CASES[case])]
+    assert _read_alike(tmp_path / "trace.csv", flows, [])
+
+
+def test_column_reader_checks_each_kind_a_file_holds(tmp_path):
+    # hub and "reasoning,chaff" each occur in a valid row of _BASE, so only
+    # their combination is refused
+    edit = ("cells", 1, {4: "hub", 7: "reasoning", 8: "chaff"})
+    assert not _read_alike(tmp_path / "trace.csv", _BASE, [edit])
+
+
+def test_column_read_cost_follows_the_file(tmp_path):
+    # A span past _MAX_SPAN bytes goes to read_trace, so one long name costs
+    # its bytes once, not once a row: 50,000 rows with one 100,000-byte src.
+    # Measured on 2 vCPUs, read_columns took 0.52-0.67 s, nearly all of it in
+    # read_trace; coding the name word by word took 17 s, and sorting its
+    # 12,500 words a row would need 5 GB.
+    n = 50_000
     path = tmp_path / "trace.csv"
-    write_trace(path, flows)
-    assert _csv_columns(path) is None
-    assert group_channels(read_columns(path)) == group_channels(flows)
+
+    def write(src: str) -> None:
+        write_trace(path, [
+            _flow(1000 * i, src if i == n // 2 else f"implant-{i % 3}", "hub",
+                  label="event_c2", leg="tasking", dst_class="hub")
+            for i in range(n)])
+
+    write("x" * 100_000)
+    start = time.perf_counter()
+    columns = read_columns(path)
+    assert time.perf_counter() - start < 5.0
+    assert evaluate(columns) == evaluate(read_trace(path))
+    for length, taken in ((64, True), (65, False)):
+        write("x" * (length - len(",hub,hub")))
+        assert (_csv_columns(path) is not None) is taken
+        assert evaluate(read_columns(path)) == evaluate(read_trace(path))
 
 
 def test_column_read_memory_follows_rows(tmp_path):
@@ -365,6 +416,18 @@ def test_regularity_declines_with_jitter():
         means.append(statistics.mean(vals))
     assert all(a > b for a, b in zip(means, means[1:]))
     assert means[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_scores_add_left_to_right_on_every_python_version(monkeypatch):
+    # sum() compensates float sums from Python 3.12 on, and there these
+    # read 1.0 and 0x1.0f5c28f5c28f6p-2; the pins are Python 3.11's
+    assert detect._inverse_cv([0.1] * 10) == 0.9999999999999998
+    monkeypatch.setattr(detect, "interval_regularity", lambda s: 0.1)
+    monkeypatch.setattr(detect, "acf_period", lambda *a: (0.2, None))
+    monkeypatch.setattr(detect, "periodogram_strength", lambda *a: 0.3)
+    monkeypatch.setattr(detect, "size_uniformity", lambda s: 0.7)
+    score = score_channel(_series([0, 1000, 2000]))
+    assert score.combined == float.fromhex("0x1.0f5c28f5c28f5p-2")
 
 
 # -- autocorrelation ---------------------------------------------------------------
