@@ -37,7 +37,10 @@ bytes, or a CSV file that breaks a rule of the format, goes to
 traffic.read_trace, the reference reader, which gives the same columns or
 its exact diagnostic. group_channels and evaluate take columns, or a list
 of records, which they first turn into columns; one stable sort over
-(channel, ts) then groups the channels.
+(channel, ts) then groups the channels, and each channel's arrivals and
+sizes are int64 slices of the sorted columns, which the scores read with
+numpy. The CV scores add left to right (np.cumsum) and square by product,
+so their bytes do not depend on the Python version or the C library.
 
 Channels with fewer than three distinct arrivals are reported as
 insufficient data, never scored, and count as not-flagged in the confusion
@@ -48,10 +51,8 @@ Mann-Whitney statistic exactly, not just approximately.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
-import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -96,13 +97,17 @@ class DetectorConfig:
             raise ValueError("threshold must be in [0, 1]")
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelSeries:
     key: tuple[str, str]
-    arrivals: list[int]       # distinct timestamps, strictly ascending
-    sizes: list[int]          # initiator bytes aligned with arrivals
+    arrivals: np.ndarray      # int64 distinct timestamps, strictly ascending
+    sizes: np.ndarray         # int64 initiator bytes aligned with arrivals
     n_flows: int              # raw flow count before timestamp dedup
     label: str
+
+    def __post_init__(self):   # an int64 array is not copied
+        self.arrivals = np.asarray(self.arrivals, np.int64)
+        self.sizes = np.asarray(self.sizes, np.int64)
 
 
 @dataclass(frozen=True)
@@ -334,8 +339,8 @@ def group_channels(trace: TraceColumns | Iterable[FlowRecord]
     flows_at = np.searchsorted(channel, bounds)
     arrivals_at = np.searchsorted(channel[kept], bounds).tolist()
     ranks = np.maximum.reduceat(cols.rank[order], flows_at[:-1]).tolist()
-    arrivals = ts[kept].tolist()
-    sizes = cols.size[order[kept]].tolist()
+    arrivals = ts[kept]
+    sizes = cols.size[order[kept]]
     return [ChannelSeries(key=key, arrivals=arrivals[lo:hi],
                           sizes=sizes[lo:hi], n_flows=int(n),
                           label=_LABELS_BY_RANK[rank])
@@ -344,26 +349,24 @@ def group_channels(trace: TraceColumns | Iterable[FlowRecord]
                 ranks)]
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """0.0 + values, added left to right. sum() compensates float sums from
-    Python 3.12 on, which would make report bytes depend on the version."""
-    return functools.reduce(operator.add, values, 0.0)
-
-
-def _inverse_cv(values: list[float]) -> float:
-    mean = _left_sum(values) / len(values)
+def _inverse_cv(values: np.ndarray) -> float:
+    """1/(1+CV), adding left to right (np.cumsum; np.sum and sum() do not)
+    and squaring by product, not by the libm pow that x ** 2 calls."""
+    mean = np.cumsum(values)[-1] / len(values)
     if mean == 0:
         return 0.0
-    var = _left_sum((v - mean) ** 2 for v in values) / len(values)
-    return 1.0 / (1.0 + math.sqrt(var) / mean)
+    d = values - mean
+    var = np.cumsum(d * d)[-1] / len(values)
+    return float(1.0 / (1.0 + math.sqrt(var) / mean))
 
 
 def interval_regularity(series: ChannelSeries) -> float | None:
     """1/(1+CV) of the gaps; None when fewer than two gaps exist."""
     if len(series.arrivals) < 3:
         return None
-    gaps = [b - a for a, b in zip(series.arrivals, series.arrivals[1:])]
-    return _inverse_cv([float(g) for g in gaps])
+    # exact: ascending int64 values differ by less than 2^64
+    return _inverse_cv(np.diff(series.arrivals.view(np.uint64))
+                       .astype(np.float64))
 
 
 _BLOCK_ELEMENTS = 1 << 18   # elements per event chunk: sparse DFT, NUFFT
@@ -479,7 +482,7 @@ def acf_period(series: ChannelSeries, bin_ms: int, max_lag_bins: int,
     """
     if len(series.arrivals) < 2:
         return 0.0, None
-    span = series.arrivals[-1] - series.arrivals[0]
+    span = int(series.arrivals[-1]) - int(series.arrivals[0])
     if span < 2 * max_lag_bins * bin_ms:
         return 0.0, None
     bins, counts, n = _occupancy(series.arrivals, bin_ms)
@@ -618,7 +621,7 @@ def periodogram_strength(series: ChannelSeries, bin_ms: int,
 def size_uniformity(series: ChannelSeries) -> float | None:
     if len(series.sizes) < 3:
         return None
-    return _inverse_cv([float(s) for s in series.sizes])
+    return _inverse_cv(series.sizes.astype(np.float64))
 
 
 def score_channel(series: ChannelSeries) -> BeaconScore | None:
@@ -630,13 +633,13 @@ def score_channel(series: ChannelSeries) -> BeaconScore | None:
     if len(series.arrivals) < 3:
         return None
     reg = interval_regularity(series)
-    n = (series.arrivals[-1] - series.arrivals[0]) // BIN_MS + 1
+    n = (int(series.arrivals[-1]) - int(series.arrivals[0])) // BIN_MS + 1
     bin_ms = BIN_MS * -(-n // MAX_BINS)
     acf, period = acf_period(series, bin_ms, MAX_LAG_BINS)
     pg = periodogram_strength(series, bin_ms, MAX_LAG_BINS)
     size = size_uniformity(series)
-    combined = _left_sum(w * v for w, v in zip(WEIGHTS.values(),
-                                               (reg, acf, pg, size)))
+    combined = (WEIGHTS["regularity"] * reg + WEIGHTS["acf"] * acf
+                + WEIGHTS["periodogram"] * pg + WEIGHTS["size"] * size)
     return BeaconScore(key=series.key, regularity=reg, acf_strength=acf,
                        periodogram=pg, size_uniformity=size,
                        combined=combined, period_ms=period)

@@ -332,6 +332,26 @@ def test_detect_scores_a_channel_spanning_2_to_the_62_ms(tmp_path, capsys):
     assert "channels=1 insufficient=0" in capsys.readouterr().out
 
 
+def test_detect_scores_channels_spanning_the_int64_range(tmp_path, capsys):
+    # a beacon and a user channel whose spans pass 2^63 ms; the digests are
+    # of the report and roc that Python-int series gave
+    p = tmp_path / "span.jsonl"
+    user = dict(src="u", dst="svc", dst_class="benign_service",
+                leg="background", label="benign")
+    rows = [{**_ROW, "ts_start_ms": t, "bytes_init": i + 1} for i, t in
+            enumerate([-2**63, -2**62 - 5, 0, 7, 2**62, 2**63 - 11])]
+    rows += [{**_ROW, **user, "ts_start_ms": t, "bytes_init": 7 * i}
+             for i, t in enumerate([-2**63, -5, 2**62 + 999, 2**63 - 11])]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "det"
+    assert main(["detect", str(p), "--out", str(out)]) == 0
+    assert "channels=2 insufficient=0" in capsys.readouterr().out
+    assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("report.ndjson", "roc.csv")] == [
+        "7acc99217c1590d42dfa0f545e7e76248d599a2db5cc798849e694e30792b7a8",
+        "650466f16fd283f67a1331cb56607d956801a50115156420890391641a43db26"]
+
+
 # an integer past int()'s limit of 4300 digits, written unquoted in JSONL
 _DIGITS = "9" * 5000
 

@@ -19,6 +19,7 @@ import statistics
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,14 @@ def _beacon_series(interval_ms, jitter, horizon_ms, seed=0, label="beacon_c2"):
 # -- grouping ------------------------------------------------------------------
 
 
+def _as_lists(series: list[ChannelSeries]) -> list[tuple]:
+    """Each series' fields, its int64 arrays as lists, to compare by value."""
+    for s in series:
+        assert s.arrivals.dtype == s.sizes.dtype == np.int64
+    return [(s.key, s.arrivals.tolist(), s.sizes.tolist(), s.n_flows, s.label)
+            for s in series]
+
+
 def test_group_channels_partitions_the_trace():
     trace = [_flow(1, "a", "x"), _flow(2, "a", "x"), _flow(2, "a", "x"),
              _flow(9, "b", "x"), _flow(3, "a", "y")]
@@ -92,7 +101,8 @@ def test_group_channels_partitions_the_trace():
     assert [s.key for s in series] == [("a", "x"), ("a", "y"), ("b", "x")]
     assert sum(s.n_flows for s in series) == len(trace)
     ax = series[0]
-    assert ax.arrivals == [1, 2] and ax.n_flows == 3  # equal stamps deduped
+    # equal stamps deduped
+    assert _as_lists([ax]) == [(("a", "x"), [1, 2], [100, 100], 3, "benign")]
     assert len(ax.arrivals) == len(ax.sizes)
 
 
@@ -230,7 +240,8 @@ def _read_alike(path: Path, flows: list[FlowRecord],
         assert str(got.value) == str(exc)
         return False
     columns = read_columns(path)
-    assert group_channels(columns) == _loop_groups(records)
+    assert (_as_lists(group_channels(columns))
+            == _as_lists(_loop_groups(records)))
     assert evaluate(columns) == evaluate(records)
     return _csv_columns(path) is not None
 
@@ -362,12 +373,9 @@ def test_column_read_cost_follows_the_file(tmp_path):
         assert evaluate(read_columns(path)) == evaluate(read_trace(path))
 
 
-def test_column_read_memory_follows_rows(tmp_path):
-    # 200,000 rows of 59 bytes on average, as simulate writes a beacon and
-    # a user. Measured here, the column reader peaks at 235 bytes a row, and
-    # read_trace's records with the grouping of them at 503.
-    n = 200_000
-    path = tmp_path / "trace.csv"
+def _write_polls(path: Path, n: int) -> None:
+    """n rows of 59 bytes on average, as simulate writes a beacon and a
+    user, each at a distinct time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         fh.writelines(
@@ -377,6 +385,14 @@ def test_column_read_memory_follows_rows(tmp_path):
             f"{2000 * i},{900 + i % 300},user-{i % 7},svc-mail,"
             f"benign_service,{1500 + i % 999},{8000 + i % 777},background,"
             "benign\n" for i in range(n))
+
+
+def test_column_read_memory_follows_rows(tmp_path):
+    # Measured here, the column reader peaks at 235 bytes a row, and
+    # read_trace's records with the grouping of them at 503.
+    n = 200_000
+    path = tmp_path / "trace.csv"
+    _write_polls(path, n)
     tracemalloc.start()
     try:
         series = group_channels(read_columns(path))
@@ -385,6 +401,24 @@ def test_column_read_memory_follows_rows(tmp_path):
         tracemalloc.stop()
     assert sum(s.n_flows for s in series) == n
     assert peak < 320 * n
+
+
+def test_grouped_series_hold_no_per_flow_object(tmp_path):
+    # The series are int64 arrays, an arrival and a size a row: 16 bytes a
+    # row held here; Python-int lists of them held 80.
+    n = 100_000
+    path = tmp_path / "trace.csv"
+    _write_polls(path, n)
+    # once untraced, so the modules numpy imports on first use are not held
+    group_channels(read_columns(path))
+    tracemalloc.start()
+    try:
+        series = group_channels(read_columns(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(s.arrivals) for s in series) == n
+    assert held < 24 * n
 
 
 # -- interval regularity -----------------------------------------------------------
@@ -416,6 +450,58 @@ def test_regularity_declines_with_jitter():
         means.append(statistics.mean(vals))
     assert all(a > b for a, b in zip(means, means[1:]))
     assert means[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_inverse_cv(values: list[float]) -> float:
+    """_inverse_cv in Python floats: sums by left-to-right +, squares as
+    d * d."""
+    mean = 0.0
+    for v in values:
+        mean = mean + v
+    mean = mean / len(values)
+    if mean == 0:
+        return 0.0
+    var = 0.0
+    for v in values:
+        var = var + (v - mean) * (v - mean)
+    var = var / len(values)
+    return 1.0 / (1.0 + math.sqrt(var) / mean)
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _cv_series(draw):
+    """Arrivals over the whole int64 range, so gaps pass 2^53 and 2^63, with
+    sizes up to 2^63 - 1, small, or all zero."""
+    arrivals = sorted(draw(st.sets(st.one_of(
+        _INT64, st.integers(-1000, 1000), st.integers(2**53 - 9, 2**53 + 9)),
+        min_size=3, max_size=30)))
+    size = draw(st.sampled_from([st.just(0), st.integers(0, 2**63 - 1),
+                                 st.integers(0, 1500)]))
+    return _series(arrivals, sizes=draw(st.lists(
+        size, min_size=len(arrivals), max_size=len(arrivals))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series=_cv_series())
+def test_cv_scores_equal_a_python_reference_bit_for_bit(series):
+    arrivals = [int(a) for a in series.arrivals]
+    gaps = [float(b - a) for a, b in zip(arrivals, arrivals[1:])]
+    sizes = [float(int(v)) for v in series.sizes]
+    for got, want in ((interval_regularity(series), _reference_inverse_cv(gaps)),
+                      (size_uniformity(series), _reference_inverse_cv(sizes))):
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_cv_scores_square_by_product():
+    # a deviation here squares differently by x ** 2, which glibc's pow
+    # rounds to 0x1.83845aa089e48p-1 for this score
+    sizes = [221662901009, 495754568252, 333481791039]
+    got = size_uniformity(_series([0, 1, 2], sizes=sizes))
+    assert got == float.fromhex("0x1.83845aa089e4ap-1")
+    assert got == _reference_inverse_cv([float(v) for v in sizes])
 
 
 def test_scores_add_left_to_right_on_every_python_version(monkeypatch):
@@ -739,6 +825,37 @@ def test_occupancy_offsets_are_exact_across_the_int64_range():
         assert counts.sum() == len(arrivals)
     bins, _, _ = detect._occupancy([-2**62 - 5, 0, 2**62], 1000)
     assert bins.tolist() == [0, (2**62 + 5) // 1000, (2**63 + 5) // 1000]
+
+
+def _score_as_list_and_array(arrivals, sizes):
+    """score_channel of one channel given as Python-int lists and as int64
+    arrays, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return [score_channel(ChannelSeries(("a", "b"), as_(arrivals),
+                                            as_(sizes), len(arrivals),
+                                            "benign"))
+                for as_ in (list, lambda v: np.array(v, np.int64))]
+
+
+def test_spans_past_int64_are_scored_from_arrays_as_from_lists():
+    arrivals = [-2**63, -2**62 - 5, 0, 7, 2**62, 2**63 - 1]
+    from_list, from_array = _score_as_list_and_array(arrivals, range(1, 7))
+    assert from_array == from_list
+    assert from_array.periodogram == 0.03058119429029909
+    assert from_array.combined == 0.34178846847503686
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(arrivals=st.sets(st.one_of(_INT64, st.sampled_from([-2**63, 2**63 - 1])),
+                        min_size=3, max_size=8).map(sorted),
+       data=st.data())
+def test_lists_and_int64_arrays_score_alike_across_the_int64_range(arrivals,
+                                                                   data):
+    sizes = data.draw(st.lists(st.integers(0, 2**63 - 1),
+                               min_size=len(arrivals), max_size=len(arrivals)))
+    from_list, from_array = _score_as_list_and_array(arrivals, sizes)
+    assert from_array == from_list
 
 
 def test_periodogram_dominant_line_for_clean_train():
