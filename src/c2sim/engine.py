@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 SimTime = int  # milliseconds of virtual time since scenario start
 
 class SchedulingError(RuntimeError):
@@ -95,6 +97,11 @@ class Dist:
             raise ParameterError(f"unknown distribution {n!r}")
 
     @property
+    def units_per_draw(self) -> int:
+        """The stream.unit() draws one draw() takes."""
+        return 2 if self.name == "lognormal" else 1
+
+    @property
     def largest(self) -> float:
         """The largest value draw() returns, inf where that overflows."""
         n, p = self.name, self.params
@@ -128,6 +135,20 @@ class RngStream:
         """Next uniform draw in [0, 1)."""
         return self._rand.random()
 
+    def units(self, k: int) -> np.ndarray:
+        """The next k unit() draws as float64, in one call, leaving the
+        stream where k unit() calls leave it.
+
+        random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 of the
+        generator's next two 32-bit words a and b, and getrandbits(64 k)
+        holds the next 2 k words, the first least significant: so this is
+        random() bit for bit, in exact float64 arithmetic.
+        """
+        words = np.frombuffer(
+            self._rand.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+        return ((words[0::2] >> 5) * 67108864.0
+                + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
 
 def draw(stream: RngStream, dist: Dist) -> float:
     """Sample one value from dist (uniform, exponential or lognormal) using
@@ -149,6 +170,42 @@ def draw(stream: RngStream, dist: Dist) -> float:
 def draw_int(stream: RngStream, dist: Dist, least: int) -> int:
     """draw() rounded to the nearest integer, and no less than least."""
     return max(least, round(draw(stream, dist)))
+
+
+def draw_ints(u: np.ndarray, dist: Dist, least: int) -> np.ndarray:
+    """draw_int() of each row of u, a block of units with
+    dist.units_per_draw columns in the order draw() takes them, as int64.
+
+    Uniform draws use only +, *, round half to even and max, which numpy
+    computes bit for bit as Python does. numpy's log, exp and cos are not
+    libm's, and follow its SIMD dispatch, so exponential and lognormal draws
+    are draw_int's own arithmetic, element by element. Raises ValueError for
+    a value outside int64, which a cast would wrap.
+    """
+    name, p = dist.name, dist.params
+    if name == "uniform":
+        a, b = p
+        x = np.maximum(np.rint(a + (b - a) * u[:, 0]), least)
+        if not len(x) or (-2.0**63 <= x.min() and x.max() < 2.0**63):
+            return x.astype(np.int64)
+        values = [int(v) for v in x.tolist()]
+    elif name == "exponential":
+        m = -p[0]
+        values = [max(least, round(m * math.log(1.0 - v)))
+                  for v in u[:, 0].tolist()]
+    else:  # lognormal
+        mu, sigma = p
+        two_pi = 2.0 * math.pi
+        values = [max(least, round(math.exp(
+                      mu + sigma * (math.sqrt(-2.0 * math.log(1.0 - v1))
+                                    * math.cos(two_pi * v2)))))
+                  for v1, v2 in u.tolist()]
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        bad = next(v for v in values if not -2**63 <= v < 2**63)
+        raise ValueError(f"{dist} draws {bad}, outside the int64 range"
+                         ) from None
 
 
 class Simulator:

@@ -31,6 +31,7 @@ from .hub import (TASK_COMPLETED, AgentRecord, HeartbeatPolicy, Hub,
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
+    FlowTable,
     beacon_ticks,
     flows_at_ticks,
     merge_traces,
@@ -104,7 +105,7 @@ class ScenarioRun:
     metrics: RunMetrics
     hub: Hub
     sessions: list[Session]
-    trace: list[FlowRecord]
+    trace: FlowTable
 
 
 def _least_loaded(candidates: list[AgentRecord | AgentSpec],
@@ -247,11 +248,12 @@ class _RunBase:
         return ScenarioRun(scenario=self.sc, metrics=metrics, hub=self.hub,
                            sessions=self.sessions, trace=trace)
 
-    def _with_background(self, parts: list[list[FlowRecord]],
-                         window: int) -> list[FlowRecord]:
+    def _with_background(self, parts: list[FlowTable | list[FlowRecord]],
+                         window: int) -> FlowTable:
         """Attacker-origin flows stop when the engagement does; benign cover
         traffic spans the whole observation horizon."""
-        c2 = [[f for f in part if f.ts_start <= window] for part in parts]
+        c2 = [p.take(p.ts <= window) if isinstance(p, FlowTable)
+              else [f for f in p if f.ts_start <= window] for p in parts]
         return merge_traces(*c2, synth_background(
             self.sc.n_users, self.sc.background, self.sim.stream))
 
@@ -321,9 +323,9 @@ class _SwarmRun(_RunBase):
             if self.hub.has_work_for(agent_id):
                 self._dispatch(entity, now)
 
-    def _trace(self, window: int) -> list[FlowRecord]:
+    def _trace(self, window: int) -> FlowTable:
         profile = self.sc.channels
-        parts = [synth_event_flows(
+        parts: list[FlowTable | list[FlowRecord]] = [synth_event_flows(
             self.contacts[spec.entity],
             self.sim.stream(f"{spec.entity}/tasking-bytes"), src=spec.entity)
             for spec in self.sc.agents]
@@ -427,7 +429,7 @@ class _ManualRun(_RunBase):
                         grants=edge.to_subnet))
         self._think_next(now)
 
-    def _trace(self, window: int) -> list[FlowRecord]:
+    def _trace(self, window: int) -> FlowTable:
         parts = []
         for spec in self.sc.agents:
             cfg = dataclasses.replace(self.sc.beacon, src=spec.entity)

@@ -11,19 +11,26 @@ Five generators, one record type:
 
 Flows are timing and byte-count records only. All sizes and gaps come from
 caller-supplied named streams, so traces are reproducible byte for byte.
+
+Beacons and hub contacts, nearly every flow of a run, are drawn in one block
+of units a call and held as columns (FlowTable) through the merge and the
+write; the other generators make few flows each and return FlowRecords.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import io
 import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .engine import Dist, RngStream, draw_int
+import numpy as np
+
+from .engine import Dist, RngStream, draw_int, draw_ints
 
 DST_HUB = "hub"
 DST_PLANNER = "planner"
@@ -61,6 +68,12 @@ _COLUMN_SET = frozenset(TRACE_COLUMNS)
 # FlowRecord's field types, in TRACE_COLUMNS order
 _CELL_TYPES = (int, int, str, str, str, int, int, str, str)
 _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # str() of an int, nothing else
+# the trace columns of FlowTable.ints' rows, and of a kind
+_INT_COLUMNS = ("ts_start_ms", "duration_ms", "bytes_init", "bytes_resp")
+_KIND_COLUMNS = ("src", "dst", "dst_class", "leg", "label")
+Kind = tuple[str, str, str, str, str]
+_INT64_MAX = 2**63 - 1
+_CHUNK = 1 << 16  # rows turned into Python objects at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,6 +110,101 @@ def kind_error(dst_class: str, leg: str, label: str) -> str | None:
     if label == LABEL_CHAFF and dst_class != DST_PLANNER:
         return "chaff targets the planner"
     return None
+
+
+class FlowTable:
+    """A trace held as columns, one entry per flow in trace order.
+
+    ints holds four int64 rows, which are also attributes: ts, duration,
+    bytes_init and bytes_resp. kind (intp) indexes kinds, the sorted
+    distinct (src, dst, dst_class, leg, label) tuples the table uses. The
+    form is canonical, so two tables are equal exactly when their records
+    are. Iterating yields FlowRecords; from_records is the one way records
+    become a table.
+    """
+
+    __slots__ = ("kinds", "kind", "ints", "ts", "duration", "bytes_init",
+                 "bytes_resp")
+
+    def __init__(self, kinds: Sequence[Kind], kind, ints):
+        """kind and the four rows of ints are arrays or sequences of ints.
+        Refuses what FlowRecord refuses, checking each kind the rows use
+        once by kind_error, and an integer or a flow's end, ts + duration,
+        outside int64, which the trace's readers refuse."""
+        kind = np.asarray(kind, dtype=np.intp)
+        try:
+            ints = np.asarray(ints, dtype=np.int64)
+        except OverflowError:  # a Python int past int64, which no cast may wrap
+            column, bad = next((c, v) for c, row in zip(_INT_COLUMNS, ints)
+                               for v in row if not -2**63 <= v <= _INT64_MAX)
+            raise ValueError(f"{column} {bad} is outside the int64 range"
+                             ) from None
+        if kind.ndim != 1 or ints.shape != (4, len(kind)):
+            raise ValueError("a FlowTable holds a kind and 4 integers a flow")
+        if len(kind) and not (0 <= kind.min() and kind.max() < len(kinds)):
+            raise ValueError("a FlowTable's kind indexes past its kinds")
+        used = np.bincount(kind, minlength=len(kinds)).nonzero()[0].tolist()
+        distinct = sorted({tuple(kinds[i]) for i in used})
+        for k in distinct:
+            if problem := kind_error(*k[2:]):
+                raise ValueError(problem)
+        ts, duration = ints[0], ints[1]
+        if ints[1:].min(initial=0) < 0:
+            raise ValueError("duration must be non-negative"
+                             if duration.min() < 0
+                             else "byte counts must be non-negative")
+        if (ts > _INT64_MAX - duration).any():
+            raise ValueError("ts_start_ms + duration_ms is outside the int64 "
+                             "range")
+        if [tuple(k) for k in kinds] != distinct:
+            index = {k: i for i, k in enumerate(distinct)}
+            remap = np.zeros(len(kinds), np.intp)
+            remap[used] = [index[tuple(kinds[i])] for i in used]
+            kind = remap[kind]
+        self.kinds: list[Kind] = distinct
+        self.kind = kind
+        self.ints = ints
+        self.ts, self.duration, self.bytes_init, self.bytes_resp = ints
+
+    @classmethod
+    def from_records(cls, flows: Iterable[FlowRecord]) -> FlowTable:
+        """The table of flow records, in their order."""
+        flows = list(flows)
+        index: dict[Kind, int] = {}
+        kind = [index.setdefault((f.src, f.dst, f.dst_class, f.leg, f.label),
+                                 len(index)) for f in flows]
+        return cls(list(index), kind, [
+            [f.ts_start for f in flows], [f.duration for f in flows],
+            [f.bytes_initiator for f in flows],
+            [f.bytes_responder for f in flows]])
+
+    def take(self, rows) -> FlowTable:
+        """The table of the rows that rows selects, a boolean mask or row
+        numbers, in that order."""
+        return FlowTable(self.kinds, self.kind[rows], self.ints[:, rows])
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        kinds = self.kinds
+        for lo in range(0, len(self), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            for k, t, d, b_init, b_resp in zip(self.kind[rows].tolist(),
+                                                *self.ints[:, rows].tolist()):
+                src, dst, dst_class, leg, label = kinds[k]
+                yield FlowRecord(t, d, src, dst, dst_class, b_init, b_resp,
+                                 leg, label)
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowTable):
+            return NotImplemented
+        return (self.kinds == other.kinds
+                and np.array_equal(self.kind, other.kind)
+                and np.array_equal(self.ints, other.ints))
+
+    def __repr__(self) -> str:
+        return f"<FlowTable: {len(self)} flows of {len(self.kinds)} kinds>"
 
 
 @dataclass(frozen=True)
@@ -183,17 +291,35 @@ def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> Iterator[int]:
             yield t
 
 
+def _flows_at(times: Iterable[int], stream: RngStream, kind: Kind,
+              duration: Dist, request: Dist, response: Dist) -> FlowTable:
+    """One flow of kind at each of times. Its duration (at least 0) and its
+    request and response sizes (at least 1) are drawn in that order, flow
+    after flow, as draw_int would draw them: all in one block of units."""
+    ts = list(times)
+    draws = (("duration_ms", duration, 0), ("bytes_init", request, 1),
+             ("bytes_resp", response, 1))
+    width = sum(dist.units_per_draw for _, dist, _ in draws)
+    block = stream.units(len(ts) * width).reshape(len(ts), width)
+    columns, at = [], 0
+    for column, dist, least in draws:
+        try:
+            columns.append(draw_ints(block[:, at:at + dist.units_per_draw],
+                                     dist, least))
+        except ValueError as exc:
+            raise ValueError(f"{column}: {exc}") from None
+        at += dist.units_per_draw
+    return FlowTable([kind], np.zeros(len(ts), np.intp), [ts, *columns])
+
+
 def flows_at_ticks(ticks: Iterable[int], cfg: BeaconConfig,
-                   stream: RngStream) -> list[FlowRecord]:
-    return [FlowRecord(ts_start=t, duration=draw_int(stream, cfg.duration, 0),
-                       src=cfg.src, dst=cfg.dst, dst_class=DST_HUB,
-                       bytes_initiator=draw_int(stream, cfg.request_size, 1),
-                       bytes_responder=draw_int(stream, cfg.response_size, 1),
-                       leg=LEG_TASKING, label=LABEL_BEACON)
-            for t in ticks]
+                   stream: RngStream) -> FlowTable:
+    return _flows_at(ticks, stream,
+                     (cfg.src, cfg.dst, DST_HUB, LEG_TASKING, LABEL_BEACON),
+                     cfg.duration, cfg.request_size, cfg.response_size)
 
 
-def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> list[FlowRecord]:
+def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> FlowTable:
     # every tick is drawn before any flow size: both come from one stream
     return flows_at_ticks(list(beacon_ticks(cfg, stream)), cfg, stream)
 
@@ -202,16 +328,12 @@ def synth_beacon_trace(cfg: BeaconConfig, stream: RngStream) -> list[FlowRecord]
 
 
 def synth_event_flows(times: Iterable[int], stream: RngStream, *,
-                      src: str) -> list[FlowRecord]:
+                      src: str) -> FlowTable:
     """One tasking-leg flow from src to the hub at each of its hub contact
     times, a fetch or a submit; src is the implant, not the hub-issued id."""
-    return [FlowRecord(ts_start=t,
-                       duration=draw_int(stream, TASKING_DURATION, 0),
-                       src=src, dst=DST_HUB, dst_class=DST_HUB,
-                       bytes_initiator=draw_int(stream, _TASKING_REQUEST, 1),
-                       bytes_responder=draw_int(stream, _TASKING_RESPONSE, 1),
-                       leg=LEG_TASKING, label=LABEL_EVENT)
-            for t in times]
+    return _flows_at(times, stream,
+                     (src, DST_HUB, DST_HUB, LEG_TASKING, LABEL_EVENT),
+                     TASKING_DURATION, _TASKING_REQUEST, _TASKING_RESPONSE)
 
 
 # -- reasoning sessions -----------------------------------------------------------
@@ -361,29 +483,86 @@ def synth_background(n_users: int, model: WorkdayModel,
 # -- merge and I/O -------------------------------------------------------------------
 
 
-def merge_traces(*traces: Iterable[FlowRecord]) -> list[FlowRecord]:
-    """Stable merge ordered by (ts_start, src, dst)."""
-    return sorted(itertools.chain(*traces),
-                  key=lambda f: (f.ts_start, f.src, f.dst))
+def merge_traces(*traces: FlowTable | Iterable[FlowRecord]) -> FlowTable:
+    """Stable merge ordered by (ts_start, src, dst): flows that tie keep
+    their order, the traces' in argument order. Each trace is a FlowTable
+    or flow records; consecutive traces of records become one table."""
+    tables = []
+    for is_table, run in itertools.groupby(
+            traces, key=lambda t: isinstance(t, FlowTable)):
+        tables += run if is_table else [
+            FlowTable.from_records(itertools.chain(*run))]
+    kinds = [k for t in tables for k in t.kinds]
+    offsets = itertools.accumulate((len(t.kinds) for t in tables), initial=0)
+    kind = np.concatenate([np.zeros(0, np.intp)]
+                          + [t.kind + off for t, off in zip(tables, offsets)])
+    ints = np.concatenate([np.zeros((4, 0), np.int64)]
+                          + [t.ints for t in tables], axis=1)
+    pairs = {pair: i for i, pair in enumerate(sorted({k[:2] for k in kinds}))}
+    pair_rank = np.array([pairs[k[:2]] for k in kinds], np.intp)
+    order = np.lexsort((pair_rank[kind], ints[0]))
+    return FlowTable(kinds, kind[order], ints[:, order])
 
 
-def _flow_row(f: FlowRecord) -> list:
-    return [f.ts_start, f.duration, f.src, f.dst, f.dst_class,
-            f.bytes_initiator, f.bytes_responder, f.leg, f.label]
+def _cells(*cells: str) -> str:
+    """csv.writer's text for a row of string cells, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
 
 
-def write_trace(path, flows: Iterable[FlowRecord], fmt: str = "csv") -> None:
-    if fmt not in ("csv", "jsonl"):
+def _csv_template(kind: Kind) -> str:
+    # csv.writer writes a row of one empty cell as "", but neither group is
+    # one: dst_class and leg, which FlowTable checks, are never empty
+    return ("{},{}," + _literal(_cells(*kind[:3])) + ",{},{},"
+            + _literal(_cells(*kind[3:])) + "\n")
+
+
+def _jsonl_template(kind: Kind) -> str:
+    text = dict(zip(_KIND_COLUMNS, kind))
+    return "{{" + ",".join(
+        json.dumps(c) + ":" + (_literal(json.dumps(text[c])) if c in text
+                               else "{}")
+        for c in sorted(TRACE_COLUMNS)) + "}}\n"
+
+
+def _literal(text: str) -> str:
+    """text as a str.format template that formats to itself."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+# format -> (the template of a kind's rows, the rows of FlowTable.ints
+# that fill its slots in order)
+_WRITERS = {
+    "csv": (_csv_template, [0, 1, 2, 3]),
+    "jsonl": (_jsonl_template, [_INT_COLUMNS.index(c)
+                                for c in sorted(TRACE_COLUMNS)
+                                if c in _INT_COLUMNS]),
+}
+
+
+def write_trace(path, flows: FlowTable | Iterable[FlowRecord],
+                fmt: str = "csv") -> None:
+    """Write a trace, a FlowTable or flow records, as CSV (the header, then
+    one row a flow) or as JSONL (one object a flow, keys sorted).
+
+    Each kind's string cells are encoded once, by csv.writer or by the JSON
+    string encoder, into a template of its rows; a row is its kind's
+    template filled with the row's integers by str().
+    """
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown trace format {fmt!r}")
+    template, slots = _WRITERS[fmt]
+    table = (flows if isinstance(flows, FlowTable)
+             else FlowTable.from_records(flows))
+    templates = np.array([template(k) for k in table.kinds], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(TRACE_COLUMNS)
-            w.writerows(map(_flow_row, flows))
-        else:
-            fh.writelines(json.dumps(dict(zip(TRACE_COLUMNS, _flow_row(f))),
-                                     sort_keys=True, separators=(",", ":"))
-                          + "\n" for f in flows)
+            csv.writer(fh, lineterminator="\n").writerow(TRACE_COLUMNS)
+        for lo in range(0, len(table), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            fh.writelines(map(str.format, templates[table.kind[rows]].tolist(),
+                              *table.ints[slots, rows].tolist()))
 
 
 def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:

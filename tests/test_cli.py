@@ -626,6 +626,17 @@ def test_simulate_artifact_bytes_are_pinned(case, tmp_path):
     assert got == _PINNED[case]
 
 
+def test_simulate_jsonl_trace_bytes_are_pinned(tmp_path):
+    # event, chaff and benign flows; the digest of the per-record writer
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(_PINNED_TEXT["chaff-users-swarm"], encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                 "--format", "jsonl"]) == 0
+    assert hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest() == (
+        "5390938f033f905dc537962936596acb1761cea0d909926ac51c44e626c8fbcc")
+
+
 @pytest.mark.parametrize("case", ["default-swarm", "default-manual",
                                   "pivot-chain"])
 def test_simulate_journal_is_the_runs_decoded_records(case, tmp_path):

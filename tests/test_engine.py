@@ -9,8 +9,12 @@ from __future__ import annotations
 import math
 import random
 import sys
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim.engine import (
     Dist,
@@ -19,6 +23,8 @@ from c2sim.engine import (
     SchedulingError,
     Simulator,
     draw,
+    draw_int,
+    draw_ints,
 )
 
 
@@ -284,3 +290,77 @@ def test_dist_round_trips_through_str():
     d = Dist.parse("lognormal(10.5, 0.8)")
     assert Dist.parse(str(d)) == d
 
+
+
+# -- block draws ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(-2**70, 2**70), stream_id=st.text(max_size=16),
+       before=st.integers(0, 700),
+       k=st.one_of(st.sampled_from([0, 1, 2, 311, 312, 313, 624]),
+                   st.integers(0, 1500)),
+       after=st.integers(1, 400))
+def test_units_are_unit_calls_in_one_block(seed, stream_id, before, k, after):
+    # a twist of the generator's 624 words comes every 312 units
+    block, ref = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    assert [block.unit() for _ in range(before)] == [
+        ref.unit() for _ in range(before)]
+    units = block.units(k)
+    assert units.dtype == np.float64 and units.shape == (k,)
+    assert units.tolist() == [ref.unit() for _ in range(k)]
+    assert [block.unit() for _ in range(after)] == [
+        ref.unit() for _ in range(after)]
+
+
+# What Random.random() returns: a multiple of 2**-53 in [0, 1)
+_UNITS = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0 ** -53]),
+                   st.integers(0, 2**53 - 1).map(lambda i: i / 2.0 ** 53))
+
+
+@pytest.mark.parametrize("least", [0, 1])
+@pytest.mark.parametrize("dist", [
+    Dist("uniform", (7.0, 7.0)),
+    Dist("uniform", (-1e6, -3.0)),
+    Dist("uniform", (-5.5, 4.5)),
+    # the parser's largest size, 2**63 - 1024, the last float below 2**63
+    Dist("uniform", (1.0, 9223372036854774784.0)),
+    Dist("exponential", (5e-324,)),
+    # largest draw 53 ln 2 means, just under 2**63 at the parser's bound
+    Dist("exponential", (2.5e17,)),
+    Dist("lognormal", (6.9, 0.0)),
+    Dist("lognormal", (40.0, 0.3)),
+    Dist("lognormal", (-800.0, 1.0)),
+], ids=str)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_draw_ints_are_draw_int_on_each_row(dist, least, data):
+    rows = data.draw(st.lists(
+        st.lists(_UNITS, min_size=dist.units_per_draw,
+                 max_size=dist.units_per_draw), max_size=20))
+    u = np.array(rows, dtype=np.float64).reshape(len(rows),
+                                                 dist.units_per_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = draw_ints(u, dist, least)
+    assert got.dtype == np.int64
+    assert got.tolist() == [draw_int(_Units(*row), dist, least)
+                            for row in rows]
+
+
+@pytest.mark.parametrize("dist", [
+    Dist("uniform", (2.0 ** 63, 2.0 ** 63)),
+    Dist("uniform", (-2.0 ** 64, -2.0 ** 64)),
+    Dist("exponential", (1e300,)),
+    Dist("lognormal", (50.0, 0.0)),
+], ids=str)
+def test_draw_ints_refuse_a_value_outside_int64(dist):
+    u = np.full((3, dist.units_per_draw), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            draw_ints(u, dist, -2**70)  # a least that lets -2**64 through
+        # the last float below 2**63 fits, and is draw_int's value
+        fits = Dist("uniform", (2.0 ** 63 - 1024, 2.0 ** 63 - 1024))
+        assert draw_ints(u[:, :1], fits, 0).tolist() == [
+            draw_int(_Units(0.5), fits, 0)] * 3 == [2**63 - 1024] * 3

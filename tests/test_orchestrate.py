@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -390,6 +391,28 @@ def test_manual_determinism():
     b, b_journal, _ = _journaled(sc)
     assert a_journal == b_journal
     assert a.trace == b.trace
+
+
+def test_a_manual_runs_trace_holds_no_per_flow_object():
+    # Polls every 18 s over the week, with an operator who never acts: 100,798
+    # flows. The trace is a FlowTable, a kind and four int64s a flow: 40 bytes
+    # a flow held here, hub included; a list of FlowRecords held 211.
+    text = (default_scenario_text()
+            .replace("mode = autonomous_swarm", "mode = manual_baseline")
+            .replace("interval_ms = 60000", "interval_ms = 18000")
+            .replace("manual_think_time = lognormal(10.3, 0.4)",
+                     "manual_think_time = uniform(700000000, 700000000)"))
+    sc = parse_scenario(text)
+    # once untraced, so the modules numpy imports on first use are not held
+    run_scenario(default_scenario().with_mode(MODE_MANUAL))
+    tracemalloc.start()
+    try:
+        run = run_scenario(sc)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.trace) >= 100_000 and not run.metrics.objective_met
+    assert held < 48 * len(run.trace)
 
 
 # -- optional traffic layers ----------------------------------------------------

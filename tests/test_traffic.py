@@ -8,21 +8,35 @@ from __future__ import annotations
 
 import bisect
 import collections
+import csv
 import dataclasses
+import hashlib
+import itertools
+import json
 import math
 import random
 import statistics
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim import traffic
 from c2sim.engine import Dist, RngStream, Simulator
 from c2sim.traffic import (
+    DST_CLASSES,
+    LABELS,
+    LEGS,
     BeaconConfig,
     ChannelProfile,
     FlowRecord,
+    FlowTable,
     WorkdayModel,
     beacon_ticks,
+    flows_at_ticks,
+    kind_error,
     merge_traces,
     read_trace,
     synth_background,
@@ -77,7 +91,7 @@ def test_zero_jitter_beacons_sit_on_exact_multiples():
 def test_horizon_shorter_than_interval_yields_no_flows():
     cfg = BeaconConfig(interval_ms=60_000, jitter_fraction=0.0,
                        horizon_ms=59_999, src="imp", dst="c2")
-    assert synth_beacon_trace(cfg, _stream()) == []
+    assert list(synth_beacon_trace(cfg, _stream())) == []
 
 
 def test_jitter_band_and_count_hold_universally():
@@ -304,7 +318,7 @@ def test_background_none_requested_none_generated():
 def test_merge_orders_by_time_then_src_dst_stably():
     t1 = [_flow(ts=100, src="b"), _flow(ts=100, src="a", bytes_initiator=1)]
     t2 = [_flow(ts=50, src="z"), _flow(ts=100, src="a", bytes_initiator=2)]
-    merged = merge_traces(t1, t2)
+    merged = list(merge_traces(t1, t2))
     assert [f.ts_start for f in merged] == [50, 100, 100, 100]
     assert merged[1].bytes_initiator == 1  # first trace wins ties
     assert merged[2].bytes_initiator == 2
@@ -331,7 +345,7 @@ def test_trace_round_trip(tmp_path, fmt):
     flows = synth_beacon_trace(cfg, _stream(seed=2))
     path = tmp_path / f"trace.{fmt}"
     write_trace(path, flows, fmt=fmt)
-    assert read_trace(path) == flows
+    assert read_trace(path) == list(flows)
 
 
 def test_trace_csv_header_is_exact(tmp_path):
@@ -365,3 +379,145 @@ def test_read_empty_trace(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(path, [], fmt="csv")
     assert read_trace(path) == []
+
+
+# -- the flow table --------------------------------------------------------------
+
+
+def test_a_flow_table_is_canonical_so_equal_tables_hold_equal_records():
+    a, b = _flow(ts=1, src="b"), _flow(ts=2, src="a", duration=0)
+    ints = [[1, 2], [10, 0], [100, 100], [200, 200]]
+    kinds = [("b", "hub", "hub", "tasking", "event_c2"),
+             ("a", "hub", "hub", "tasking", "event_c2"),
+             ("unused", "hub", "hub", "tasking", "event_c2")]
+    table = FlowTable(kinds, [0, 1], ints)
+    assert table.kinds == sorted(kinds[:2]) and table.kind.tolist() == [1, 0]
+    assert table == FlowTable.from_records([a, b]) and list(table) == [a, b]
+    # the same kind twice is one kind
+    assert FlowTable(kinds[:1] * 2, [0, 1], [[1, 2]] * 4).kinds == kinds[:1]
+    assert table != FlowTable.from_records([b, a])
+    assert table.take(table.ts > 1) == FlowTable.from_records([b])
+    assert all(col.dtype == np.int64 for col in (
+        table.ts, table.duration, table.bytes_init, table.bytes_resp))
+
+
+_KIND = ("a", "hub", "hub", "tasking", "event_c2")
+
+
+@pytest.mark.parametrize("kind,ints,message", [
+    (_KIND, [0, -1, 100, 200], "duration must be non-negative"),
+    (_KIND, [0, 10, -5, 200], "byte counts must be non-negative"),
+    (_KIND, [0, 10, 100, -5], "byte counts must be non-negative"),
+    (("a", "hub", "mystery", "tasking", "event_c2"), [0, 10, 100, 200],
+     "bad dst_class 'mystery'"),
+    (("a", "hub", "hub", "tasking", "chaff"), [0, 10, 100, 200],
+     "chaff targets the planner"),
+    (_KIND, [2**63, 10, 100, 200],
+     "ts_start_ms 9223372036854775808 is outside the int64 range"),
+    (_KIND, [-2**63 - 1, 10, 100, 200], "ts_start_ms -9223372036854775809"),
+    (_KIND, [0, 2**64, 100, 200], "duration_ms 18446744073709551616"),
+    (_KIND, [0, 10, 2**63, 200], "bytes_init 9223372036854775808"),
+    (_KIND, [0, 10, 100, 2**63], "bytes_resp 9223372036854775808"),
+    (_KIND, [2**63 - 10, 10, 100, 200],
+     r"ts_start_ms \+ duration_ms is outside the int64 range"),
+], ids=str)
+def test_a_flow_table_refuses_what_a_trace_cannot_hold(kind, ints, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            FlowTable([kind], [0], [[v] for v in ints])
+        fits = [-2**63, 2**63 - 1, 2**63 - 1, 2**63 - 1]
+        assert FlowTable([_KIND], [0], [[v] for v in fits]).ints.tolist() == [
+            [v] for v in fits]
+        # a FlowRecord holds any int; its table refuses one past int64
+        with pytest.raises(ValueError, match="bytes_init 9223372036854775808"):
+            FlowTable.from_records([_flow(bytes_initiator=2**63)])
+
+
+def test_beacon_sizes_outside_int64_are_refused_never_wrapped():
+    cfg = BeaconConfig(horizon_ms=600_000, src="imp", dst="c2",
+                       request_size=Dist("uniform", (2.0**63, 2.0**63)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bytes_init: uniform"
+                                             ".* outside the int64 range"):
+            flows_at_ticks([60_000], cfg, _stream())
+        top = dataclasses.replace(
+            cfg, request_size=Dist("uniform", (2.0**63 - 1024,) * 2))
+        assert [f.bytes_initiator for f in flows_at_ticks(
+            [60_000], top, _stream())] == [2**63 - 1024]
+
+
+# -- the merge and the writers against the per-record references --------------------
+
+
+def _reference_merge(*traces):
+    """merge_traces as a sort of records."""
+    return sorted(itertools.chain(*traces),
+                  key=lambda f: (f.ts_start, f.src, f.dst))
+
+
+def _reference_row(f):
+    return [f.ts_start, f.duration, f.src, f.dst, f.dst_class,
+            f.bytes_initiator, f.bytes_responder, f.leg, f.label]
+
+
+def _reference_write(path, flows, fmt):
+    """write_trace as a csv.writer row or a json.dumps line a record."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(TRACE_COLUMNS)
+            w.writerows(map(_reference_row, flows))
+        else:
+            fh.writelines(json.dumps(dict(zip(TRACE_COLUMNS,
+                                              _reference_row(f))),
+                                     sort_keys=True, separators=(",", ":"))
+                          + "\n" for f in flows)
+
+
+# names a CSV writer quotes or a JSON encoder escapes, and braces, which
+# str.format reads
+_NAMES = st.one_of(
+    st.sampled_from(["", "a", "a,b", 'say "hi"', "line\nbreak", "cr\r",
+                     " lead", "trail ", "é", "\u2603", "{}", "{0}", "}{",
+                     "\\", "\t", "implant-1"]),
+    st.text(alphabet=',"\n\r {}\\ab\u00e9', max_size=6))
+_KINDS = st.tuples(st.sampled_from(DST_CLASSES), st.sampled_from(LEGS),
+                   st.sampled_from(LABELS)).filter(
+    lambda k: kind_error(*k) is None)
+_INT64 = st.integers(0, 2**62)
+
+
+@st.composite
+def _records(draw):
+    dst_class, leg, label = draw(_KINDS)
+    return FlowRecord(
+        ts_start=draw(st.one_of(st.integers(0, 3), st.integers(-2**62, 2**62))),
+        duration=draw(st.one_of(st.integers(0, 3), _INT64)),
+        src=draw(st.sampled_from(["a", "b"]) | _NAMES),
+        dst=draw(st.sampled_from(["hub", ""]) | _NAMES),
+        dst_class=dst_class,
+        bytes_initiator=draw(_INT64), bytes_responder=draw(_INT64),
+        leg=leg, label=label)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(traces=st.lists(st.lists(_records(), max_size=8), max_size=4),
+       as_tables=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_merge_and_write_give_the_references_records_and_bytes(
+        traces, as_tables, tmp_path_factory):
+    # small times and two names make ties within and across traces
+    inputs = [FlowTable.from_records(t) if table else t
+              for t, table in zip(traces, as_tables)]
+    merged = merge_traces(*inputs)
+    want = _reference_merge(*traces)
+    assert list(merged) == want
+    path = tmp_path_factory.mktemp("w") / "t"
+    for fmt in ("csv", "jsonl"):
+        write_trace(path, merged, fmt=fmt)
+        got = path.read_bytes()
+        _reference_write(path, want, fmt)
+        assert got == path.read_bytes()
+        write_trace(path, want, fmt=fmt)  # records, as a library caller has
+        assert got == path.read_bytes()
