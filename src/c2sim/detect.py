@@ -67,6 +67,7 @@ from .traffic import (
     LABEL_EVENT,
     TRACE_COLUMNS,
     FlowRecord,
+    FlowTable,
     kind_error,
     read_trace,
 )
@@ -161,8 +162,19 @@ class TraceColumns:
     rank: np.ndarray      # int8
 
 
-def _record_columns(flows: Iterable[FlowRecord]) -> TraceColumns:
-    """The columns of a sequence of flow records."""
+def _columns(flows: FlowTable | Iterable[FlowRecord]) -> TraceColumns:
+    """The columns of a flow table or of a sequence of flow records. A
+    table's are read from its own columns, through its kinds: each maps to
+    its (src, dst) key and its label's rank."""
+    if isinstance(flows, FlowTable):
+        kinds = flows.kinds
+        keys = sorted({(src, dst) for src, dst, *_ in kinds})
+        index = {key: i for i, key in enumerate(keys)}
+        channel = np.array([index[k[:2]] for k in kinds], np.intp)
+        rank = np.array([_LABELS_BY_RANK.index(k[4]) for k in kinds],
+                        np.int8)
+        return TraceColumns(keys, channel[flows.kind], flows.ts,
+                            flows.bytes_init, rank[flows.kind])
     flows = list(flows)
     keys = sorted({(f.src, f.dst) for f in flows})
     index = {key: i for i, key in enumerate(keys)}
@@ -182,7 +194,7 @@ def read_columns(path) -> TraceColumns:
     read_trace, the reference reader, which gives the same columns or its
     exact diagnostic."""
     columns = _csv_columns(path)
-    return _record_columns(read_trace(path)) if columns is None else columns
+    return _columns(read_trace(path)) if columns is None else columns
 
 
 _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
@@ -318,16 +330,16 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
              for s, e in zip(starts[firsts], ends[firsts])], codes)
 
 
-def group_channels(trace: TraceColumns | Iterable[FlowRecord]
+def group_channels(trace: TraceColumns | FlowTable | Iterable[FlowRecord]
                    ) -> list[ChannelSeries]:
     """Partition a trace into per-(src, dst) series in key order.
 
     One stable sort by (channel, ts) orders each channel's flows by time and
     keeps trace order among equal timestamps; the first flow at each
-    timestamp gives its arrival and size. A list of records is first turned
-    into columns.
+    timestamp gives its arrival and size. A flow table or a list of records
+    is first turned into columns.
     """
-    cols = trace if isinstance(trace, TraceColumns) else _record_columns(trace)
+    cols = trace if isinstance(trace, TraceColumns) else _columns(trace)
     if not cols.keys:
         return []
     order = np.lexsort((cols.ts, cols.channel))
@@ -680,10 +692,10 @@ def _auc_from_points(points: list, pos: int, neg: int) -> float | None:
     return num / (2 * neg * pos)
 
 
-def evaluate(trace: TraceColumns | Iterable[FlowRecord],
+def evaluate(trace: TraceColumns | FlowTable | Iterable[FlowRecord],
              config: DetectorConfig = DetectorConfig()) -> DetectionReport:
-    """Score every channel in a labeled trace, given as columns or as flow
-    records, and summarize detection quality.
+    """Score every channel in a labeled trace, given as columns, a flow
+    table or flow records, and summarize detection quality.
 
     Ground-truth positive means the channel carries beacon-labeled flows.
     Insufficient-data channels are never flagged, so they land in the

@@ -246,6 +246,20 @@ class Simulator:
         for it still run, later ones stay queued."""
         self._t_end = self.clock
 
+    def peek(self) -> tuple[SimTime, Callable[..., None], tuple] | None:
+        """The call run_until would dispatch next, as (time, handler, args),
+        or None when none is due by the end of the current run."""
+        queue = self._queue
+        if queue and queue[0][0] <= self._t_end:
+            time, _, handler, args = queue[0]
+            return time, handler, args
+        return None
+
+    def take(self) -> None:
+        """Dequeue the call peek() returned and set the clock to its time,
+        as run_until does before it dispatches a call: the caller runs it."""
+        self.clock = heapq.heappop(self._queue)[0]
+
     def clear(self) -> None:
         """Forget every queued event, and with them whatever they hold."""
         self._queue.clear()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .engine import RngStream
 
@@ -113,11 +113,15 @@ _EMPTY_FETCH = re.compile(
     rb'"time_ms":(-?(?:0|[1-9][0-9]{0,18}))\}\n').fullmatch
 
 
+# the fetch records Hub.empty_fetches journals with one write
+FETCH_CHUNK = 4096
+
+
 def _fetch_line(seq: int, time_ms: int, body: dict) -> str:
     """The journal line of a fetch record: _encode's bytes for it, by one
     template. Keys in sorted order, strings escaped as _encode escapes them,
     integers written by str(). _encode is the reference it is tested
-    against."""
+    against, and this is the reference for Hub.empty_fetches' lines."""
     task_ids = ",".join(map(_json_str, body["task_ids"]))
     return (f'{{"body":{{"agent_id":{_json_str(body["agent_id"])},'
             f'"task_ids":[{task_ids}]}},"record_kind":"fetch",'
@@ -440,6 +444,41 @@ class Hub:
             "agent_id": agent_id, "task_ids": [t.task_id for t in matched],
         })
         return matched
+
+    def empty_fetches(self, polls: Sequence[tuple[str, int]]) -> None:
+        """Journal and apply, in order, a fetch that returns no task for
+        each (agent_id, time) of polls: what get_tasks does for each poll of
+        a run in which no agent has work.
+
+        Refuses the whole run before writing anything if an agent is unknown
+        or has a queued task _eligible gives it. An empty fetch changes no
+        task, so that check holds for every poll of the run. The lines are
+        the ones _fetch_line gives, written as one write and one flush per
+        chunk of FETCH_CHUNK records; only then is each record of the chunk
+        applied (_touch), in order. So persist-then-mutate holds for every
+        chunk, and memory for the lines is one chunk's. Replaying a run of
+        journaled polls at once should apply it through this operation.
+        """
+        quoted: dict[str, str] = {}  # agent id -> as _fetch_line writes it
+        for agent_id, _ in polls:
+            if agent_id not in quoted:
+                if self.has_work_for(agent_id):
+                    raise TaskStateError(f"{agent_id} has a queued task, so "
+                                         "its fetch is not empty")
+                quoted[agent_id] = _json_str(agent_id)
+        roster, touch = self.roster, self._touch
+        for lo in range(0, len(polls), FETCH_CHUNK):
+            chunk = polls[lo:lo + FETCH_CHUNK]
+            seq = self._seq
+            self._seq += len(chunk)
+            if self.journal is not None:
+                self.journal.write("".join([
+                    f'{{"body":{{"agent_id":{quoted[a]},"task_ids":[]}},'
+                    f'"record_kind":"fetch","seq":{s!s},"time_ms":{t!s}}}\n'
+                    for s, (a, t) in enumerate(chunk, seq)]))
+                self.journal.flush()
+            for a, t in chunk:
+                touch(roster[a], t)
 
     def has_work_for(self, agent_id: str) -> bool:
         """Whether agent_id's next poll would fetch anything."""

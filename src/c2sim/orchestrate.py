@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, TextIO
 
 from .engine import Simulator, draw_int
-from .hub import (TASK_COMPLETED, AgentRecord, HeartbeatPolicy, Hub,
-                  IntelItem, Task, make_content_key)
+from .hub import (FETCH_CHUNK, TASK_COMPLETED, AgentRecord, HeartbeatPolicy,
+                  Hub, IntelItem, Task, make_content_key)
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
     FlowRecord,
@@ -413,6 +413,49 @@ class _ManualRun(_RunBase):
                            self.sc.timing.task_duration, 1)
             self.executing = (entity, task.task_id, now + dur)
         self._schedule_tick(entity)
+        self._idle_stretch()
+
+    def _idle_stretch(self) -> None:
+        """Run the empty polls at the head of the event queue as one step.
+
+        A poll is empty when it is an _on_tick due by the run's end whose
+        agent has no task _eligible gives it and uploads nothing: it is not
+        the agent executing a task done by the poll's time. Such a poll
+        notes the contact, journals an empty fetch and schedules the agent's
+        next tick, and changes nothing another poll reads, so the hub's
+        check holds for the whole stretch and is made once per agent. The
+        polls are taken from the queue in its own order and each successor
+        is scheduled as its poll is taken, so every call keeps the time and
+        sequence number the per-poll run gives it. The first call that is
+        not an empty poll stays queued for run_until. The polls go to the
+        hub a chunk at a time, so a stretch holds at most one chunk.
+        """
+        sim, hub, tick = self.sim, self.hub, self._on_tick
+        executing = self.executing
+        idle: dict[str, str | None] = {}  # entity -> agent id, None if busy
+        polls: list[tuple[str, int]] = []
+        while (call := sim.peek()) is not None:
+            now, handler, args = call
+            if handler != tick:
+                break
+            entity = args[0]
+            if entity not in idle:
+                agent_id = hub.agent_id_for(entity)
+                idle[entity] = None if hub.has_work_for(agent_id) else agent_id
+            agent_id = idle[entity]
+            if agent_id is None or (executing is not None
+                                    and executing[0] == entity
+                                    and executing[2] <= now):
+                break
+            sim.take()
+            self.contacts[entity].append(now)
+            polls.append((agent_id, now))
+            if len(polls) == FETCH_CHUNK:
+                hub.empty_fetches(polls)
+                polls.clear()
+            self._schedule_tick(entity)
+        if polls:
+            hub.empty_fetches(polls)
 
     def _upload(self, agent_id: str, task_id: str, now: int) -> None:
         p, keys = self._complete(agent_id, task_id, now)

@@ -24,6 +24,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -277,18 +278,43 @@ def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> Iterator[int]:
 
     Anchoring each tick to its grid slot (instead of accumulating per-gap
     noise) keeps every inter-arrival inside interval*(1 +/- jitter) and pins
-    the tick count to floor(horizon/interval) plus or minus one. Ticks are
-    drawn as they are consumed, one draw per grid slot, so a run that stops
-    early never draws the rest of the horizon.
+    the tick count to floor(horizon/interval) plus or minus one. Each grid
+    slot takes one stream.unit(), and delta_k is that unit's
+    round((2u - 1) * jitter*interval/2), half to even. Ticks are yielded in
+    slot order.
+
+    The units are drawn as ticks are consumed, in blocks of slots that start
+    at 16 and double up to 4,096, so a run that stops early never draws the
+    rest of the horizon. No block reaches past the last slot: a generator
+    run to its end leaves the stream where one unit() a slot leaves it, and
+    synth_beacon_trace draws the flow sizes from the same stream after the
+    ticks. A generator stopped early may have drawn up to one block ahead,
+    which is safe only while no other code draws from its stream; the
+    manual runner gives each one an {entity}/beacon stream of its own.
     """
-    half = cfg.jitter_fraction * cfg.interval_ms / 2.0
-    for k in itertools.count(1):
-        anchor = k * cfg.interval_ms
-        if anchor > cfg.horizon_ms + half:
-            return
-        t = anchor + int(round((2.0 * stream.unit() - 1.0) * half))
-        if 0 <= t <= cfg.horizon_ms:
-            yield t
+    interval, horizon = cfg.interval_ms, cfg.horizon_ms
+    half = cfg.jitter_fraction * interval / 2.0
+    # the largest k with k * interval <= horizon + half, a float, compared
+    # exactly: floor() turns it into an int without rounding
+    last = math.floor(horizon + half) // interval
+    # int64 holds every tick, and each step to it, when the last anchor
+    # plus half does; past that, ticks are Python ints, one slot at a time
+    in_int64 = max(last * interval + math.ceil(half), horizon) < 2**63
+    k, size = 1, 16
+    while k <= last:
+        n = min(size, last - k + 1)
+        delta = np.rint((2.0 * stream.units(n) - 1.0) * half)
+        if in_int64:
+            t = (np.arange(k, k + n, dtype=np.int64) * interval
+                 + delta.astype(np.int64))
+            yield from t[(0 <= t) & (t <= horizon)].tolist()
+        else:
+            for slot, d in enumerate(delta.tolist(), k):
+                t = slot * interval + int(d)
+                if 0 <= t <= horizon:
+                    yield t
+        k += n
+        size = min(2 * size, 4096)
 
 
 def _flows_at(times: Iterable[int], stream: RngStream, kind: Kind,

@@ -49,6 +49,9 @@ from c2sim.detect import (
     _roc_points,
 )
 from c2sim.engine import RngStream
+from c2sim.orchestrate import run_scenario
+from c2sim.scenario import (MODE_MANUAL, default_scenario_text,
+                            parse_scenario)
 from c2sim.traffic import (
     DST_CLASSES,
     LABELS,
@@ -56,6 +59,7 @@ from c2sim.traffic import (
     TRACE_COLUMNS,
     BeaconConfig,
     FlowRecord,
+    FlowTable,
     read_trace,
     synth_beacon_trace,
     write_trace,
@@ -1011,6 +1015,28 @@ def test_evaluate_is_order_invariant():
     shuffled = list(trace)
     random.Random(3).shuffle(shuffled)
     assert evaluate(shuffled) == evaluate(trace)
+
+
+@pytest.mark.parametrize("mode", ["autonomous_swarm", MODE_MANUAL])
+def test_evaluate_reads_a_flow_tables_columns_without_records(mode,
+                                                              monkeypatch):
+    # both runs hold users' channels beside the implants'; the swarm's
+    # chaff shares the planner channels of its reasoning flows
+    text = (default_scenario_text()
+            .replace("chaff_per_hour = 0", "chaff_per_hour = 120")
+            .replace("n_users = 0", "n_users = 2"))
+    trace = run_scenario(parse_scenario(text).with_mode(mode)).trace
+    assert isinstance(trace, FlowTable)
+    expected = evaluate(list(trace))
+    assert {v.label for v in expected.channels} == {
+        "benign", "beacon_c2" if mode == MODE_MANUAL else "event_c2"}
+
+    def no_records(self):
+        raise AssertionError("a FlowTable was turned into records")
+
+    monkeypatch.setattr(FlowTable, "__iter__", no_records)
+    assert evaluate(trace) == expected
+    assert evaluate(FlowTable([], [], [[]] * 4)) == evaluate([])
 
 
 def test_evaluate_empty_and_degenerate_traces():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2sim import hub as hub_module
 from c2sim.engine import Simulator
 from c2sim.hub import (
     AGENT_ACTIVE,
@@ -398,6 +399,85 @@ def test_fetch_template_writes_the_line_the_encoder_writes(agent_id, task_ids,
     rec = {"seq": seq, "time_ms": time_ms, "record_kind": "fetch",
            "body": body}
     assert _fetch_line(seq, time_ms, body) == _encode(rec) + "\n"
+
+
+class _ChunkJournal(io.StringIO):
+    """A journal that keeps each write, with the hub's state at that write,
+    and counts flushes, once hub is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.hub = None
+        self.writes: list[tuple[str, dict]] = []
+        self.flushes = 0
+
+    def write(self, text):
+        if self.hub is not None:
+            self.writes.append((text, self.hub.state_dict()))
+        return super().write(text)
+
+    def flush(self):
+        self.flushes += self.hub is not None
+        super().flush()
+
+
+def _hub_with_agents(agent_ids, journal):
+    """A hub holding an agent of each id, and a queued task none of them is
+    eligible for."""
+    hub = _hub(journal=journal)
+    for i, agent_id in enumerate(agent_ids):
+        hub._record(0, "register", {"entity": f"implant-{i}",
+                                    "agent_id": agent_id,
+                                    "capabilities": ["a"], "window_ms": 1})
+    hub.issue_task(_task("t-1", requires={"b"}), now=0)
+    return hub
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(agent_ids=st.lists(_JOURNAL_TEXT, min_size=1, max_size=3, unique=True),
+       picks=st.lists(st.tuples(st.integers(0, 2), _JOURNAL_INTS),
+                      max_size=12),
+       chunk=st.integers(1, 5))
+def test_empty_fetches_are_get_tasks_polls_written_a_chunk_at_a_time(
+        agent_ids, picks, chunk):
+    polls = [(agent_ids[i % len(agent_ids)], t) for i, t in picks]
+    ref = _hub_with_agents(agent_ids, io.StringIO())
+    states = [ref.state_dict()]  # after each poll
+    for agent_id, t in polls:
+        assert ref.get_tasks(agent_id, t) == []
+        states.append(ref.state_dict())
+    journal = _ChunkJournal()
+    hub = _hub_with_agents(agent_ids, journal)
+    journal.hub, start = hub, journal.getvalue()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hub_module, "FETCH_CHUNK", chunk)
+        hub.empty_fetches(polls)
+    assert journal.getvalue() == ref.journal.getvalue()
+    assert hub.state_dict() == states[-1] and hub._seq == ref._seq
+    # one write and one flush a chunk, each made before its chunk applies
+    lines = ref.journal.getvalue()[len(start):].splitlines(keepends=True)
+    assert journal.flushes == len(journal.writes) == -(-len(polls) // chunk)
+    for k, (text, state) in enumerate(journal.writes):
+        assert text == "".join(lines[k * chunk:(k + 1) * chunk])
+        assert state == states[k * chunk]
+
+
+@pytest.mark.parametrize("task, bad", [
+    (_task("t-1", requires={"a"}), "agent-2"),   # eligible by capability
+    (_task("t-1", assigned="agent-3"), "agent-3"),  # its assignee
+    (_task("t-1", requires={"b"}), "agent-9"),   # unknown
+])
+def test_empty_fetches_refuse_a_run_before_writing_any_of_it(task, bad):
+    hub = _hub()
+    for i in range(3):
+        hub.register_agent(f"implant-{i}", ["a"] if i == 1 else ["c"], now=0)
+    hub.issue_task(task, now=0)
+    before, seq, state = _bytes(hub), hub._seq, hub.state_dict()
+    # the refused poll comes after more than one chunk of good ones
+    polls = [("agent-1", t) for t in range(hub_module.FETCH_CHUNK + 1)]
+    with pytest.raises(HubError, match=bad):
+        hub.empty_fetches(polls + [(bad, 10**6)])
+    assert (_bytes(hub), hub._seq, hub.state_dict()) == (before, seq, state)
 
 
 def test_full_replay_reproduces_state_exactly():

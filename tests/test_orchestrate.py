@@ -5,15 +5,19 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
 import random
+import sys
 import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2sim import orchestrate
 from c2sim.cli import main
-from c2sim.engine import Simulator
+from c2sim.engine import Simulator, draw_int
 from c2sim.hub import Hub
 from c2sim.orchestrate import (
     MODE_MANUAL,
@@ -413,6 +417,197 @@ def test_a_manual_runs_trace_holds_no_per_flow_object():
         tracemalloc.stop()
     assert len(run.trace) >= 100_000 and not run.metrics.objective_met
     assert held < 48 * len(run.trace)
+
+
+class _PerPollRun(orchestrate._ManualRun):
+    """The manual runner with every poll dispatched by run_until and
+    fetched by get_tasks: the reference for the idle stretch."""
+
+    def _on_tick(self, entity: str) -> None:
+        now = self.sim.clock
+        self.contacts[entity].append(now)
+        agent_id = self.hub.agent_id_for(entity)
+        if (self.executing is not None and self.executing[0] == entity
+                and self.executing[2] <= now):
+            _, task_id, _ = self.executing
+            self.executing = None
+            self._upload(agent_id, task_id, now)
+        for task in self.hub.get_tasks(agent_id, now):
+            dur = draw_int(self.sim.stream(f"{entity}/work"),
+                           self.sc.timing.task_duration, 1)
+            self.executing = (entity, task.task_id, now + dur)
+        self._schedule_tick(entity)
+
+
+def _manual_run(kind, sc):
+    """The run of sc by runner class kind, the journal it wrote, and the
+    number of get_tasks calls it made."""
+    journal = io.StringIO()
+    runner = kind(sc, journal)
+    calls = []
+    get_tasks = runner.hub.get_tasks
+    runner.hub.get_tasks = lambda *a: calls.append(a) or get_tasks(*a)
+    try:
+        run = runner.run()
+    finally:
+        runner.sim.clear()
+    return run, journal.getvalue(), len(calls)
+
+
+def _chain_text(seed: int, n_subnets: int, hosts: int, caps: list[list[int]],
+                interval: int, jitter: float, horizon: int,
+                think: tuple[int, int], work: tuple[int, int],
+                users: int) -> str:
+    """A manual run over a pivot chain z0 -> z1 -> ...: credential c_i on
+    z_i/host-0 opens z_{i+1}, and the objective is a share on the last
+    subnet. caps lists each agent's subnets by number."""
+    last = n_subnets - 1
+    intel = [f"    credential c{i} @ z{i}/host-0" for i in range(last)]
+    intel.append(f"    share target @ z{last}/host-{hosts - 1}")
+    edges = [f"    c{i}: z{i} -> z{i + 1}" for i in range(last)]
+    agents = [f"    implant-{k}: {', '.join(f'z{c}' for c in sorted(cs))}"
+              for k, cs in enumerate(caps, 1)]
+    nl = "\n"
+    return f"""\
+[scenario]
+seed = {seed}
+mode = {MODE_MANUAL}
+horizon_ms = {horizon}
+
+[topology]
+subnets = {", ".join(f"z{i}" for i in range(n_subnets))}
+hosts_per_subnet = {hosts}
+intel =
+{nl.join(intel)}
+pivot_edges =
+{nl.join(edges)}
+required_intel = share:target
+
+[agents]
+count = {len(caps)}
+capabilities =
+{nl.join(agents)}
+
+[timing]
+task_duration = uniform{work}
+manual_think_time = uniform{think}
+
+[beacon]
+interval_ms = {interval}
+jitter_fraction = {jitter}
+
+[background]
+n_users = {users}
+"""
+
+
+@st.composite
+def _small_manual_scenarios(draw):
+    """Up to 8 agents, some without a subnet's capability (the last
+    subnet, where the objective is, may be nobody's until a pivot), on one
+    interval with jitter 0 so that every agent polls at the same ms, or
+    jittered; horizons that end the run before, near or after the
+    objective."""
+    n_subnets = draw(st.integers(1, 3))
+    caps = draw(st.lists(
+        st.frozensets(st.integers(0, n_subnets - 1), min_size=1),
+        min_size=1, max_size=8))
+    think_lo = draw(st.integers(0, 3_000))
+    work_lo = draw(st.integers(0, 5_000))
+    return parse_scenario(_chain_text(
+        seed=draw(st.integers(0, 2**32)), n_subnets=n_subnets,
+        hosts=draw(st.integers(1, 3)),
+        caps=[sorted(c) for c in caps],
+        interval=draw(st.sampled_from([500, 1_000, 3_000])),
+        jitter=draw(st.sampled_from([0.0, 0.0, 0.2, 0.9])),
+        horizon=draw(st.integers(20_000, 120_000) | st.integers(1, 20_000)),
+        think=(think_lo, think_lo + draw(st.integers(0, 3_000))),
+        work=(work_lo, work_lo + draw(st.integers(0, 5_000))),
+        users=draw(st.integers(0, 1))))
+
+
+def _assert_same_run(sc):
+    run, journal, calls = _manual_run(orchestrate._ManualRun, sc)
+    ref, ref_journal, ref_calls = _manual_run(_PerPollRun, sc)
+    assert journal == ref_journal
+    assert run.trace == ref.trace
+    assert run.metrics == ref.metrics
+    assert run.hub.state_dict() == ref.hub.state_dict()
+    assert run.hub._seq == ref.hub._seq
+    assert calls <= ref_calls
+    return run, calls, ref_calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sc=_small_manual_scenarios())
+def test_the_idle_stretch_runs_as_the_per_poll_runner(sc):
+    _assert_same_run(sc)
+
+
+@pytest.mark.parametrize("edits", [
+    (),  # the default scenario: jittered, objective met
+    (("jitter_fraction = 0.1", "jitter_fraction = 0.0"),),  # ties each tick
+    (("horizon_ms = 604800000", "horizon_ms = 3000000"),),  # not met
+    (("implant-2: user_zone", "implant-2: server_zone"),),  # idle until pivot
+])
+def test_the_idle_stretch_on_the_default_scenario(edits):
+    text = default_scenario_text().replace("mode = autonomous_swarm",
+                                           f"mode = {MODE_MANUAL}")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    run, calls, ref_calls = _assert_same_run(parse_scenario(text))
+    # nearly every poll is empty, and the stretch takes it without get_tasks;
+    # the trace is one beacon flow a poll
+    assert ref_calls == len(run.trace) and calls < len(run.trace) / 2
+
+
+def test_the_objective_met_mid_stretch_keeps_that_ms_polls():
+    # jitter 0: all three agents poll at every whole minute; the objective
+    # is met at one of those polls, and the others at that ms still run
+    text = (default_scenario_text()
+            .replace("mode = autonomous_swarm", f"mode = {MODE_MANUAL}")
+            .replace("jitter_fraction = 0.1", "jitter_fraction = 0.0"))
+    run, _, _ = _assert_same_run(parse_scenario(text))
+    done = run.metrics.time_to_objective_ms
+    assert done % 60_000 == 0
+    at_done = [f.src for f in run.trace if f.ts_start == done]
+    assert sorted(at_done) == ["implant-1", "implant-2", "implant-3"]
+
+
+def test_a_long_idle_stretch_runs_in_bounded_memory():
+    # 302,400 polls, every one empty, in one stretch: the memory above the
+    # contact log is one chunk of polls and lines, whatever the stretch's
+    # length
+    text = (default_scenario_text()
+            .replace("mode = autonomous_swarm", f"mode = {MODE_MANUAL}")
+            .replace("interval_ms = 60000", "interval_ms = 6000")
+            .replace("jitter_fraction = 0.1", "jitter_fraction = 0.0")
+            .replace("manual_think_time = lognormal(10.3, 0.4)",
+                     "manual_think_time = uniform(700000000, 700000000)"))
+    sc = parse_scenario(text)
+    with open(os.devnull, "w", encoding="utf-8") as journal:
+        runner = orchestrate._ManualRun(sc, journal)
+        try:
+            for spec in sc.agents:
+                runner.hub.register_agent(spec.entity,
+                                          sorted(spec.capabilities), 0)
+            runner._start()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                runner.sim.run_until(sc.horizon_ms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            contacts = list(runner.contacts.values())
+        finally:
+            runner.sim.clear()
+    polls = sum(map(len, contacts))
+    log = sum(sys.getsizeof(c) + sum(map(sys.getsizeof, c))
+              for c in contacts)
+    assert polls >= 300_000 and runner.hub._seq == polls + 3
+    assert peak - before - log < 16 * polls
 
 
 # -- optional traffic layers ----------------------------------------------------

@@ -112,6 +112,81 @@ def test_jitter_band_and_count_hold_universally():
         assert abs(len(ticks) - expected) <= 1
 
 
+def _per_slot_ticks(cfg: BeaconConfig, stream: RngStream):
+    """The reference for beacon_ticks: one unit() a slot, drawn as each
+    tick is consumed, in Python ints."""
+    half = cfg.jitter_fraction * cfg.interval_ms / 2.0
+    for k in itertools.count(1):
+        anchor = k * cfg.interval_ms
+        if anchor > cfg.horizon_ms + half:
+            return
+        t = anchor + int(round((2.0 * stream.unit() - 1.0) * half))
+        if 0 <= t <= cfg.horizon_ms:
+            yield t
+
+
+_JUST_UNDER_1 = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def _beacon_configs(draw) -> BeaconConfig:
+    """Intervals from 1 ms to past 2^62, jitter 0, just under 1 or between,
+    and horizons from under one interval to just under 2^63, exact multiples
+    of the interval among them; up to 12,000 slots, into the second block of
+    the 4,096-slot cap."""
+    interval = draw(st.one_of(
+        st.integers(1, 1_000), st.integers(1, 2**40),
+        st.integers(2**53 - 1_000, 2**53 + 1_000),
+        st.integers(2**62 - 1_000, 2**62 + 2**61)))
+    jitter = draw(st.sampled_from([0.0, _JUST_UNDER_1, 0.5])
+                  | st.floats(0.0, 1.0, exclude_max=True))
+    most = min(12_000, (2**63 - 1) // interval)
+    slots = draw(st.integers(0, min(40, most)) | st.integers(0, most))
+    horizon = slots * interval + draw(
+        st.just(0) | st.integers(0, interval - 1))
+    if interval > 2**50 and draw(st.booleans()):
+        horizon = 2**63 - 1 - draw(st.integers(0, 2**10))  # near 2^63
+    return BeaconConfig(interval_ms=interval, jitter_fraction=jitter,
+                        horizon_ms=min(horizon, 2**63 - 1), src="imp",
+                        dst="c2")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cfg=_beacon_configs(), seed=st.integers(0, 2**64),
+       consumed=st.integers(0, 300))
+def test_block_beacon_ticks_are_the_per_slot_ticks(cfg, seed, consumed):
+    block, ref = RngStream(seed, "b"), RngStream(seed, "b")
+    ticks = list(beacon_ticks(cfg, block))
+    assert ticks == list(_per_slot_ticks(cfg, ref))
+    assert all(type(t) is int for t in ticks)
+    # run to its end, the block generator leaves the stream as the
+    # per-slot one does, so draws after the ticks are the same
+    assert block.unit() == ref.unit()
+    # and a generator stopped early yields the same first ticks
+    head = itertools.islice(beacon_ticks(cfg, RngStream(seed, "b")),
+                            consumed)
+    assert list(head) == ticks[:consumed]
+    # synth_beacon_trace draws the flows from the stream the ticks leave
+    if max(ticks, default=0) <= 2**63 - 1 - 120:  # the longest flow's end
+        ref = RngStream(seed, "b")
+        expected = flows_at_ticks(list(_per_slot_ticks(cfg, ref)), cfg, ref)
+        assert synth_beacon_trace(cfg, RngStream(seed, "b")) == expected
+
+
+def test_beacon_ticks_draw_a_block_when_the_one_before_is_used():
+    # a week of one-second slots, each of which yields a tick
+    cfg = BeaconConfig(interval_ms=1_000, jitter_fraction=0.1,
+                       horizon_ms=604_800_000, src="imp", dst="c2")
+    stream, ref = RngStream(3, "b"), RngStream(3, "b")
+    ticks = beacon_ticks(cfg, stream)
+    for size in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 4096):
+        next(ticks)
+        ref.units(size)
+        assert stream._rand.getstate() == ref._rand.getstate()
+        assert len(list(itertools.islice(ticks, size - 1))) == size - 1
+        assert stream._rand.getstate() == ref._rand.getstate()
+
+
 def test_beacon_trace_is_reproducible():
     cfg = BeaconConfig(interval_ms=45_000, jitter_fraction=0.2,
                        horizon_ms=3_600_000, src="imp", dst="c2")
