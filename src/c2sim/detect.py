@@ -26,21 +26,23 @@ asserting a period, a periodogram null scale of 8, and the weights 0.35
 regularity, 0.25 ACF, 0.25 periodogram and 0.15 size. The flagging threshold
 (DetectorConfig, `c2sim detect --threshold`) is the only one a user sets.
 
-A trace reaches the detector as columns (TraceColumns): each flow's
-channel, ts_start, bytes_initiator and label rank. read_columns reads a CSV
-trace in the layout write_trace writes from its bytes with numpy, building
-no object per row: the comma and newline positions give every cell, the
-integer columns are parsed digit by digit, and the (src, dst, dst_class)
-and (leg, label) spans of at most 64 bytes are coded exactly by one sort
-over their 8-byte words. Any other file, such as JSONL, a span past 64
-bytes, or a CSV file that breaks a rule of the format, goes to
-traffic.read_trace, the reference reader, which gives the same columns or
-its exact diagnostic. group_channels and evaluate take columns, or a list
-of records, which they first turn into columns; one stable sort over
-(channel, ts) then groups the channels, and each channel's arrivals and
-sizes are int64 slices of the sorted columns, which the scores read with
-numpy. The CV scores add left to right (np.cumsum) and square by product,
-so their bytes do not depend on the Python version or the C library.
+A trace reaches the detector as a FlowTable, the columns the simulator
+merges and writes. read_columns reads a CSV trace in the layout write_trace
+writes from its bytes with numpy, building no object per row: the comma
+and newline positions give every cell, the four integer columns are parsed
+digit by digit, and the (src, dst, dst_class) and (leg, label) spans of at
+most 64 bytes are coded exactly by one sort over their 8-byte words; the
+table's constructor then checks each kind by FlowRecord's own rule. Any
+other file, such as JSONL, a span past 64 bytes, or a CSV file that breaks
+a rule of the format, goes to traffic.read_trace, the reference reader,
+which gives the same flows or its exact diagnostic. group_channels and
+evaluate take a table, or a list of records, which FlowTable.from_records
+turns into one. Each of the table's kinds maps once to its (src, dst)
+channel and its label's rank; one stable sort over (channel, ts) then
+groups the channels, and each channel's arrivals and sizes are int64
+slices of the sorted columns, which the scores read with numpy. The CV
+scores add left to right (np.cumsum) and square by product, so their bytes
+do not depend on the Python version or the C library.
 
 Channels with fewer than three distinct arrivals are reported as
 insufficient data, never scored, and count as not-flagged in the confusion
@@ -68,7 +70,6 @@ from .traffic import (
     TRACE_COLUMNS,
     FlowRecord,
     FlowTable,
-    kind_error,
     read_trace,
 )
 
@@ -148,53 +149,13 @@ class DetectionReport:
 _LABELS_BY_RANK = (LABEL_BENIGN, LABEL_CHAFF, LABEL_EVENT, LABEL_BEACON)
 
 
-@dataclass(frozen=True, eq=False)
-class TraceColumns:
-    """The columns of a trace that the detector reads, one entry per flow in
-    trace order: its channel, an index into keys, which holds the trace's
-    distinct (src, dst) pairs in ascending order; its ts_start and
-    bytes_initiator; and its label's index in _LABELS_BY_RANK."""
-
-    keys: list[tuple[str, str]]
-    channel: np.ndarray   # intp
-    ts: np.ndarray        # int64
-    size: np.ndarray      # int64
-    rank: np.ndarray      # int8
-
-
-def _columns(flows: FlowTable | Iterable[FlowRecord]) -> TraceColumns:
-    """The columns of a flow table or of a sequence of flow records. A
-    table's are read from its own columns, through its kinds: each maps to
-    its (src, dst) key and its label's rank."""
-    if isinstance(flows, FlowTable):
-        kinds = flows.kinds
-        keys = sorted({(src, dst) for src, dst, *_ in kinds})
-        index = {key: i for i, key in enumerate(keys)}
-        channel = np.array([index[k[:2]] for k in kinds], np.intp)
-        rank = np.array([_LABELS_BY_RANK.index(k[4]) for k in kinds],
-                        np.int8)
-        return TraceColumns(keys, channel[flows.kind], flows.ts,
-                            flows.bytes_init, rank[flows.kind])
-    flows = list(flows)
-    keys = sorted({(f.src, f.dst) for f in flows})
-    index = {key: i for i, key in enumerate(keys)}
-    rank = {label: i for i, label in enumerate(_LABELS_BY_RANK)}
-    n = len(flows)
-    return TraceColumns(
-        keys,
-        np.fromiter((index[f.src, f.dst] for f in flows), np.intp, n),
-        np.fromiter((f.ts_start for f in flows), np.int64, n),
-        np.fromiter((f.bytes_initiator for f in flows), np.int64, n),
-        np.fromiter((rank[f.label] for f in flows), np.int8, n))
-
-
-def read_columns(path) -> TraceColumns:
-    """The columns of a trace file. A CSV trace in the layout write_trace
+def read_columns(path) -> FlowTable:
+    """The flow table of a trace file. A CSV trace in the layout write_trace
     writes is read from its bytes with numpy; any other file goes to
-    read_trace, the reference reader, which gives the same columns or its
+    read_trace, the reference reader, which gives the same flows or its
     exact diagnostic."""
-    columns = _csv_columns(path)
-    return _columns(read_trace(path)) if columns is None else columns
+    table = _csv_columns(path)
+    return FlowTable.from_records(read_trace(path)) if table is None else table
 
 
 _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
@@ -203,19 +164,20 @@ _HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
 _MAX_SPAN = 64
 
 
-def _csv_columns(path) -> TraceColumns | None:
-    """The columns of a CSV trace, or None for a file this reader leaves to
-    read_trace.
+def _csv_columns(path) -> FlowTable | None:
+    """The flow table of a CSV trace, or None for a file this reader leaves
+    to read_trace.
 
     It takes a file that is the exact header line and then rows of 8 commas
     and a newline, in ASCII without a double quote, CR or NUL, so that
     csv.reader splits each row at its commas. Each integer cell is 1 to 18
     digits with no sign and no leading zero, so it and ts + duration are
-    below 2^63. Each string span is at most _MAX_SPAN bytes, and each
-    (dst_class, leg, label) it holds passes traffic.kind_error, FlowRecord's
-    own rule. read_trace accepts every such file and reads the same flows
-    from it. Memory is the file, one array of the rows' comma and newline
-    positions, and one column at a time.
+    below 2^63. Each string span is at most _MAX_SPAN bytes, and the table
+    of the rows must pass FlowTable's constructor, which checks each
+    (dst_class, leg, label) by FlowRecord's own rule. read_trace accepts
+    every such file and reads the same flows from it. Memory is the file,
+    one array of the rows' comma and newline positions, and the table's
+    columns.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -250,28 +212,21 @@ def _csv_columns(path) -> TraceColumns | None:
         before = ends[:-1, 8] if first == 0 else ends[1:, first - 1]
         return before + 1, ends[1:, last]
 
-    # duration_ms and bytes_resp are checked, not kept
-    if any(_decimals(buf, *cells(j, j)) is None for j in (1, 6)):
-        return None
-    ts = _decimals(buf, *cells(0, 0))
-    sizes = _decimals(buf, *cells(5, 5))
+    ints = [_decimals(buf, *cells(j, j)) for j in (0, 1, 5, 6)]
     # (src, dst, dst_class) and (leg, label), each coded as one span
     distinct = _distinct(buf, *cells(2, 4)), _distinct(buf, *cells(7, 8))
-    if ts is None or sizes is None or any(d is None for d in distinct):
+    if any(v is None for v in ints) or any(d is None for d in distinct):
         return None
     (triples, triple_of), (pairs, pair_of) = distinct
-    # each (dst_class, leg, label) the file holds, coded class x pairs + pair
-    classes, class_of = np.unique([c for *_, c in triples], return_inverse=True)
-    kinds = np.unique(class_of[triple_of] * len(pairs) + pair_of)
-    if any(kind_error(classes[k // len(pairs)], *pairs[k % len(pairs)])
-           for k in kinds.tolist()):
+    # each row's kind, coded triple x pairs + pair
+    codes, kind_of = np.unique(triple_of * len(pairs) + pair_of,
+                               return_inverse=True)
+    kinds = [(*triples[c // len(pairs)], *pairs[c % len(pairs)])
+             for c in codes.tolist()]
+    try:   # FlowTable refuses what FlowRecord does: read_trace says why
+        return FlowTable(kinds, kind_of, ints)
+    except ValueError:
         return None
-    keys = sorted({(src, dst) for src, dst, _ in triples})
-    index = {key: i for i, key in enumerate(keys)}
-    channel = np.array([index[src, dst] for src, dst, _ in triples], np.intp)
-    rank = np.array([_LABELS_BY_RANK.index(label) for _, label in pairs],
-                    np.int8)
-    return TraceColumns(keys, channel[triple_of], ts, sizes, rank[pair_of])
 
 
 def _decimals(buf: np.ndarray, starts: np.ndarray,
@@ -330,34 +285,42 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
              for s, e in zip(starts[firsts], ends[firsts])], codes)
 
 
-def group_channels(trace: TraceColumns | FlowTable | Iterable[FlowRecord]
+def group_channels(trace: FlowTable | Iterable[FlowRecord]
                    ) -> list[ChannelSeries]:
     """Partition a trace into per-(src, dst) series in key order.
 
-    One stable sort by (channel, ts) orders each channel's flows by time and
-    keeps trace order among equal timestamps; the first flow at each
-    timestamp gives its arrival and size. A flow table or a list of records
-    is first turned into columns.
+    Each of the table's kinds maps to its (src, dst) channel and its label's
+    rank once. One stable sort by (channel, ts) orders each channel's flows
+    by time and keeps trace order among equal timestamps; the first flow at
+    each timestamp gives its arrival and size. A list of records is first
+    turned into a table.
     """
-    cols = trace if isinstance(trace, TraceColumns) else _columns(trace)
-    if not cols.keys:
+    table = (trace if isinstance(trace, FlowTable)
+             else FlowTable.from_records(trace))
+    keys = sorted({kind[:2] for kind in table.kinds})
+    if not keys:
         return []
-    order = np.lexsort((cols.ts, cols.channel))
-    channel, ts = cols.channel[order], cols.ts[order]
+    index = {key: i for i, key in enumerate(keys)}
+    channel = np.array([index[k[:2]] for k in table.kinds], np.intp)
+    rank = np.array([_LABELS_BY_RANK.index(k[4]) for k in table.kinds],
+                    np.int8)
+    channel, rank = channel[table.kind], rank[table.kind]
+    order = np.lexsort((table.ts, channel))
+    channel, ts = channel[order], table.ts[order]
     first = np.ones(len(order), bool)
     first[1:] = (channel[1:] != channel[:-1]) | (ts[1:] != ts[:-1])
     kept = np.flatnonzero(first)
-    bounds = np.arange(len(cols.keys) + 1)
+    bounds = np.arange(len(keys) + 1)
     flows_at = np.searchsorted(channel, bounds)
     arrivals_at = np.searchsorted(channel[kept], bounds).tolist()
-    ranks = np.maximum.reduceat(cols.rank[order], flows_at[:-1]).tolist()
+    ranks = np.maximum.reduceat(rank[order], flows_at[:-1]).tolist()
     arrivals = ts[kept]
-    sizes = cols.size[order[kept]]
+    sizes = table.bytes_init[order[kept]]
     return [ChannelSeries(key=key, arrivals=arrivals[lo:hi],
                           sizes=sizes[lo:hi], n_flows=int(n),
                           label=_LABELS_BY_RANK[rank])
             for key, lo, hi, n, rank in zip(
-                cols.keys, arrivals_at, arrivals_at[1:], np.diff(flows_at),
+                keys, arrivals_at, arrivals_at[1:], np.diff(flows_at),
                 ranks)]
 
 
@@ -394,7 +357,7 @@ _ACF_ELEMENT_WORK = 8.0
 _RFFT_UNIT_WORK = 8.0
 
 
-def _occupancy(arrivals: list[int],
+def _occupancy(arrivals: np.ndarray,
                bin_ms: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Occupied bins (ascending, the first is 0), their arrival counts, and
     the series length n in bins, binned from the first arrival."""
@@ -692,10 +655,10 @@ def _auc_from_points(points: list, pos: int, neg: int) -> float | None:
     return num / (2 * neg * pos)
 
 
-def evaluate(trace: TraceColumns | FlowTable | Iterable[FlowRecord],
+def evaluate(trace: FlowTable | Iterable[FlowRecord],
              config: DetectorConfig = DetectorConfig()) -> DetectionReport:
-    """Score every channel in a labeled trace, given as columns, a flow
-    table or flow records, and summarize detection quality.
+    """Score every channel in a labeled trace, given as a flow table or as
+    flow records, and summarize detection quality.
 
     Ground-truth positive means the channel carries beacon-labeled flows.
     Insufficient-data channels are never flagged, so they land in the

@@ -1,6 +1,6 @@
 """Labeled flow-record synthesis for the communication shapes under study.
 
-Five generators, one record type:
+Five generators of labeled flows:
   * periodic beacons with bounded jitter (the classic heartbeat channel);
   * sparse event-driven hub contacts, one flow at each time an agent
     fetched or submitted, as the runner logged them;
@@ -294,9 +294,10 @@ def beacon_ticks(cfg: BeaconConfig, stream: RngStream) -> Iterator[int]:
     """
     interval, horizon = cfg.interval_ms, cfg.horizon_ms
     half = cfg.jitter_fraction * interval / 2.0
-    # the largest k with k * interval <= horizon + half, a float, compared
-    # exactly: floor() turns it into an int without rounding
-    last = math.floor(horizon + half) // interval
+    # the largest k with k * interval <= horizon + half: k * interval -
+    # horizon is an int, so it is at most half exactly when it is at most
+    # floor(half), and the sum stays an int (horizon + half would round)
+    last = (horizon + math.floor(half)) // interval
     # int64 holds every tick, and each step to it, when the last anchor
     # plus half does; past that, ticks are Python ints, one slot at a time
     in_int64 = max(last * interval + math.ceil(half), horizon) < 2**63

@@ -12,6 +12,8 @@ are checked, and so is the choice between them.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -48,7 +50,7 @@ from c2sim.detect import (
     _csv_columns,
     _roc_points,
 )
-from c2sim.engine import RngStream
+from c2sim.engine import Dist, RngStream
 from c2sim.orchestrate import run_scenario
 from c2sim.scenario import (MODE_MANUAL, default_scenario_text,
                             parse_scenario)
@@ -60,7 +62,10 @@ from c2sim.traffic import (
     BeaconConfig,
     FlowRecord,
     FlowTable,
+    WorkdayModel,
+    merge_traces,
     read_trace,
+    synth_background,
     synth_beacon_trace,
     write_trace,
 )
@@ -108,6 +113,18 @@ def test_group_channels_partitions_the_trace():
     # equal stamps deduped
     assert _as_lists([ax]) == [(("a", "x"), [1, 2], [100, 100], 3, "benign")]
     assert len(ax.arrivals) == len(ax.sizes)
+
+
+def test_evaluate_refuses_what_a_flow_table_refuses():
+    # FlowRecord takes a flow that ends past int64; the trace's readers,
+    # write_trace and merge_traces refuse it, and so does evaluate
+    flows = [_flow(t, "a", "x") for t in (1, 2, 3)]
+    flows.append(dataclasses.replace(flows[0], ts_start=2**63 - 3))
+    with pytest.raises(ValueError, match="outside the int64 range") as got:
+        FlowTable.from_records(flows)
+    with pytest.raises(ValueError) as again:
+        evaluate(flows)
+    assert str(again.value) == str(got.value)
 
 
 def test_group_channels_label_priority():
@@ -230,8 +247,9 @@ def _loop_groups(trace: list[FlowRecord]) -> list[ChannelSeries]:
 def _read_alike(path: Path, flows: list[FlowRecord],
                 edits: list[tuple]) -> bool:
     """Write flows as a trace, edit its text, and check that read_columns
-    reads what read_trace reads, or raises its message; returns whether the
-    column reader took the file rather than leaving it to read_trace."""
+    reads the table of what read_trace reads, every column of it, or raises
+    its message; returns whether the column reader took the file rather
+    than leaving it to read_trace."""
     write_trace(path, flows)
     text = _edited(path.read_text(encoding="utf-8"), edits)
     path.write_text(text, encoding="utf-8", newline="")
@@ -243,10 +261,11 @@ def _read_alike(path: Path, flows: list[FlowRecord],
             read_columns(path)
         assert str(got.value) == str(exc)
         return False
-    columns = read_columns(path)
-    assert (_as_lists(group_channels(columns))
+    table = read_columns(path)
+    assert table == FlowTable.from_records(records)
+    assert (_as_lists(group_channels(table))
             == _as_lists(_loop_groups(records)))
-    assert evaluate(columns) == evaluate(records)
+    assert evaluate(table) == evaluate(records)
     return _csv_columns(path) is not None
 
 
@@ -392,8 +411,8 @@ def _write_polls(path: Path, n: int) -> None:
 
 
 def test_column_read_memory_follows_rows(tmp_path):
-    # Measured here, the column reader peaks at 235 bytes a row, and
-    # read_trace's records with the grouping of them at 503.
+    # Measured here, the column reader with the grouping peaks at 244 bytes
+    # a row, and read_trace's records with the grouping of them at 503.
     n = 200_000
     path = tmp_path / "trace.csv"
     _write_polls(path, n)
@@ -1076,3 +1095,62 @@ def test_report_records_mark_insufficient_channels():
     recs = report_records(evaluate([_flow(1, "u", "svc"), _flow(2, "u", "svc")]))
     chan = [r for r in recs if r["type"] == "channel"][0]
     assert chan["insufficient"] is True and chan["flagged"] is False
+
+
+# -- a detection-quality guard that can fail ---------------------------------------
+
+
+def _hard_corpus(seed: int) -> FlowTable:
+    """Criterion 2's corpus (50 beacons with intervals of 30 s to 1 h, 30
+    users, 24 h) with beacon jitter drawn from [0, 1), not [0, 0.2), and
+    beacon request sizes lognormal(6, 1), not uniform 580-620: hard enough
+    that the scores do not separate every beacon from every user."""
+    hour_ms, day_ms = 3_600_000, 86_400_000
+    meta = RngStream(seed, "corpus/beacon-params")
+    tables = []
+    for i in range(50):
+        interval = 30_000 + int(meta.unit() * (hour_ms - 30_000))
+        cfg = BeaconConfig(interval_ms=interval,
+                           jitter_fraction=meta.unit(),
+                           horizon_ms=day_ms, src=f"bcn-{i}", dst="c2",
+                           request_size=Dist("lognormal", (6.0, 1.0)))
+        tables.append(synth_beacon_trace(cfg, RngStream(seed,
+                                                        f"bcn-{i}/ticks")))
+    users = synth_background(30, WorkdayModel(horizon_ms=day_ms),
+                             lambda sid: RngStream(seed, f"corpus/{sid}"))
+    return merge_traces(*tables, users)
+
+
+# seed -> (AUC floor, floor of the TPR at an FPR of at most 5%), each about
+# halfway between the scores as they are and the scores with the ACF and
+# periodogram weights at 0. Measured (AUC; TPR):
+#   today:                 0.9911, 0.9901, 0.9845; 0.96, 1, 0.88
+#   ACF and periodogram 0: 0.9788, 0.9795, 0.9733; 0.80, 0.92, 0.80
+# so each AUC floor sits 0.005-0.006 from both rows, and each TPR floor 2
+# (seed 1) or 4 (seeds 0 and 2) of the 50 beacon channels from both. The
+# periodogram weight alone at 0 (0.9880, 0.9864, 0.9774; 0.90, 0.96, 0.86)
+# fails seed 2's AUC floor only.
+_QUALITY_FLOORS = {0: (0.985, 0.88), 1: (0.985, 0.96), 2: (0.979, 0.84)}
+# sha256 of (report.ndjson, roc.csv) written for each seed's corpus
+_QUALITY_REPORTS = {
+    0: ("5578f4915b979aea8703b0a2ac5810107aa5aa4480c32f7715786e5be74d2d90",
+        "31bd5501cbcf5c82756e4fe393e68d49a420959a355166dcfdf49f4bd3061df9"),
+    1: ("186935c93c536c91eefa2809bb650d2d3841af6b0c84ea14658f0f3821f1c6d3",
+        "42129362b74126ea2e7c37cde1442a22394663f1a19bbb0ce447f4f250a7578f"),
+    2: ("0ae48bdbf646afd36561090ac6deebe83cd25fac60ed6585f99d2f2d90526adc",
+        "ce8e10b35c1d93545b97df840d3774d5c28cf1044e89fbf248f246387236b19d"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_QUALITY_FLOORS))
+def test_detection_quality_floors_on_a_hard_corpus(seed, tmp_path):
+    report = evaluate(_hard_corpus(seed))
+    assert (report.tp + report.fn, report.insufficient) == (50, 0)
+    auc_floor, tpr_floor = _QUALITY_FLOORS[seed]
+    tpr = max(tpr for fpr, tpr, _ in report.roc if fpr <= 0.05)
+    assert report.auc >= auc_floor and tpr >= tpr_floor, (report.auc, tpr)
+    write_report(report, tmp_path / "report.ndjson")
+    write_roc_csv(report, tmp_path / "roc.csv")
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("report.ndjson", "roc.csv")
+                 ) == _QUALITY_REPORTS[seed]

@@ -397,6 +397,20 @@ def test_manual_determinism():
     assert a.trace == b.trace
 
 
+def test_a_manual_run_polls_at_its_horizon_past_2_to_the_53_ms():
+    # the probe fetched at the first poll is uploaded at the second, which
+    # falls exactly on the horizon
+    interval = 2**53 + 1
+    sc = parse_scenario(_chain_text(
+        seed=1, n_subnets=1, hosts=1, caps=[[0]], interval=interval,
+        jitter=0.0, horizon=2 * interval, think=(1000, 1000),
+        work=(1000, 1000), users=0))
+    run = run_scenario(sc)
+    assert run.trace.ts.tolist() == [interval, 2 * interval]
+    assert run.metrics.tasks_completed == 1
+    assert run.metrics.objective_met
+
+
 def test_a_manual_runs_trace_holds_no_per_flow_object():
     # Polls every 18 s over the week, with an operator who never acts: 100,798
     # flows. The trace is a FlowTable, a kind and four int64s a flow: 40 bytes

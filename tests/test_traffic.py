@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c2sim import traffic
@@ -118,7 +118,7 @@ def _per_slot_ticks(cfg: BeaconConfig, stream: RngStream):
     half = cfg.jitter_fraction * cfg.interval_ms / 2.0
     for k in itertools.count(1):
         anchor = k * cfg.interval_ms
-        if anchor > cfg.horizon_ms + half:
+        if anchor - cfg.horizon_ms > half:   # int against float: exact
             return
         t = anchor + int(round((2.0 * stream.unit() - 1.0) * half))
         if 0 <= t <= cfg.horizon_ms:
@@ -151,13 +151,23 @@ def _beacon_configs(draw) -> BeaconConfig:
                         dst="c2")
 
 
+# past 2^53, horizon + half as a float rounds below the second slot
+_SLOTS_PAST_2_53 = BeaconConfig(interval_ms=2**53 + 1, jitter_fraction=0.0,
+                                horizon_ms=2 * (2**53 + 1), src="imp",
+                                dst="c2")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cfg=_beacon_configs(), seed=st.integers(0, 2**64),
        consumed=st.integers(0, 300))
+@example(cfg=_SLOTS_PAST_2_53, seed=0, consumed=2)
 def test_block_beacon_ticks_are_the_per_slot_ticks(cfg, seed, consumed):
     block, ref = RngStream(seed, "b"), RngStream(seed, "b")
     ticks = list(beacon_ticks(cfg, block))
     assert ticks == list(_per_slot_ticks(cfg, ref))
+    if cfg.jitter_fraction == 0:   # an oracle in ints alone: every slot
+        assert ticks == [k * cfg.interval_ms for k in
+                         range(1, cfg.horizon_ms // cfg.interval_ms + 1)]
     assert all(type(t) is int for t in ticks)
     # run to its end, the block generator leaves the stream as the
     # per-slot one does, so draws after the ticks are the same
