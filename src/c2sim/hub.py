@@ -16,9 +16,9 @@ records itself so that queued-but-unfetched tasks survive replay.
 
 The hub writes each journal line once, to `Hub.journal`: a text stream its
 caller opens, owns and closes, or None for a hub that writes no journal. It
-keeps no copy of a line after writing it. A fetch line, nearly every line of
-a beacon run, is written by one template (`_fetch_line`) that gives the bytes
-the journal encoder gives; every other record is encoded as JSON. Only
+keeps no copy of a line after writing it. Each record is encoded as JSON,
+except the empty fetches `Hub.empty_fetches` journals, nearly every line of
+a beacon run, which one template writes with the encoder's bytes. Only
 `Hub.recover` reads a journal back: it decodes the one line layout the hub
 writes for a fetch with no task directly, and every other line as JSON; both
 go through the same framing, `_check` and `_apply`.
@@ -115,17 +115,6 @@ _EMPTY_FETCH = re.compile(
 
 # the fetch records Hub.empty_fetches journals with one write
 FETCH_CHUNK = 4096
-
-
-def _fetch_line(seq: int, time_ms: int, body: dict) -> str:
-    """The journal line of a fetch record: _encode's bytes for it, by one
-    template. Keys in sorted order, strings escaped as _encode escapes them,
-    integers written by str(). _encode is the reference it is tested
-    against, and this is the reference for Hub.empty_fetches' lines."""
-    task_ids = ",".join(map(_json_str, body["task_ids"]))
-    return (f'{{"body":{{"agent_id":{_json_str(body["agent_id"])},'
-            f'"task_ids":[{task_ids}]}},"record_kind":"fetch",'
-            f'"seq":{seq!s},"time_ms":{time_ms!s}}}\n')
 
 
 class HubError(RuntimeError):
@@ -268,11 +257,8 @@ class Hub:
     def _record(self, time_ms: int, record_kind: str, body: dict) -> dict:
         self._check(record_kind, body)
         t = int(time_ms)
-        if record_kind == "fetch":
-            line = _fetch_line(self._seq, t, body)
-        else:
-            line = _encode({"seq": self._seq, "time_ms": t,
-                            "record_kind": record_kind, "body": body}) + "\n"
+        line = _encode({"seq": self._seq, "time_ms": t,
+                        "record_kind": record_kind, "body": body}) + "\n"
         self._seq += 1
         # durability before acknowledgment: persist, then mutate
         if self.journal is not None:
@@ -453,13 +439,15 @@ class Hub:
         Refuses the whole run before writing anything if an agent is unknown
         or has a queued task _eligible gives it. An empty fetch changes no
         task, so that check holds for every poll of the run. The lines are
-        the ones _fetch_line gives, written as one write and one flush per
+        the bytes _encode gives, filled into one template: keys in sorted
+        order, the agent id escaped as _encode escapes it, integers written
+        by str(). They are written as one write and one flush per
         chunk of FETCH_CHUNK records; only then is each record of the chunk
         applied (_touch), in order. So persist-then-mutate holds for every
         chunk, and memory for the lines is one chunk's. Replaying a run of
         journaled polls at once should apply it through this operation.
         """
-        quoted: dict[str, str] = {}  # agent id -> as _fetch_line writes it
+        quoted: dict[str, str] = {}  # agent id -> as _encode writes it
         for agent_id, _ in polls:
             if agent_id not in quoted:
                 if self.has_work_for(agent_id):

@@ -30,7 +30,6 @@ from .hub import (FETCH_CHUNK, TASK_COMPLETED, AgentRecord, HeartbeatPolicy,
                   Hub, IntelItem, Task, make_content_key)
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
-    FlowRecord,
     FlowTable,
     beacon_ticks,
     flows_at_ticks,
@@ -248,12 +247,11 @@ class _RunBase:
         return ScenarioRun(scenario=self.sc, metrics=metrics, hub=self.hub,
                            sessions=self.sessions, trace=trace)
 
-    def _with_background(self, parts: list[FlowTable | list[FlowRecord]],
+    def _with_background(self, parts: list[FlowTable],
                          window: int) -> FlowTable:
         """Attacker-origin flows stop when the engagement does; benign cover
         traffic spans the whole observation horizon."""
-        c2 = [p.take(p.ts <= window) if isinstance(p, FlowTable)
-              else [f for f in p if f.ts_start <= window] for p in parts]
+        c2 = [p.take(p.ts <= window) for p in parts]
         return merge_traces(*c2, synth_background(
             self.sc.n_users, self.sc.background, self.sim.stream))
 
@@ -325,7 +323,7 @@ class _SwarmRun(_RunBase):
 
     def _trace(self, window: int) -> FlowTable:
         profile = self.sc.channels
-        parts: list[FlowTable | list[FlowRecord]] = [synth_event_flows(
+        parts = [synth_event_flows(
             self.contacts[spec.entity],
             self.sim.stream(f"{spec.entity}/tasking-bytes"), src=spec.entity)
             for spec in self.sc.agents]

@@ -12,9 +12,11 @@ Five generators of labeled flows:
 Flows are timing and byte-count records only. All sizes and gaps come from
 caller-supplied named streams, so traces are reproducible byte for byte.
 
-Beacons and hub contacts, nearly every flow of a run, are drawn in one block
-of units a call and held as columns (FlowTable) through the merge and the
-write; the other generators make few flows each and return FlowRecords.
+Every generator returns a FlowTable, the trace held as columns through the
+merge and the write. Beacons and hub contacts, nearly every flow of a run,
+are drawn in one block of units a call. Chaff, streaming bursts and benign
+sessions are each a run of flows spaced by drawn gaps, drawn by one loop,
+_run_of_flows.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # str() of an int, nothing else
 _INT_COLUMNS = ("ts_start_ms", "duration_ms", "bytes_init", "bytes_resp")
 _KIND_COLUMNS = ("src", "dst", "dst_class", "leg", "label")
 Kind = tuple[str, str, str, str, str]
+# a flow as FlowTable.from_rows takes it: kind, ts, duration, bytes_init,
+# bytes_resp
+Row = tuple[Kind, int, int, int, int]
 _INT64_MAX = 2**63 - 1
 _CHUNK = 1 << 16  # rows turned into Python objects at a time
 
@@ -168,16 +173,28 @@ class FlowTable:
         self.ts, self.duration, self.bytes_init, self.bytes_resp = ints
 
     @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> FlowTable:
+        """The table of (kind, ts, duration, bytes_init, bytes_resp) rows,
+        in their order. Rows are read one at a time, so a generator of them
+        is never held whole."""
+        index: dict[Kind, int] = {}
+        kind: list[int] = []
+        ints: list[list[int]] = [[], [], [], []]
+        ts, duration, bytes_init, bytes_resp = ints
+        for k, t, d, b_init, b_resp in rows:
+            kind.append(index.setdefault(k, len(index)))
+            ts.append(t)
+            duration.append(d)
+            bytes_init.append(b_init)
+            bytes_resp.append(b_resp)
+        return cls(list(index), kind, ints)
+
+    @classmethod
     def from_records(cls, flows: Iterable[FlowRecord]) -> FlowTable:
         """The table of flow records, in their order."""
-        flows = list(flows)
-        index: dict[Kind, int] = {}
-        kind = [index.setdefault((f.src, f.dst, f.dst_class, f.leg, f.label),
-                                 len(index)) for f in flows]
-        return cls(list(index), kind, [
-            [f.ts_start for f in flows], [f.duration for f in flows],
-            [f.bytes_initiator for f in flows],
-            [f.bytes_responder for f in flows]])
+        return cls.from_rows(
+            ((f.src, f.dst, f.dst_class, f.leg, f.label), f.ts_start,
+             f.duration, f.bytes_initiator, f.bytes_responder) for f in flows)
 
     def take(self, rows) -> FlowTable:
         """The table of the rows that rows selects, a boolean mask or row
@@ -366,53 +383,56 @@ def synth_event_flows(times: Iterable[int], stream: RngStream, *,
 # -- reasoning sessions -----------------------------------------------------------
 
 
+def _run_of_flows(kind: Kind, stream: RngStream, t: int, count: float,
+                  last: int, duration: Dist, request: Dist, response: Dist,
+                  gap: Dist) -> list[Row]:
+    """The rows of up to count flows of kind, the first at t and each next
+    one its gap later, stopping before the first flow that starts past
+    last. Each flow draws its duration (at least 0), request and response
+    sizes (at least 1), then its gap (at least 1), in that order."""
+    rows: list[Row] = []
+    while len(rows) < count and t <= last:
+        rows.append((kind, t, draw_int(stream, duration, 0),
+                     draw_int(stream, request, 1),
+                     draw_int(stream, response, 1)))
+        t += draw_int(stream, gap, 1)
+    return rows
+
+
 def synth_reasoning_nonstreaming(turns: int, profile: ChannelProfile,
                                  stream: RngStream, *, t_start: int,
-                                 src: str) -> list[FlowRecord]:
+                                 src: str) -> FlowTable:
     """Request-per-turn session: initiator bytes grow monotonically because
     each turn resends the accumulated context, and the final response is the
     enlarged summary."""
     if turns < 1:
         raise ValueError("a session has at least one turn")
-    flows = []
+    kind = (src, DST_PLANNER, DST_PLANNER, LEG_REASONING, LABEL_EVENT)
+    rows = []
     t = t_start
     req = draw_int(stream, profile.request_size, 1)
     for turn in range(turns):
         last = turn == turns - 1
         resp_dist = profile.summary_response if last else profile.response_size
-        flows.append(FlowRecord(
-            ts_start=t, duration=draw_int(stream, profile.duration, 0),
-            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
-            bytes_initiator=req,
-            bytes_responder=draw_int(stream, resp_dist, 1),
-            leg=LEG_REASONING, label=LABEL_EVENT))
+        rows.append((kind, t, draw_int(stream, profile.duration, 0), req,
+                     draw_int(stream, resp_dist, 1)))
         if not last:
             req += draw_int(stream, profile.context_growth, 0)
             t += draw_int(stream, profile.turn_gap, 1)
-    return flows
+    return FlowTable.from_rows(rows)
 
 
 def synth_reasoning_streaming(session_length_ms: int, profile: ChannelProfile,
                               stream: RngStream, *, t_start: int,
-                              src: str) -> list[FlowRecord]:
+                              src: str) -> FlowTable:
     """Streaming session: an irregular burst train, bidirectional throughout."""
     if session_length_ms < 0:
         raise ValueError("session length must be non-negative")
-    n = draw_int(stream, profile.burst_count, 1)
-    flows = []
-    t = t_start
-    deadline = t_start + session_length_ms
-    for _ in range(n):
-        if t > deadline:
-            break
-        flows.append(FlowRecord(
-            ts_start=t, duration=draw_int(stream, profile.duration, 0),
-            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
-            bytes_initiator=draw_int(stream, profile.burst_size, 1),
-            bytes_responder=draw_int(stream, profile.burst_size, 1),
-            leg=LEG_REASONING, label=LABEL_EVENT))
-        t += draw_int(stream, profile.burst_interval, 1)
-    return flows
+    return FlowTable.from_rows(_run_of_flows(
+        (src, DST_PLANNER, DST_PLANNER, LEG_REASONING, LABEL_EVENT), stream,
+        t_start, draw_int(stream, profile.burst_count, 1),
+        t_start + session_length_ms, profile.duration, profile.burst_size,
+        profile.burst_size, profile.burst_interval))
 
 
 # -- chaff and background ----------------------------------------------------------
@@ -426,28 +446,21 @@ def chaff_gap(per_hour: float) -> Dist:
 
 
 def synth_chaff(per_hour: float, horizon_ms: int, profile: ChannelProfile,
-                stream: RngStream, *, src: str) -> list[FlowRecord]:
+                stream: RngStream, *, src: str) -> FlowTable:
     """Genuinely benign-shaped decoy queries at a configured hourly rate."""
     if per_hour < 0:
         raise ValueError("per_hour must be non-negative")
     if per_hour == 0:
-        return []
+        return FlowTable.from_rows([])
     gap = chaff_gap(per_hour)
-    flows = []
-    t = draw_int(stream, gap, 0)
-    while t <= horizon_ms:
-        flows.append(FlowRecord(
-            ts_start=t, duration=draw_int(stream, profile.duration, 0),
-            src=src, dst=DST_PLANNER, dst_class=DST_PLANNER,
-            bytes_initiator=draw_int(stream, profile.request_size, 1),
-            bytes_responder=draw_int(stream, profile.response_size, 1),
-            leg=LEG_REASONING, label=LABEL_CHAFF))
-        t += draw_int(stream, gap, 1)
-    return flows
+    return FlowTable.from_rows(_run_of_flows(
+        (src, DST_PLANNER, DST_PLANNER, LEG_REASONING, LABEL_CHAFF), stream,
+        draw_int(stream, gap, 0), math.inf, horizon_ms, profile.duration,
+        profile.request_size, profile.response_size, gap))
 
 
 def synth_background(n_users: int, model: WorkdayModel,
-                     streams: Callable[[str], RngStream]) -> list[FlowRecord]:
+                     streams: Callable[[str], RngStream]) -> FlowTable:
     """Benign user population traffic.
 
     Sessions land inside working hours by default; a session may start in the
@@ -457,7 +470,7 @@ def synth_background(n_users: int, model: WorkdayModel,
     """
     if n_users < 0:
         raise ValueError("n_users must be non-negative")
-    flows: list[FlowRecord] = []
+    rows: list[Row] = []
     days = max(1, -(-model.horizon_ms // _DAY_MS))  # ceil division
     work_start = model.workday_start_hour * _HOUR_MS
     work_len = (model.workday_end_hour - model.workday_start_hour) * _HOUR_MS
@@ -488,23 +501,19 @@ def synth_background(n_users: int, model: WorkdayModel,
                 dst = _BACKGROUND_DESTINATIONS[
                     bisect.bisect_right(_DESTINATION_BOUNDS, st.unit())]
                 dst_class = DST_PLANNER if dst == DST_PLANNER else DST_BENIGN
-                t = day_base + start_in_day
-                end = day_base + window_end
-                for _ in range(n_flows):
-                    if t >= end or t > model.horizon_ms:
-                        break
-                    flows.append(FlowRecord(
-                        ts_start=t, duration=draw_int(st, model.duration, 0),
-                        src=src, dst=dst, dst_class=dst_class,
-                        bytes_initiator=draw_int(st, model.request_size, 1),
-                        bytes_responder=draw_int(st, model.response_size, 1),
-                        leg=LEG_BACKGROUND, label=LABEL_BENIGN))
-                    if is_off:
-                        off_count += 1
-                    else:
-                        on_count += 1
-                    t += draw_int(st, model.flow_gap, 1)
-    return flows
+                # a flow may start before the window's end, and by the horizon
+                session = _run_of_flows(
+                    (src, dst, dst_class, LEG_BACKGROUND, LABEL_BENIGN), st,
+                    day_base + start_in_day, n_flows,
+                    min(day_base + window_end - 1, model.horizon_ms),
+                    model.duration, model.request_size, model.response_size,
+                    model.flow_gap)
+                rows += session
+                if is_off:
+                    off_count += len(session)
+                else:
+                    on_count += len(session)
+    return FlowTable.from_rows(rows)
 
 
 # -- merge and I/O -------------------------------------------------------------------
@@ -513,12 +522,9 @@ def synth_background(n_users: int, model: WorkdayModel,
 def merge_traces(*traces: FlowTable | Iterable[FlowRecord]) -> FlowTable:
     """Stable merge ordered by (ts_start, src, dst): flows that tie keep
     their order, the traces' in argument order. Each trace is a FlowTable
-    or flow records; consecutive traces of records become one table."""
-    tables = []
-    for is_table, run in itertools.groupby(
-            traces, key=lambda t: isinstance(t, FlowTable)):
-        tables += run if is_table else [
-            FlowTable.from_records(itertools.chain(*run))]
+    or flow records."""
+    tables = [t if isinstance(t, FlowTable) else FlowTable.from_records(t)
+              for t in traces]
     kinds = [k for t in tables for k in t.kinds]
     offsets = itertools.accumulate((len(t.kinds) for t in tables), initial=0)
     kind = np.concatenate([np.zeros(0, np.intp)]

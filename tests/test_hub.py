@@ -33,7 +33,6 @@ from c2sim.hub import (
     TaskStateError,
     UnknownAgentError,
     _encode,
-    _fetch_line,
     make_content_key,
 )
 from c2sim.orchestrate import MODE_MANUAL, run_scenario
@@ -390,17 +389,6 @@ _JOURNAL_INTS = (
     | st.integers(-2**70, 2**70))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(agent_id=_JOURNAL_TEXT, task_ids=st.lists(_JOURNAL_TEXT, max_size=3),
-       seq=_JOURNAL_INTS, time_ms=_JOURNAL_INTS)
-def test_fetch_template_writes_the_line_the_encoder_writes(agent_id, task_ids,
-                                                           seq, time_ms):
-    body = {"agent_id": agent_id, "task_ids": task_ids}
-    rec = {"seq": seq, "time_ms": time_ms, "record_kind": "fetch",
-           "body": body}
-    assert _fetch_line(seq, time_ms, body) == _encode(rec) + "\n"
-
-
 class _ChunkJournal(io.StringIO):
     """A journal that keeps each write, with the hub's state at that write,
     and counts flushes, once hub is set."""
@@ -437,17 +425,20 @@ def _hub_with_agents(agent_ids, journal):
 @given(agent_ids=st.lists(_JOURNAL_TEXT, min_size=1, max_size=3, unique=True),
        picks=st.lists(st.tuples(st.integers(0, 2), _JOURNAL_INTS),
                       max_size=12),
-       chunk=st.integers(1, 5))
+       chunk=st.integers(1, 5), seq=_JOURNAL_INTS.map(abs))
 def test_empty_fetches_are_get_tasks_polls_written_a_chunk_at_a_time(
-        agent_ids, picks, chunk):
+        agent_ids, picks, chunk, seq):
+    # get_tasks journals through _encode, the reference for the template
     polls = [(agent_ids[i % len(agent_ids)], t) for i, t in picks]
     ref = _hub_with_agents(agent_ids, io.StringIO())
+    ref._seq = seq
     states = [ref.state_dict()]  # after each poll
     for agent_id, t in polls:
         assert ref.get_tasks(agent_id, t) == []
         states.append(ref.state_dict())
     journal = _ChunkJournal()
     hub = _hub_with_agents(agent_ids, journal)
+    hub._seq = seq
     journal.hub, start = hub, journal.getvalue()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hub_module, "FETCH_CHUNK", chunk)

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c2sim import traffic
-from c2sim.engine import Dist, RngStream, Simulator
+from c2sim.engine import Dist, RngStream, Simulator, draw_int
 from c2sim.traffic import (
     DST_CLASSES,
     LABELS,
@@ -35,6 +35,7 @@ from c2sim.traffic import (
     FlowTable,
     WorkdayModel,
     beacon_ticks,
+    chaff_gap,
     flows_at_ticks,
     kind_error,
     merge_traces,
@@ -270,15 +271,16 @@ def test_degenerate_growth_gives_arithmetic_progression():
 
 
 def test_final_turn_response_is_enlarged_summary():
-    flows = synth_reasoning_nonstreaming(6, ChannelProfile(), _stream(seed=4),
-                                         t_start=0, src="imp")
+    flows = list(synth_reasoning_nonstreaming(6, ChannelProfile(),
+                                              _stream(seed=4), t_start=0,
+                                              src="imp"))
     body = [f.bytes_responder for f in flows[:-1]]
     assert flows[-1].bytes_responder > max(body)
 
 
 def test_single_turn_session_is_one_summary_flow():
-    flows = synth_reasoning_nonstreaming(1, ChannelProfile(), _stream(), t_start=7,
-                                         src="imp")
+    flows = list(synth_reasoning_nonstreaming(1, ChannelProfile(), _stream(),
+                                              t_start=7, src="imp"))
     assert len(flows) == 1 and flows[0].ts_start == 7
 
 
@@ -302,8 +304,9 @@ def test_streaming_gaps_are_irregular():
     # lognormal burst pacing keeps the gap CV well above beacon-like values
     cvs = []
     for seed in range(30):
-        flows = synth_reasoning_streaming(10_000_000, ChannelProfile(),
-                                          _stream(seed=seed), t_start=0, src="imp")
+        flows = list(synth_reasoning_streaming(
+            10_000_000, ChannelProfile(), _stream(seed=seed), t_start=0,
+            src="imp"))
         gaps = [b.ts_start - a.ts_start for a, b in zip(flows, flows[1:])]
         if len(gaps) >= 3:
             cvs.append(statistics.pstdev(gaps) / statistics.mean(gaps))
@@ -314,8 +317,8 @@ def test_streaming_gaps_are_irregular():
 
 
 def test_chaff_rate_zero_is_silent():
-    assert synth_chaff(0.0, 3_600_000, ChannelProfile(), _stream(),
-                       src="imp") == []
+    assert list(synth_chaff(0.0, 3_600_000, ChannelProfile(), _stream(),
+                            src="imp")) == []
 
 
 def test_chaff_rate_and_labels():
@@ -346,11 +349,11 @@ def test_background_zero_fraction_means_no_off_hours_flows():
 
 def test_background_reproducible_and_user_isolated():
     model = WorkdayModel(horizon_ms=2 * 86_400_000)
-    a = synth_background(4, model, Simulator(7).stream)
-    b = synth_background(4, model, Simulator(7).stream)
+    a = list(synth_background(4, model, Simulator(7).stream))
+    b = list(synth_background(4, model, Simulator(7).stream))
     assert a == b
     # user 0..3 flows are a prefix-stable subset when more users are added
-    wider = synth_background(6, model, Simulator(7).stream)
+    wider = list(synth_background(6, model, Simulator(7).stream))
     assert [f for f in wider if f.src in {"user-0", "user-1", "user-2", "user-3"}] == a
 
 
@@ -394,7 +397,7 @@ def test_background_destinations_follow_their_weights():
 
 def test_background_none_requested_none_generated():
     model = WorkdayModel(horizon_ms=86_400_000)
-    assert synth_background(0, model, Simulator(1).stream) == []
+    assert list(synth_background(0, model, Simulator(1).stream)) == []
 
 
 # -- merge and I/O ------------------------------------------------------------------------
@@ -606,3 +609,240 @@ def test_merge_and_write_give_the_references_records_and_bytes(
         assert got == path.read_bytes()
         write_trace(path, want, fmt=fmt)  # records, as a library caller has
         assert got == path.read_bytes()
+
+
+# -- the session generators against the per-flow references -------------------------
+# The record generators the tables replaced: one FlowRecord and one draw_int
+# at a time. Each generator must give their flows and leave each stream
+# where they leave it.
+
+
+def _reference_nonstreaming(turns, profile, stream, *, t_start, src):
+    if turns < 1:
+        raise ValueError("a session has at least one turn")
+    flows = []
+    t = t_start
+    req = draw_int(stream, profile.request_size, 1)
+    for turn in range(turns):
+        last = turn == turns - 1
+        resp_dist = profile.summary_response if last else profile.response_size
+        flows.append(FlowRecord(
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
+            src=src, dst="planner", dst_class="planner",
+            bytes_initiator=req,
+            bytes_responder=draw_int(stream, resp_dist, 1),
+            leg="reasoning", label="event_c2"))
+        if not last:
+            req += draw_int(stream, profile.context_growth, 0)
+            t += draw_int(stream, profile.turn_gap, 1)
+    return flows
+
+
+def _reference_streaming(session_length_ms, profile, stream, *, t_start, src):
+    n = draw_int(stream, profile.burst_count, 1)
+    flows = []
+    t = t_start
+    deadline = t_start + session_length_ms
+    for _ in range(n):
+        if t > deadline:
+            break
+        flows.append(FlowRecord(
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
+            src=src, dst="planner", dst_class="planner",
+            bytes_initiator=draw_int(stream, profile.burst_size, 1),
+            bytes_responder=draw_int(stream, profile.burst_size, 1),
+            leg="reasoning", label="event_c2"))
+        t += draw_int(stream, profile.burst_interval, 1)
+    return flows
+
+
+def _reference_chaff(per_hour, horizon_ms, profile, stream, *, src):
+    if per_hour == 0:
+        return []
+    gap = chaff_gap(per_hour)
+    flows = []
+    t = draw_int(stream, gap, 0)
+    while t <= horizon_ms:
+        flows.append(FlowRecord(
+            ts_start=t, duration=draw_int(stream, profile.duration, 0),
+            src=src, dst="planner", dst_class="planner",
+            bytes_initiator=draw_int(stream, profile.request_size, 1),
+            bytes_responder=draw_int(stream, profile.response_size, 1),
+            leg="reasoning", label="chaff"))
+        t += draw_int(stream, gap, 1)
+    return flows
+
+
+def _reference_background(n_users, model, streams):
+    flows = []
+    day_ms, hour_ms = 86_400_000, 3_600_000
+    days = max(1, -(-model.horizon_ms // day_ms))
+    work_start = model.workday_start_hour * hour_ms
+    work_len = (model.workday_end_hour - model.workday_start_hour) * hour_ms
+    for i in range(n_users):
+        st_ = streams(f"user-{i}/background")
+        src = f"user-{i}"
+        on_count = 0
+        off_count = 0
+        for day in range(days):
+            day_base = day * day_ms
+            sessions = draw_int(st_, model.sessions_per_day, 0)
+            for _ in range(sessions):
+                want_off = st_.unit() < model.off_hours_fraction
+                n_flows = draw_int(st_, model.flows_per_session, 1)
+                if want_off and ((off_count + n_flows)
+                                 / max(1, on_count + off_count + n_flows)
+                                 <= model.off_hours_fraction):
+                    off_len = day_ms - work_len
+                    pos = int(st_.unit() * off_len)
+                    start_in_day = pos if pos < work_start else pos + work_len
+                    window_end = (work_start if pos < work_start else day_ms)
+                    is_off = True
+                else:
+                    start_in_day = work_start + int(st_.unit() * work_len)
+                    window_end = work_start + work_len
+                    is_off = False
+                dst = traffic._BACKGROUND_DESTINATIONS[
+                    bisect.bisect_right(traffic._DESTINATION_BOUNDS,
+                                        st_.unit())]
+                dst_class = "planner" if dst == "planner" else "benign_service"
+                t = day_base + start_in_day
+                end = day_base + window_end
+                for _ in range(n_flows):
+                    if t >= end or t > model.horizon_ms:
+                        break
+                    flows.append(FlowRecord(
+                        ts_start=t, duration=draw_int(st_, model.duration, 0),
+                        src=src, dst=dst, dst_class=dst_class,
+                        bytes_initiator=draw_int(st_, model.request_size, 1),
+                        bytes_responder=draw_int(st_, model.response_size, 1),
+                        leg="background", label="benign"))
+                    if is_off:
+                        off_count += 1
+                    else:
+                        on_count += 1
+                    t += draw_int(st_, model.flow_gap, 1)
+    return flows
+
+
+# name -> (generator, its reference); each takes its stream, or for
+# background its factory of streams, right after the arguments a call lists
+_SESSION_GENERATORS = {
+    "nonstreaming": (synth_reasoning_nonstreaming, _reference_nonstreaming),
+    "streaming": (synth_reasoning_streaming, _reference_streaming),
+    "chaff": (synth_chaff, _reference_chaff),
+    "background": (synth_background, _reference_background),
+}
+_HOUR_MS, _DAY_MS = 3_600_000, 86_400_000
+
+
+def _fixed(value: float) -> Dist:
+    return Dist("uniform", (value, value))
+
+
+def _dists(lo: int, hi: int):
+    """Draws of about lo to hi: uniform (degenerate among them),
+    exponential and lognormal, so a flow takes one or two units a draw."""
+    return st.one_of(
+        st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+            lambda ab: Dist("uniform", (float(min(ab)), float(max(ab))))),
+        st.integers(max(lo, 1), hi).map(
+            lambda mean: Dist("exponential", (float(mean),))),
+        st.tuples(st.floats(0.0, math.log(hi + 1)), st.floats(0.0, 1.5)).map(
+            lambda p: Dist("lognormal", p)))
+
+
+@st.composite
+def _session_calls(draw):
+    """(name, args, kwargs) of a call of a session generator."""
+    name = draw(st.sampled_from(sorted(_SESSION_GENERATORS)))
+    sizes, gaps = _dists(0, 5_000), _dists(0, 30_000)
+    if name == "background":
+        start = draw(st.integers(0, 23))
+        model = WorkdayModel(
+            horizon_ms=draw(st.integers(0, 3 * _DAY_MS)),
+            sessions_per_day=draw(_dists(0, 6)),
+            flows_per_session=draw(_dists(1, 12)),
+            flow_gap=draw(_dists(1, 2 * _HOUR_MS)),
+            request_size=draw(sizes), response_size=draw(sizes),
+            duration=draw(sizes), workday_start_hour=start,
+            workday_end_hour=draw(st.integers(start + 1, 24)),
+            off_hours_fraction=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])
+                                    | st.floats(0.0, 1.0)))
+        return name, (draw(st.integers(0, 4)), model), {}
+    profile = ChannelProfile(
+        request_size=draw(sizes), response_size=draw(sizes),
+        duration=draw(sizes), context_growth=draw(sizes),
+        turn_gap=draw(gaps), summary_response=draw(sizes),
+        burst_count=draw(_dists(0, 12)), burst_interval=draw(gaps),
+        burst_size=draw(sizes))
+    t_start = draw(st.integers(0, 10**6))
+    if name == "nonstreaming":
+        return name, (draw(st.integers(1, 6)), profile), {
+            "t_start": t_start, "src": "imp"}
+    if name == "streaming":
+        return name, (draw(st.integers(0, 200_000)), profile), {
+            "t_start": t_start, "src": "imp"}
+    per_hour = draw(st.just(0.0) | st.floats(0.01, 120.0))
+    return name, (per_hour, draw(st.integers(0, 6 * _HOUR_MS)), profile), {
+        "src": "imp"}
+
+
+def _background(n_users, **kw):
+    return ("background", (n_users, WorkdayModel(**kw)), {})
+
+
+# 61-flow sessions a minute apart in a one-hour workday, 9:00 to 10:00
+_HOURLONG_SESSIONS = dict(sessions_per_day=_fixed(24.0),
+                          flows_per_session=_fixed(61.0),
+                          flow_gap=_fixed(60_000.0), workday_start_hour=9,
+                          workday_end_hour=10, off_hours_fraction=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call=_session_calls(), seed=st.integers(0, 2**32))
+# the third burst starts at the deadline, its count's last
+@example(call=("streaming", (2_000, ChannelProfile(
+    burst_count=_fixed(3.0), burst_interval=_fixed(1_000.0))),
+    {"t_start": 5, "src": "imp"}), seed=0)
+# a one-turn session; a chaff rate of 0
+@example(call=("nonstreaming", (1, ChannelProfile()),
+               {"t_start": 7, "src": "imp"}), seed=0)
+@example(call=("chaff", (0.0, _DAY_MS, ChannelProfile()), {"src": "imp"}),
+         seed=0)
+# every session is cut by its window; with seed 854 one flow starts at 9:59
+# and the next would start at 10:00, the window's end
+@example(call=_background(1, horizon_ms=_DAY_MS, **_HOURLONG_SESSIONS),
+         seed=854)
+# cut by the horizon, which with seed 0 is the start of the first session's
+# fifth flow (9:57:44.756)
+@example(call=_background(1, horizon_ms=35_864_756, **_HOURLONG_SESSIONS),
+         seed=0)
+# zero sessions
+@example(call=_background(3, horizon_ms=_DAY_MS,
+                          sessions_per_day=_fixed(0.0)), seed=0)
+# two-flow sessions and a cap of one half: with seed 0, seven off-hours
+# sessions are admitted that bring the share exactly to the cap
+@example(call=_background(3, horizon_ms=3 * _DAY_MS,
+                          sessions_per_day=_fixed(4.0),
+                          flows_per_session=_fixed(2.0),
+                          flow_gap=_fixed(1_000.0), off_hours_fraction=0.5),
+         seed=0)
+def test_session_generators_give_their_references_flows_and_draws(call, seed):
+    name, args, kwargs = call
+
+    def run(generator):
+        opened: dict[str, RngStream] = {}
+
+        def streams(sid):
+            return opened.setdefault(sid, RngStream(seed, sid))
+
+        flows = generator(*args, streams if name == "background"
+                          else streams(name), **kwargs)
+        return flows, {sid: s.unit() for sid, s in opened.items()}
+
+    generator, reference = _SESSION_GENERATORS[name]
+    table, after = run(generator)
+    records, reference_after = run(reference)
+    assert table == FlowTable.from_records(records)
+    assert after == reference_after
