@@ -25,13 +25,12 @@ from . import __version__
 from .detect import (
     DetectorConfig,
     evaluate,
-    read_columns,
     write_report,
     write_roc_csv,
 )
 from .orchestrate import compare, run_scenario
 from .scenario import MODE_MANUAL, MODE_SWARM, ScenarioError, load_scenario
-from .traffic import write_trace
+from .traffic import read_trace, write_trace
 
 
 def _utc_now() -> str:
@@ -131,10 +130,10 @@ def cmd_detect(args) -> int:
     # refuse before the read; --force removes the old outputs only after
     # it, so a trace inside --out is read before it can be deleted
     _existing_outputs(outputs, args.force)
-    columns = read_columns(trace_path)
+    table = read_trace(trace_path)
     config = (DetectorConfig(threshold=args.threshold)
               if args.threshold is not None else DetectorConfig())
-    report = evaluate(columns, config)
+    report = evaluate(table, config)
     out.mkdir(parents=True, exist_ok=True)
     _claim_outputs(outputs, args.force)
     write_report(report, report_path)

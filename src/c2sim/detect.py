@@ -27,22 +27,14 @@ regularity, 0.25 ACF, 0.25 periodogram and 0.15 size. The flagging threshold
 (DetectorConfig, `c2sim detect --threshold`) is the only one a user sets.
 
 A trace reaches the detector as a FlowTable, the columns the simulator
-merges and writes. read_columns reads a CSV trace in the layout write_trace
-writes from its bytes with numpy, building no object per row: the comma
-and newline positions give every cell, the four integer columns are parsed
-digit by digit, and the (src, dst, dst_class) and (leg, label) spans of at
-most 64 bytes are coded exactly by one sort over their 8-byte words; the
-table's constructor then checks each kind by FlowRecord's own rule. Any
-other file, such as JSONL, a span past 64 bytes, or a CSV file that breaks
-a rule of the format, goes to traffic.read_trace, the reference reader,
-which gives the same flows or its exact diagnostic. group_channels and
-evaluate take a table, or a list of records, which FlowTable.from_records
-turns into one. Each of the table's kinds maps once to its (src, dst)
-channel and its label's rank; one stable sort over (channel, ts) then
-groups the channels, and each channel's arrivals and sizes are int64
-slices of the sorted columns, which the scores read with numpy. The CV
-scores add left to right (np.cumsum) and square by product, so their bytes
-do not depend on the Python version or the C library.
+merges and writes and traffic.read_trace reads; the detector does no trace
+I/O. group_channels and evaluate take a table only. Each of the table's
+kinds maps once to its (src, dst) channel and its label's rank; one stable
+sort over (channel, ts) then groups the channels, and each channel's
+arrivals and sizes are int64 slices of the sorted columns, which the scores
+read with numpy. The CV scores add left to right (np.cumsum) and square by
+product, so their bytes do not depend on the Python version or the C
+library.
 
 Channels with fewer than three distinct arrivals are reported as
 insufficient data, never scored, and count as not-flagged in the confusion
@@ -55,10 +47,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -67,10 +56,7 @@ from .traffic import (
     LABEL_BENIGN,
     LABEL_CHAFF,
     LABEL_EVENT,
-    TRACE_COLUMNS,
-    FlowRecord,
     FlowTable,
-    read_trace,
 )
 
 _EULER = 0.5772156649015329
@@ -149,154 +135,14 @@ class DetectionReport:
 _LABELS_BY_RANK = (LABEL_BENIGN, LABEL_CHAFF, LABEL_EVENT, LABEL_BEACON)
 
 
-def read_columns(path) -> FlowTable:
-    """The flow table of a trace file. A CSV trace in the layout write_trace
-    writes is read from its bytes with numpy; any other file goes to
-    read_trace, the reference reader, which gives the same flows or its
-    exact diagnostic."""
-    table = _csv_columns(path)
-    return FlowTable.from_records(read_trace(path)) if table is None else table
-
-
-_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
-# The longest span _distinct codes (8 words): its sort holds rows x words x 8
-# bytes. simulate writes at most 37 (user-3999999,svc-files,benign_service).
-_MAX_SPAN = 64
-
-
-def _csv_columns(path) -> FlowTable | None:
-    """The flow table of a CSV trace, or None for a file this reader leaves
-    to read_trace.
-
-    It takes a file that is the exact header line and then rows of 8 commas
-    and a newline, in ASCII without a double quote, CR or NUL, so that
-    csv.reader splits each row at its commas. Each integer cell is 1 to 18
-    digits with no sign and no leading zero, so it and ts + duration are
-    below 2^63. Each string span is at most _MAX_SPAN bytes, and the table
-    of the rows must pass FlowTable's constructor, which checks each
-    (dst_class, leg, label) by FlowRecord's own rule. read_trace accepts
-    every such file and reads the same flows from it. Memory is the file,
-    one array of the rows' comma and newline positions, and the table's
-    columns.
-    """
-    with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return None   # a pipe can be read only once: by read_trace
-        n_bytes = info.st_size
-        # 8 bytes past the end, so that a word can be read at every offset
-        buf = np.zeros(n_bytes + 8, np.uint8)
-        if fh.readinto(buf[:n_bytes]) != n_bytes or fh.read(1):
-            return None   # the file changed size while it was read
-    if (n_bytes <= len(_HEADER) or buf[:len(_HEADER)].tobytes() != _HEADER
-            or buf[n_bytes - 1] != ord("\n")):
-        return None
-    # 1 a comma, 2 a newline, 3 a byte csv.reader or the UTF-8 decoder may
-    # read otherwise: non-ASCII, a double quote, CR or NUL. Every row must
-    # be 8 1s and a 2, so one 3 anywhere leaves the file to read_trace.
-    table = np.zeros(256, np.uint8)
-    table[[ord(","), ord("\n")]] = 1, 2
-    table[[0, ord("\r"), ord('"')]] = 3
-    table[128:] = 3
-    kind = table[buf[:n_bytes]]
-    ends = np.flatnonzero(kind)
-    if len(ends) % 9 or np.any(kind[ends].reshape(-1, 9) != [1] * 8 + [2]):
-        return None
-    del kind
-    # the comma or newline after each field, the header's row first
-    ends = ends.reshape(-1, 9)
-
-    def cells(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's bytes from the start of field first to the end of
-        field last, as start and end offsets."""
-        before = ends[:-1, 8] if first == 0 else ends[1:, first - 1]
-        return before + 1, ends[1:, last]
-
-    ints = [_decimals(buf, *cells(j, j)) for j in (0, 1, 5, 6)]
-    # (src, dst, dst_class) and (leg, label), each coded as one span
-    distinct = _distinct(buf, *cells(2, 4)), _distinct(buf, *cells(7, 8))
-    if any(v is None for v in ints) or any(d is None for d in distinct):
-        return None
-    (triples, triple_of), (pairs, pair_of) = distinct
-    # each row's kind, coded triple x pairs + pair
-    codes, kind_of = np.unique(triple_of * len(pairs) + pair_of,
-                               return_inverse=True)
-    kinds = [(*triples[c // len(pairs)], *pairs[c % len(pairs)])
-             for c in codes.tolist()]
-    try:   # FlowTable refuses what FlowRecord does: read_trace says why
-        return FlowTable(kinds, kind_of, ints)
-    except ValueError:
-        return None
-
-
-def _decimals(buf: np.ndarray, starts: np.ndarray,
-              ends: np.ndarray) -> np.ndarray | None:
-    """Each cell buf[start:end] as an int64, or None unless every cell is 1
-    to 18 decimal digits without a leading zero, as str() writes an int in
-    [0, 10^18)."""
-    lengths = ends - starts
-    if (lengths.min() < 1 or lengths.max() > 18
-            or np.any((buf[starts] == ord("0")) & (lengths > 1))):
-        return None
-    values = np.zeros(len(starts), np.int64)
-    last = ends - 1
-    for k in range(int(lengths.max())):   # the digits worth 10^k
-        digit = buf[last - k] - np.uint8(ord("0"))   # others wrap past 9
-        digit[lengths <= k] = 0
-        if digit.max() > 9:
-            return None
-        values += digit.astype(np.int64) * 10 ** k
-    return values
-
-
-def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
-              ) -> tuple[list[list[str]], np.ndarray] | None:
-    """The distinct ASCII spans buf[start:end], each split at its commas,
-    and each span's index into them; or None past _MAX_SPAN bytes.
-
-    A span is read as its 8-byte words, masked to its bytes. No span holds a
-    NUL, so two spans are equal exactly when their words are. One lexsort
-    over the word columns puts equal spans side by side, and a span whose
-    words differ from the one before it starts a new index.
-    """
-    lengths = ends - starts
-    if lengths.max() > _MAX_SPAN:
-        return None
-    words = np.ndarray(len(buf) - 7, np.dtype("<u8"), buffer=buf, strides=(1,))
-    # a word's first r bytes, for r in [0, 8]
-    masks = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
-
-    def word(j: int) -> np.ndarray:
-        # a span shorter than 8 j bytes may start its word past the file;
-        # its mask is 0, so where it reads is of no account. (take() would
-        # copy the whole unaligned view first.)
-        at = np.minimum(starts + 8 * j, len(words) - 1)
-        return words[at] & masks[np.clip(lengths - 8 * j, 0, 8)]
-
-    columns = [word(j) for j in range(-(-int(lengths.max()) // 8))]
-    order = np.lexsort(columns)
-    # a span is new where a word differs: uint64 diffs wrap, but 0 iff equal
-    new = np.ones(len(order), bool)
-    new[1:] = np.any([np.diff(column[order]) != 0 for column in columns], 0)
-    codes = np.empty(len(order), np.intp)
-    codes[order] = np.cumsum(new) - 1
-    firsts = order[new]
-    return ([buf[s:e].tobytes().decode("ascii").split(",")
-             for s, e in zip(starts[firsts], ends[firsts])], codes)
-
-
-def group_channels(trace: FlowTable | Iterable[FlowRecord]
-                   ) -> list[ChannelSeries]:
+def group_channels(table: FlowTable) -> list[ChannelSeries]:
     """Partition a trace into per-(src, dst) series in key order.
 
     Each of the table's kinds maps to its (src, dst) channel and its label's
     rank once. One stable sort by (channel, ts) orders each channel's flows
     by time and keeps trace order among equal timestamps; the first flow at
-    each timestamp gives its arrival and size. A list of records is first
-    turned into a table.
+    each timestamp gives its arrival and size.
     """
-    table = (trace if isinstance(trace, FlowTable)
-             else FlowTable.from_records(trace))
     keys = sorted({kind[:2] for kind in table.kinds})
     if not keys:
         return []
@@ -655,10 +501,10 @@ def _auc_from_points(points: list, pos: int, neg: int) -> float | None:
     return num / (2 * neg * pos)
 
 
-def evaluate(trace: FlowTable | Iterable[FlowRecord],
+def evaluate(trace: FlowTable,
              config: DetectorConfig = DetectorConfig()) -> DetectionReport:
-    """Score every channel in a labeled trace, given as a flow table or as
-    flow records, and summarize detection quality.
+    """Score every channel in a labeled trace's flow table, and summarize
+    detection quality.
 
     Ground-truth positive means the channel carries beacon-labeled flows.
     Insufficient-data channels are never flagged, so they land in the

@@ -547,8 +547,8 @@ class Hub:
         Replay stops at the last complete record: a record is complete when
         its line is newline-terminated, parses as JSON with the fixed field
         set, an integer seq that continues the sequence and an integer
-        time_ms, is a record the live hub would write (see _check), and its
-        body applies to the state built so far. The result reports how far
+        time_ms, and is a record the live hub would write (see _check), which
+        _apply then cannot fail to apply. The result reports how far
         replay got so a caller can see exactly what a crash cut off. The
         rebuilt hub writes no journal until a caller that continues the
         journal assigns it a stream.
@@ -565,15 +565,10 @@ class Hub:
             _, t, kind, body = rec
             try:
                 hub._check(kind, body)
-                hub._apply(kind, t, body)
-            except (HubError, KeyError, TypeError, ValueError):
-                # A well-framed record the live hub would refuse, or whose
-                # body does not fit the state (an unknown agent). A failed
-                # apply may have changed part of that state, so rebuild it
-                # from the records before this one.
-                hub = cls.recover(journal_bytes[:offset]).hub
+            except HubError:   # a well-framed record the live hub would refuse
                 truncated = True
                 break
+            hub._apply(kind, t, body)
             applied += 1
             offset += len(raw)
         hub._seq = applied

@@ -25,11 +25,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterator, TextIO
 
+import numpy as np
+
 from .engine import Simulator, draw_int
 from .hub import (FETCH_CHUNK, TASK_COMPLETED, AgentRecord, HeartbeatPolicy,
                   Hub, IntelItem, Task, make_content_key)
 from .scenario import MODE_MANUAL, MODE_SWARM, AgentSpec, Scenario, Topology
 from .traffic import (
+    LEG_BACKGROUND,
     FlowTable,
     beacon_ticks,
     flows_at_ticks,
@@ -250,10 +253,13 @@ class _RunBase:
     def _with_background(self, parts: list[FlowTable],
                          window: int) -> FlowTable:
         """Attacker-origin flows stop when the engagement does; benign cover
-        traffic spans the whole observation horizon."""
-        c2 = [p.take(p.ts <= window) for p in parts]
-        return merge_traces(*c2, synth_background(
+        traffic spans the whole observation horizon. Cutting after the
+        stable merge keeps the order a merge of the cut parts has, and
+        checks the rows once."""
+        trace = merge_traces(*parts, synth_background(
             self.sc.n_users, self.sc.background, self.sim.stream))
+        cover = np.array([k[3] == LEG_BACKGROUND for k in trace.kinds], bool)
+        return trace.take((trace.ts <= window) | cover[trace.kind])
 
 
 class _SwarmRun(_RunBase):

@@ -16,7 +16,21 @@ Every generator returns a FlowTable, the trace held as columns through the
 merge and the write. Beacons and hub contacts, nearly every flow of a run,
 are drawn in one block of units a call. Chaff, streaming bursts and benign
 sessions are each a run of flows spaced by drawn gaps, drawn by one loop,
-_run_of_flows.
+_run_of_flows. Records become a table only through FlowTable.from_records
+and merge_traces.
+
+read_trace is the one trace reader, and returns a FlowTable. A CSV trace in
+the layout write_trace writes is read from its bytes with numpy, building no
+object per row (_csv_columns): the comma and newline positions give every
+cell, the four integer columns are parsed digit by digit, and the (src, dst,
+dst_class) and (leg, label) spans of at most 64 bytes are coded exactly by
+one sort over their 8-byte words; the table's constructor then checks each
+kind by FlowRecord's own rule. The cells' positions come from TRACE_COLUMNS,
+the names the writer's templates use. Any other file, such as JSONL, a span
+past 64 bytes, or a CSV file that breaks a rule of the format, goes to
+_read_records, the reference row reader, which gives the same flows or its
+exact diagnostic. Its records stream into FlowTable.from_records, so no list
+of them is held.
 """
 
 from __future__ import annotations
@@ -27,7 +41,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -574,10 +590,9 @@ _WRITERS = {
 }
 
 
-def write_trace(path, flows: FlowTable | Iterable[FlowRecord],
-                fmt: str = "csv") -> None:
-    """Write a trace, a FlowTable or flow records, as CSV (the header, then
-    one row a flow) or as JSONL (one object a flow, keys sorted).
+def write_trace(path, table: FlowTable, fmt: str = "csv") -> None:
+    """Write a trace's FlowTable as CSV (the header, then one row a flow) or
+    as JSONL (one object a flow, keys sorted).
 
     Each kind's string cells are encoded once, by csv.writer or by the JSON
     string encoder, into a template of its rows; a row is its kind's
@@ -586,8 +601,6 @@ def write_trace(path, flows: FlowTable | Iterable[FlowRecord],
     if fmt not in _WRITERS:
         raise ValueError(f"unknown trace format {fmt!r}")
     template, slots = _WRITERS[fmt]
-    table = (flows if isinstance(flows, FlowTable)
-             else FlowTable.from_records(flows))
     templates = np.array([template(k) for k in table.kinds], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
@@ -596,6 +609,135 @@ def write_trace(path, flows: FlowTable | Iterable[FlowRecord],
             rows = slice(lo, lo + _CHUNK)
             fh.writelines(map(str.format, templates[table.kind[rows]].tolist(),
                               *table.ints[slots, rows].tolist()))
+
+
+_HEADER = (",".join(TRACE_COLUMNS) + "\n").encode()
+# The longest span _distinct codes (8 words): its sort holds rows x words x 8
+# bytes. simulate writes at most 37 (user-3999999,svc-files,benign_service).
+_MAX_SPAN = 64
+
+
+def _csv_columns(path) -> FlowTable | None:
+    """The flow table of a CSV trace, or None for a file this reader leaves
+    to _read_records.
+
+    It takes a file that is the exact header line and then rows of 8 commas
+    and a newline, in ASCII without a double quote, CR or NUL, so that
+    csv.reader splits each row at its commas. Each integer cell is 1 to 18
+    digits with no sign and no leading zero, so it and ts + duration are
+    below 2^63. Each string span is at most _MAX_SPAN bytes, and the table
+    of the rows must pass FlowTable's constructor, which checks each
+    (dst_class, leg, label) by FlowRecord's own rule. _read_records
+    accepts every such file and reads the same flows from it. Memory is the file,
+    one array of the rows' comma and newline positions, and the table's
+    columns.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None   # a pipe can be read only once: by _read_records
+        n_bytes = info.st_size
+        # 8 bytes past the end, so that a word can be read at every offset
+        buf = np.zeros(n_bytes + 8, np.uint8)
+        if fh.readinto(buf[:n_bytes]) != n_bytes or fh.read(1):
+            return None   # the file changed size while it was read
+    if (n_bytes <= len(_HEADER) or buf[:len(_HEADER)].tobytes() != _HEADER
+            or buf[n_bytes - 1] != ord("\n")):
+        return None
+    # 1 a comma, 2 a newline, 3 a byte csv.reader or the UTF-8 decoder may
+    # read otherwise: non-ASCII, a double quote, CR or NUL. Every row must
+    # be 8 1s and a 2, so one 3 anywhere leaves the file to _read_records.
+    table = np.zeros(256, np.uint8)
+    table[[ord(","), ord("\n")]] = 1, 2
+    table[[0, ord("\r"), ord('"')]] = 3
+    table[128:] = 3
+    kind = table[buf[:n_bytes]]
+    ends = np.flatnonzero(kind)
+    if len(ends) % 9 or np.any(kind[ends].reshape(-1, 9) != [1] * 8 + [2]):
+        return None
+    del kind
+    # the comma or newline after each field, the header's row first
+    ends = ends.reshape(-1, 9)
+
+    def cells(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's bytes from the start of field first to the end of
+        field last, as start and end offsets."""
+        before = ends[:-1, 8] if first == 0 else ends[1:, first - 1]
+        return before + 1, ends[1:, last]
+
+    at = TRACE_COLUMNS.index
+    ints = [_decimals(buf, *cells(at(c), at(c))) for c in _INT_COLUMNS]
+    # (src, dst, dst_class) and (leg, label), each coded as one span
+    distinct = [_distinct(buf, *cells(at(span[0]), at(span[-1])))
+                for span in (_KIND_COLUMNS[:3], _KIND_COLUMNS[3:])]
+    if any(v is None for v in ints) or any(d is None for d in distinct):
+        return None
+    (triples, triple_of), (pairs, pair_of) = distinct
+    # each row's kind, coded triple x pairs + pair
+    codes, kind_of = np.unique(triple_of * len(pairs) + pair_of,
+                               return_inverse=True)
+    kinds = [(*triples[c // len(pairs)], *pairs[c % len(pairs)])
+             for c in codes.tolist()]
+    try:   # FlowTable refuses what FlowRecord does: _read_records says why
+        return FlowTable(kinds, kind_of, ints)
+    except ValueError:
+        return None
+
+
+def _decimals(buf: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray | None:
+    """Each cell buf[start:end] as an int64, or None unless every cell is 1
+    to 18 decimal digits without a leading zero, as str() writes an int in
+    [0, 10^18)."""
+    lengths = ends - starts
+    if (lengths.min() < 1 or lengths.max() > 18
+            or np.any((buf[starts] == ord("0")) & (lengths > 1))):
+        return None
+    values = np.zeros(len(starts), np.int64)
+    last = ends - 1
+    for k in range(int(lengths.max())):   # the digits worth 10^k
+        digit = buf[last - k] - np.uint8(ord("0"))   # others wrap past 9
+        digit[lengths <= k] = 0
+        if digit.max() > 9:
+            return None
+        values += digit.astype(np.int64) * 10 ** k
+    return values
+
+
+def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+              ) -> tuple[list[list[str]], np.ndarray] | None:
+    """The distinct ASCII spans buf[start:end], each split at its commas,
+    and each span's index into them; or None past _MAX_SPAN bytes.
+
+    A span is read as its 8-byte words, masked to its bytes. No span holds a
+    NUL, so two spans are equal exactly when their words are. One lexsort
+    over the word columns puts equal spans side by side, and a span whose
+    words differ from the one before it starts a new index.
+    """
+    lengths = ends - starts
+    if lengths.max() > _MAX_SPAN:
+        return None
+    words = np.ndarray(len(buf) - 7, np.dtype("<u8"), buffer=buf, strides=(1,))
+    # a word's first r bytes, for r in [0, 8]
+    masks = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+
+    def word(j: int) -> np.ndarray:
+        # a span shorter than 8 j bytes may start its word past the file;
+        # its mask is 0, so where it reads is of no account. (take() would
+        # copy the whole unaligned view first.)
+        at = np.minimum(starts + 8 * j, len(words) - 1)
+        return words[at] & masks[np.clip(lengths - 8 * j, 0, 8)]
+
+    columns = [word(j) for j in range(-(-int(lengths.max()) // 8))]
+    order = np.lexsort(columns)
+    # a span is new where a word differs: uint64 diffs wrap, but 0 iff equal
+    new = np.ones(len(order), bool)
+    new[1:] = np.any([np.diff(column[order]) != 0 for column in columns], 0)
+    codes = np.empty(len(order), np.intp)
+    codes[order] = np.cumsum(new) - 1
+    firsts = order[new]
+    return ([buf[s:e].tobytes().decode("ascii").split(",")
+             for s, e in zip(starts[firsts], ends[firsts])], codes)
 
 
 def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
@@ -626,13 +768,24 @@ def _parse_row(cells: list, row_no: int, text: bool) -> FlowRecord:
         raise ValueError(f"malformed trace row {row_no}: {exc}") from exc
 
 
-def read_trace(path) -> list[FlowRecord]:
-    """Load a trace written by write_trace; format is sniffed from content."""
+def read_trace(path) -> FlowTable:
+    """The flow table of a trace written by write_trace. A CSV trace is read
+    from its bytes with numpy (_csv_columns); any other file, JSONL among
+    them, goes to _read_records, the reference reader, which gives the same
+    flows or its exact diagnostic."""
+    table = _csv_columns(path)
+    if table is None:
+        table = FlowTable.from_records(_read_records(path))
+    return table
+
+
+def _read_records(path) -> Iterator[FlowRecord]:
+    """The flows of a trace, one record at a time; the format is sniffed
+    from content. Raises ValueError, naming the row, for a malformed one."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":
-            flows = []
             for i, line in enumerate(fh, start=1):
                 try:
                     values = json.loads(line)
@@ -641,20 +794,17 @@ def read_trace(path) -> list[FlowRecord]:
                 if not isinstance(values, dict) or values.keys() != _COLUMN_SET:
                     raise ValueError(f"malformed trace row {i}: expected an "
                                      f"object with the keys {TRACE_COLUMNS}")
-                flows.append(_parse_row([values[c] for c in TRACE_COLUMNS], i,
-                                        text=False))
-            return flows
+                yield _parse_row([values[c] for c in TRACE_COLUMNS], i,
+                                 text=False)
+            return
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
+        header = next(reader, None)
+        if header is None:
+            return
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"malformed trace row 1: header {header!r}")
-        flows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(TRACE_COLUMNS):
                 raise ValueError(f"malformed trace row {i}: {len(row)} fields, "
                                  f"expected {len(TRACE_COLUMNS)}")
-            flows.append(_parse_row(row, i, text=True))
-        return flows
+            yield _parse_row(row, i, text=True)

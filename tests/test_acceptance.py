@@ -35,6 +35,7 @@ from c2sim.scenario import default_scenario, default_scenario_text, parse_scenar
 from c2sim.traffic import (
     BeaconConfig,
     ChannelProfile,
+    FlowTable,
     WorkdayModel,
     beacon_ticks,
     synth_background,
@@ -87,7 +88,7 @@ def beacon_flows():
 @pytest.fixture(scope="session")
 def beacon_report(beacon_flows, benign_flows):
     t0 = time.monotonic()
-    report = evaluate([*beacon_flows, *benign_flows])
+    report = evaluate(FlowTable.from_records([*beacon_flows, *benign_flows]))
     return report, time.monotonic() - t0
 
 
@@ -159,7 +160,7 @@ def test_criterion_3_event_channels_evade_the_detector(benign_flows, t_star):
             if f.leg == "tasking":
                 event_flows.append(
                     dataclasses.replace(f, src=f"run{seed}:{f.src}"))
-    report = evaluate([*event_flows, *benign_flows],
+    report = evaluate(FlowTable.from_records([*event_flows, *benign_flows]),
                       DetectorConfig(threshold=threshold))
     event_verdicts = [v for v in report.channels if v.label == "event_c2"]
     n_event = len(event_verdicts)

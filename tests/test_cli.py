@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scenario_corpus import artifact_digests, corpus, read_table
 
-from c2sim import detect
+from c2sim import traffic
 from c2sim.cli import main
 from c2sim.detect import evaluate
 from c2sim.engine import RngStream
@@ -24,6 +24,7 @@ from c2sim.scenario import default_scenario_text, parse_scenario
 from c2sim.traffic import (
     TRACE_COLUMNS,
     BeaconConfig,
+    FlowTable,
     WorkdayModel,
     read_trace,
     synth_background,
@@ -48,7 +49,7 @@ def _mixed_trace_file(tmp_path, name="mixed.csv"):
     model = WorkdayModel(horizon_ms=2 * 86_400_000)
     flows += synth_background(5, model, lambda sid: RngStream(7, sid))
     p = tmp_path / name
-    write_trace(p, flows)
+    write_trace(p, FlowTable.from_records(flows))
     return p
 
 
@@ -800,14 +801,14 @@ _CORPUS = corpus()
 _CORPUS_SAMPLE = list(_CORPUS)[::10]
 
 
-def _no_read_trace(path):
-    raise AssertionError(f"{path} was left to read_trace")
+def _no_read_records(path):
+    raise AssertionError(f"{path} was left to the row reader")
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_REPORTS) + _CORPUS_SAMPLE)
 def test_simulated_traces_take_the_column_reader(name, tmp_path, monkeypatch):
     # a trace left to the per-row reader would exit 2 here
-    monkeypatch.setattr(detect, "read_trace", _no_read_trace)
+    monkeypatch.setattr(traffic, "_read_records", _no_read_records)
     if name in _PINNED_REPORTS:
         text, reports = _PINNED_TEXT[name], _PINNED_REPORTS[name]
     else:

@@ -12,7 +12,6 @@ are checked, and so is the choice between them.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -40,14 +39,12 @@ from c2sim.detect import (
     group_channels,
     interval_regularity,
     periodogram_strength,
-    read_columns,
     report_records,
     score_channel,
     size_uniformity,
     write_report,
     write_roc_csv,
     _auc_from_points,
-    _csv_columns,
     _roc_points,
 )
 from c2sim.engine import Dist, RngStream
@@ -68,6 +65,8 @@ from c2sim.traffic import (
     synth_background,
     synth_beacon_trace,
     write_trace,
+    _csv_columns,
+    _read_records,
 )
 
 
@@ -106,7 +105,7 @@ def _as_lists(series: list[ChannelSeries]) -> list[tuple]:
 def test_group_channels_partitions_the_trace():
     trace = [_flow(1, "a", "x"), _flow(2, "a", "x"), _flow(2, "a", "x"),
              _flow(9, "b", "x"), _flow(3, "a", "y")]
-    series = group_channels(trace)
+    series = group_channels(FlowTable.from_records(trace))
     assert [s.key for s in series] == [("a", "x"), ("a", "y"), ("b", "x")]
     assert sum(s.n_flows for s in series) == len(trace)
     ax = series[0]
@@ -115,22 +114,10 @@ def test_group_channels_partitions_the_trace():
     assert len(ax.arrivals) == len(ax.sizes)
 
 
-def test_evaluate_refuses_what_a_flow_table_refuses():
-    # FlowRecord takes a flow that ends past int64; the trace's readers,
-    # write_trace and merge_traces refuse it, and so does evaluate
-    flows = [_flow(t, "a", "x") for t in (1, 2, 3)]
-    flows.append(dataclasses.replace(flows[0], ts_start=2**63 - 3))
-    with pytest.raises(ValueError, match="outside the int64 range") as got:
-        FlowTable.from_records(flows)
-    with pytest.raises(ValueError) as again:
-        evaluate(flows)
-    assert str(again.value) == str(got.value)
-
-
 def test_group_channels_label_priority():
     trace = [_flow(1, "a", "x"), _flow(2, "a", "x", label="beacon_c2",
                                        leg="tasking", dst_class="hub")]
-    assert group_channels(trace)[0].label == "beacon_c2"
+    assert group_channels(FlowTable.from_records(trace))[0].label == "beacon_c2"
 
 
 # -- reading a trace as columns ------------------------------------------------
@@ -246,26 +233,25 @@ def _loop_groups(trace: list[FlowRecord]) -> list[ChannelSeries]:
 
 def _read_alike(path: Path, flows: list[FlowRecord],
                 edits: list[tuple]) -> bool:
-    """Write flows as a trace, edit its text, and check that read_columns
-    reads the table of what read_trace reads, every column of it, or raises
-    its message; returns whether the column reader took the file rather
-    than leaving it to read_trace."""
-    write_trace(path, flows)
+    """Write flows as a trace, edit its text, and check that read_trace
+    reads the table of what the row reader reads, every column of it, or
+    raises its message; returns whether the column reader took the file
+    rather than leaving it to the row reader."""
+    write_trace(path, FlowTable.from_records(flows))
     text = _edited(path.read_text(encoding="utf-8"), edits)
     path.write_text(text, encoding="utf-8", newline="")
     try:
-        records = read_trace(path)
+        records = list(_read_records(path))
     except ValueError as exc:
         assert _csv_columns(path) is None
         with pytest.raises(ValueError) as got:
-            read_columns(path)
+            read_trace(path)
         assert str(got.value) == str(exc)
         return False
-    table = read_columns(path)
+    table = read_trace(path)
     assert table == FlowTable.from_records(records)
     assert (_as_lists(group_channels(table))
             == _as_lists(_loop_groups(records)))
-    assert evaluate(table) == evaluate(records)
     return _csv_columns(path) is not None
 
 
@@ -307,9 +293,9 @@ def test_column_reader_on_each_edit(case, tmp_path):
 
 
 def test_column_reader_matches_read_trace():
-    """The numpy reader takes only files read_trace accepts, and reads the
-    same columns from them; read_columns gives read_trace's exact
-    diagnostic for every file read_trace refuses."""
+    """The numpy reader takes only files the row reader accepts, and reads
+    the same columns from them; read_trace gives the row reader's exact
+    diagnostic for every file the row reader refuses."""
     taken = []
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -321,15 +307,16 @@ def test_column_reader_matches_read_trace():
             taken.append(_read_alike(Path(tmp) / "trace.csv", flows, edits))
 
     check()
-    # unedited traces and edits read_trace accepts keep the fast path busy
+    # unedited traces and edits the row reader accepts keep the fast path
+    # busy
     assert sum(taken) >= 100, sum(taken)
 
 
 def test_column_reader_leaves_a_header_only_trace_to_read_trace(tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace(path, [])
+    write_trace(path, FlowTable.from_records([]))
     assert _csv_columns(path) is None
-    assert group_channels(read_columns(path)) == []
+    assert group_channels(read_trace(path)) == []
 
 
 def _spans_near(length: int) -> list[tuple[str, str]]:
@@ -371,29 +358,29 @@ def test_column_reader_checks_each_kind_a_file_holds(tmp_path):
 
 
 def test_column_read_cost_follows_the_file(tmp_path):
-    # A span past _MAX_SPAN bytes goes to read_trace, so one long name costs
-    # its bytes once, not once a row: 50,000 rows with one 100,000-byte src.
-    # Measured on 2 vCPUs, read_columns took 0.52-0.67 s, nearly all of it in
-    # read_trace; coding the name word by word took 17 s, and sorting its
-    # 12,500 words a row would need 5 GB.
+    # A span past _MAX_SPAN bytes goes to the row reader, so one long name
+    # costs its bytes once, not once a row: 50,000 rows with one
+    # 100,000-byte src. Measured on 2 vCPUs, read_trace took 0.52-0.67 s,
+    # nearly all of it in the row reader; coding the name word by word took
+    # 17 s, and sorting its 12,500 words a row would need 5 GB.
     n = 50_000
     path = tmp_path / "trace.csv"
 
     def write(src: str) -> None:
-        write_trace(path, [
+        write_trace(path, FlowTable.from_records([
             _flow(1000 * i, src if i == n // 2 else f"implant-{i % 3}", "hub",
                   label="event_c2", leg="tasking", dst_class="hub")
-            for i in range(n)])
+            for i in range(n)]))
 
     write("x" * 100_000)
     start = time.perf_counter()
-    columns = read_columns(path)
+    table = read_trace(path)
     assert time.perf_counter() - start < 5.0
-    assert evaluate(columns) == evaluate(read_trace(path))
+    assert table == FlowTable.from_records(_read_records(path))
     for length, taken in ((64, True), (65, False)):
         write("x" * (length - len(",hub,hub")))
         assert (_csv_columns(path) is not None) is taken
-        assert evaluate(read_columns(path)) == evaluate(read_trace(path))
+        assert read_trace(path) == FlowTable.from_records(_read_records(path))
 
 
 def _write_polls(path: Path, n: int) -> None:
@@ -412,18 +399,37 @@ def _write_polls(path: Path, n: int) -> None:
 
 def test_column_read_memory_follows_rows(tmp_path):
     # Measured here, the column reader with the grouping peaks at 244 bytes
-    # a row, and read_trace's records with the grouping of them at 503.
+    # a row, and a list of the row reader's records with the grouping of
+    # them at 503.
     n = 200_000
     path = tmp_path / "trace.csv"
     _write_polls(path, n)
     tracemalloc.start()
     try:
-        series = group_channels(read_columns(path))
+        series = group_channels(read_trace(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sum(s.n_flows for s in series) == n
     assert peak < 320 * n
+
+
+def test_jsonl_read_memory_follows_rows(tmp_path):
+    # A JSONL trace goes to the row reader, whose records stream into the
+    # table. Measured here, read_trace peaks at 176 bytes a row and holds
+    # 40; a list of the records peaked at 477 and held all of it.
+    n = 200_000
+    csv_path, path = tmp_path / "trace.csv", tmp_path / "trace.jsonl"
+    _write_polls(csv_path, n)
+    write_trace(path, read_trace(csv_path), fmt="jsonl")
+    tracemalloc.start()
+    try:
+        table = read_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert peak < 250 * n
 
 
 def test_grouped_series_hold_no_per_flow_object(tmp_path):
@@ -433,10 +439,10 @@ def test_grouped_series_hold_no_per_flow_object(tmp_path):
     path = tmp_path / "trace.csv"
     _write_polls(path, n)
     # once untraced, so the modules numpy imports on first use are not held
-    group_channels(read_columns(path))
+    group_channels(read_trace(path))
     tracemalloc.start()
     try:
-        series = group_channels(read_columns(path))
+        series = group_channels(read_trace(path))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -932,7 +938,7 @@ def test_size_uniformity_hand_values():
 
 def test_channel_of_zero_byte_flows_is_scored_with_size_uniformity_zero():
     flows = [_flow(t, "h", "hub", size=0) for t in (0, 60_000, 120_000, 180_000)]
-    (verdict,) = evaluate(flows).channels
+    (verdict,) = evaluate(FlowTable.from_records(flows)).channels
     assert verdict.score is not None
     assert verdict.score.size_uniformity == 0.0
 
@@ -1015,7 +1021,7 @@ def _mixed_trace():
                                size=rnd.randrange(200, 9000)))
     flows.append(_flow(10, "tiny", "svc"))   # insufficient channel
     flows.append(_flow(20, "tiny", "svc"))
-    return flows
+    return FlowTable.from_records(flows)
 
 
 def test_evaluate_separates_beacon_from_irregular_channels():
@@ -1033,7 +1039,7 @@ def test_evaluate_is_order_invariant():
     trace = _mixed_trace()
     shuffled = list(trace)
     random.Random(3).shuffle(shuffled)
-    assert evaluate(shuffled) == evaluate(trace)
+    assert evaluate(FlowTable.from_records(shuffled)) == evaluate(trace)
 
 
 @pytest.mark.parametrize("mode", ["autonomous_swarm", MODE_MANUAL])
@@ -1046,7 +1052,7 @@ def test_evaluate_reads_a_flow_tables_columns_without_records(mode,
             .replace("n_users = 0", "n_users = 2"))
     trace = run_scenario(parse_scenario(text).with_mode(mode)).trace
     assert isinstance(trace, FlowTable)
-    expected = evaluate(list(trace))
+    expected = evaluate(FlowTable.from_records(list(trace)))
     assert {v.label for v in expected.channels} == {
         "benign", "beacon_c2" if mode == MODE_MANUAL else "event_c2"}
 
@@ -1055,21 +1061,23 @@ def test_evaluate_reads_a_flow_tables_columns_without_records(mode,
 
     monkeypatch.setattr(FlowTable, "__iter__", no_records)
     assert evaluate(trace) == expected
-    assert evaluate(FlowTable([], [], [[]] * 4)) == evaluate([])
+    assert evaluate(FlowTable([], [], [[]] * 4)) == evaluate(
+        FlowTable.from_records([]))
 
 
 def test_evaluate_empty_and_degenerate_traces():
-    empty = evaluate([])
+    empty = evaluate(FlowTable.from_records([]))
     assert empty.channels == [] and empty.auc is None
     assert empty.degenerate == "no scorable channels"
-    benign_only = evaluate([_flow(t, "u", "svc") for t in range(0, 50_000, 500)])
+    benign_only = evaluate(FlowTable.from_records(
+        [_flow(t, "u", "svc") for t in range(0, 50_000, 500)]))
     assert benign_only.auc is None
     assert benign_only.degenerate == "no positive-labeled channels among scored"
 
 
 def test_insufficient_channels_count_as_unflagged_negatives():
     trace = [_flow(1, "u", "svc"), _flow(2, "u", "svc")]
-    report = evaluate(trace)
+    report = evaluate(FlowTable.from_records(trace))
     assert report.insufficient == 1
     assert (report.tp, report.fp, report.tn, report.fn) == (0, 0, 1, 0)
 
@@ -1092,7 +1100,8 @@ def test_report_files_round_trip(tmp_path):
 
 
 def test_report_records_mark_insufficient_channels():
-    recs = report_records(evaluate([_flow(1, "u", "svc"), _flow(2, "u", "svc")]))
+    recs = report_records(evaluate(FlowTable.from_records(
+        [_flow(1, "u", "svc"), _flow(2, "u", "svc")])))
     chan = [r for r in recs if r["type"] == "channel"][0]
     assert chan["insufficient"] is True and chan["flagged"] is False
 

@@ -22,13 +22,17 @@ from c2sim.engine import Simulator
 from c2sim.hub import (
     AGENT_ACTIVE,
     AGENT_POTENTIALLY_LOST,
+    INTEL_KINDS,
     DuplicateAgentError,
     HeartbeatPolicy,
     Hub,
     HubError,
     IntelItem,
     RECORD_KINDS,
+    TASK_COMPLETED,
+    TASK_FAILED,
     TASK_FETCHED,
+    TASK_QUEUED,
     Task,
     TaskStateError,
     UnknownAgentError,
@@ -36,7 +40,7 @@ from c2sim.hub import (
     make_content_key,
 )
 from c2sim.orchestrate import MODE_MANUAL, run_scenario
-from c2sim.scenario import default_scenario
+from c2sim.scenario import MODE_SWARM, default_scenario
 
 POLICY = HeartbeatPolicy(min_window_ms=3_600_000, max_window_ms=172_800_000)
 
@@ -790,6 +794,111 @@ def test_recovery_matches_reference_at_every_boundary_clean_and_torn():
             assert _outcome(Hub.recover(prefix)) == _reference_recover(prefix)
         cut += len(line)
     assert _outcome(Hub.recover(blob)) == _reference_recover(blob)
+
+
+@functools.cache
+def _swarm_journal() -> bytes:
+    journal = io.StringIO()
+    run_scenario(default_scenario().with_mode(MODE_SWARM), journal=journal)
+    return journal.getvalue().encode()
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+            | st.text(max_size=3))
+# any value a journal line's JSON may hold
+_JSON = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+
+
+@st.composite
+def _intel_items(draw):
+    kind = draw(st.sampled_from(sorted(INTEL_KINDS) + ["bogus"]))
+    payload = draw(st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+    try:
+        key = make_content_key(kind, payload)
+    except ValueError:
+        key = f"{kind}:"
+    return {"intel_id": draw(st.text(max_size=3)), "kind": kind,
+            "payload": payload,
+            "content_key": draw(st.sampled_from([key, key + "x"]))}
+
+
+@st.composite
+def _bodies(draw, hub):
+    """(record kind, body) of a record against hub: each field of its type,
+    naming the hub's agents, entities, tasks and tags or new ones; or, about
+    half the time, a body with one field of any type, a field dropped or
+    added, or no object at all."""
+    def named(known):
+        return st.sampled_from(sorted(known) + ["new"]) | st.text(max_size=3)
+
+    agents, tasks = named(hub.roster), named(hub.tasks)
+    fetched = sorted(t.task_id for t in hub.tasks.values()
+                     if t.state == TASK_FETCHED)
+    tags = named({c for a in hub.roster.values() for c in a.capabilities}
+                 | {r for t in hub.tasks.values() for r in t.requires})
+    fields = {
+        "register": dict(entity=named(hub._by_entity), agent_id=agents,
+                         capabilities=st.lists(tags, max_size=2),
+                         window_ms=st.integers(-5, 10**6)),
+        "task_issue": dict(
+            task_id=tasks, objective_ref=st.text(max_size=3),
+            description=st.text(max_size=3),
+            requires=st.lists(tags, max_size=2),
+            assigned_to=st.none() | agents, work_model=st.text(max_size=3),
+            meta=st.fixed_dictionaries({}, optional={"grants": tags | _JSON})),
+        "fetch": dict(agent_id=agents, task_ids=st.lists(
+            named(hub._queued) | tasks, max_size=2)),
+        "submit": dict(agent_id=agents,
+                       items=st.lists(_intel_items(), max_size=2)),
+        "task_close": dict(task_id=st.sampled_from(fetched) | tasks
+                           if fetched else tasks, state=st.sampled_from(
+            [TASK_COMPLETED, TASK_FAILED, TASK_QUEUED, "x"])),
+        "liveness_mark": dict(agent_id=agents, status=st.sampled_from(
+            [AGENT_POTENTIALLY_LOST, AGENT_ACTIVE, "x"])),
+    }
+    kind = draw(st.sampled_from(RECORD_KINDS))
+    body = draw(st.fixed_dictionaries(fields[kind]))
+    if not draw(st.booleans()):
+        return kind, body
+    damage = draw(st.sampled_from(["retype", "drop", "add", "whole"]))
+    name = draw(st.sampled_from(sorted(body)))
+    if damage == "retype":
+        body[name] = draw(_JSON)
+    elif damage == "drop":
+        del body[name]
+    elif damage == "add":
+        body[draw(st.text(max_size=3))] = draw(_JSON)
+    elif damage == "whole":
+        body = draw(_JSON)
+    return kind, body
+
+
+def test_check_refuses_only_by_hub_error_and_apply_takes_what_it_passes():
+    # Replay stops at the first record _check refuses, with the state as it
+    # is: that holds only while _check raises nothing but HubError and
+    # _apply never fails on a record _check passed.
+    passed = []
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def check(data):
+        blob = data.draw(st.sampled_from([_run_journal(), _swarm_journal()]))
+        lines = blob.splitlines(keepends=True)
+        hub = Hub.recover(b"".join(
+            lines[:data.draw(st.sampled_from(range(len(lines) + 1)))])).hub
+        kind, body = data.draw(_bodies(hub))
+        try:
+            hub._check(kind, body)
+        except HubError:
+            return
+        hub._apply(kind, data.draw(st.integers(0, 2**63 - 1)), body)
+        passed.append(kind)
+
+    check()
+    assert set(passed) == set(RECORD_KINDS), sorted(set(passed))
 
 
 @pytest.mark.parametrize("field,value", [
