@@ -19,9 +19,11 @@ caller opens, owns and closes, or None for a hub that writes no journal. It
 keeps no copy of a line after writing it. Each record is encoded as JSON,
 except the empty fetches `Hub.empty_fetches` journals, nearly every line of
 a beacon run, which one template writes with the encoder's bytes. Only
-`Hub.recover` reads a journal back: it decodes the one line layout the hub
-writes for a fetch with no task directly, and every other line as JSON; both
-go through the same framing, `_check` and `_apply`.
+`Hub.recover` reads a journal back, in one pass over its bytes. It reads the
+one line layout the hub writes for a fetch with no task directly and applies
+it by `_touch`, after the one check `_check` makes of such a fetch: its
+agent is known. Every other line goes through JSON framing, `_check` and
+`_apply`.
 """
 
 from __future__ import annotations
@@ -106,11 +108,12 @@ _decode = json.JSONDecoder().decode
 # record of a beacon run. Its agent id holds only characters JSON neither
 # escapes nor unescapes, and its numbers at most 19 digits, so the groups
 # read as JSON would; any other line, this layout with longer numbers among
-# them, goes to _decode.
+# them, goes to _decode. It holds no line end but its final newline, so a
+# match at a line's first byte is that whole line as bytes.splitlines cuts it.
 _EMPTY_FETCH = re.compile(
     rb'\{"body":\{"agent_id":"([ !#-\[\]-~]*)","task_ids":\[\]\},'
     rb'"record_kind":"fetch","seq":(0|[1-9][0-9]{0,18}),'
-    rb'"time_ms":(-?(?:0|[1-9][0-9]{0,18}))\}\n').fullmatch
+    rb'"time_ms":(-?(?:0|[1-9][0-9]{0,18}))\}\n').match
 
 
 # the fetch records Hub.empty_fetches journals with one write
@@ -444,8 +447,10 @@ class Hub:
         by str(). They are written as one write and one flush per
         chunk of FETCH_CHUNK records; only then is each record of the chunk
         applied (_touch), in order. So persist-then-mutate holds for every
-        chunk, and memory for the lines is one chunk's. Replaying a run of
-        journaled polls at once should apply it through this operation.
+        chunk, and memory for the lines is one chunk's. Replay does not
+        come back through here: it applies each journaled empty fetch by
+        _touch after _check's one rule for it, a known agent, and so accepts
+        an empty fetch from an agent with work, which this refuses.
         """
         quoted: dict[str, str] = {}  # agent id -> as _encode writes it
         for agent_id, _ in polls:
@@ -552,12 +557,39 @@ class Hub:
         replay got so a caller can see exactly what a crash cut off. The
         rebuilt hub writes no journal until a caller that continues the
         journal assigns it a stream.
+
+        Replay walks the bytes once, line by line as bytes.splitlines(
+        keepends=True) cuts them, and builds no list of lines. At each line
+        it first tries the empty fetch layout (_EMPTY_FETCH). That layout
+        fixes the body to exactly an agent_id, a str, and task_ids == [].
+        For that body _check reduces to _require(agent_id) and _apply to
+        _touch, so a matched line whose seq continues the sequence and whose
+        agent is on the roster is applied by _touch alone. Every other line
+        goes through _frame, _check and _apply.
         """
         hub = cls(HeartbeatPolicy(1, 1))
-        offset = 0
-        applied = 0
+        buf, end = journal_bytes, len(journal_bytes)
+        roster, touch = hub.roster, hub._touch
+        # roster agents by id as the layout spells it; the roster never
+        # shrinks, and a miss sends its line to _check, which stops replay
+        known: dict[bytes, AgentRecord | None] = {}
+        pos = applied = 0
         truncated = False
-        for raw in journal_bytes.splitlines(keepends=True):
+        while pos < end:
+            fetch = _EMPTY_FETCH(buf, pos)
+            if fetch is not None:
+                agent_id, seq, t = fetch.groups()
+                agent = known.get(agent_id)
+                if agent is None:
+                    agent = known[agent_id] = roster.get(agent_id.decode())
+                if agent is not None and int(seq) == applied:
+                    touch(agent, int(t))
+                    applied += 1
+                    pos = fetch.end()
+                    continue
+            raw = buf[pos:buf.find(b"\n", pos) + 1 or end]
+            if 13 in raw:  # a CR, where splitlines also ends a line
+                raw = raw.splitlines(keepends=True)[0]
             rec = _frame(raw)
             if rec is None or rec[0] != applied:
                 truncated = True
@@ -570,20 +602,15 @@ class Hub:
                 break
             hub._apply(kind, t, body)
             applied += 1
-            offset += len(raw)
+            pos += len(raw)
         hub._seq = applied
         return RecoveryResult(hub=hub, records_applied=applied,
-                              stopped_at_byte=offset, truncated=truncated)
+                              stopped_at_byte=pos, truncated=truncated)
 
 
 def _frame(raw: bytes) -> tuple | None:
     """(seq, time_ms, record_kind, body) of one journal line, or None when
     the line is not a whole record of the journal's framing."""
-    fetch = _EMPTY_FETCH(raw)
-    if fetch is not None:
-        agent_id, seq, t = fetch.groups()
-        return int(seq), int(t), "fetch", {"agent_id": agent_id.decode(),
-                                          "task_ids": []}
     if not raw.endswith(b"\n"):
         return None
     try:

@@ -12,9 +12,10 @@ import functools
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from c2sim import hub as hub_module
@@ -987,6 +988,110 @@ def _fetch_journals(draw):
 @given(blob=_fetch_journals())
 def test_recovery_of_hand_built_fetch_lines_matches_reference(blob):
     assert _outcome(Hub.recover(blob)) == _reference_recover(blob)
+
+
+def _line(draw, rec: dict) -> bytes:
+    """rec as the hub writes it, or with its text raw UTF-8 or a CRLF end,
+    both of which replay reads; or, now and then, with a bare CR inside it,
+    which stops replay."""
+    text = _encode(rec)
+    form = draw(st.sampled_from(["hub"] * 6 + ["utf8", "crlf"] * 2
+                                + ["cr"]))
+    if form == "utf8":
+        text = json.dumps(rec, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False)
+    elif form == "crlf":
+        text += "\r"
+    elif form == "cr":
+        cut = draw(st.integers(0, len(text) - 1))
+        text = text[:cut] + "\r" + text[cut:]
+    return (text + "\n").encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def _poll_run_journals(draw):
+    """Two agents, the second under any journal text, and a queued task
+    agent-1 may fetch; then runs of empty fetches, each ended by a liveness
+    mark, with each line written as _line draws it. Now and then a fetch
+    names an unknown agent, or its seq skips or repeats one."""
+    other = draw(st.sampled_from(["agent-2", 'agent-"2"', "ag\u00e9nt-2"])
+                 | _JOURNAL_TEXT.filter(lambda s: s != "agent-1"))
+    blob = journal_lines([
+        {"seq": i, "time_ms": 0, "record_kind": "register", "body": {
+            "entity": f"implant-{i}", "agent_id": agent_id,
+            "capabilities": ["a"], "window_ms": 5}}
+        for i, agent_id in enumerate(["agent-1", other])] + [
+        {"seq": 2, "time_ms": 0, "record_kind": "task_issue", "body": _ISSUE}])
+    seq = 3
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 4))):
+            fault = draw(st.sampled_from([None] * 16
+                                         + ["unknown", "gap", "repeat"]))
+            seq += {"gap": 1, "repeat": -1}.get(fault, 0)
+            agent = ("agent-9" if fault == "unknown"
+                     else draw(st.sampled_from(["agent-1", other])))
+            blob += _line(draw, {
+                "seq": seq, "time_ms": draw(st.integers(-2, 99)),
+                "record_kind": "fetch",
+                "body": {"agent_id": agent, "task_ids": []}})
+            seq += 1
+        blob += _line(draw, {
+            "seq": seq, "time_ms": 100, "record_kind": "liveness_mark",
+            "body": {"agent_id": draw(st.sampled_from(["agent-1", other])),
+                     "status": AGENT_POTENTIALLY_LOST}})
+        seq += 1
+    return blob
+
+
+def _polls(agent_id: str, seqs, t=7) -> bytes:
+    return journal_lines([{"seq": s, "time_ms": t, "record_kind": "fetch",
+                           "body": {"agent_id": agent_id, "task_ids": []}}
+                          for s in seqs])
+
+
+_REGISTER_1 = journal_lines([{"seq": 0, "time_ms": 0, "record_kind": "register",
+                              "body": {"entity": "implant-1",
+                                       "agent_id": "agent-1",
+                                       "capabilities": ["a"], "window_ms": 5}}])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(blob=_poll_run_journals())
+# a bare CR cuts a line: before an empty fetch, and inside a JSON line
+@example(blob=_REGISTER_1 + _polls("agent-1", [1]) + b"\r"
+         + _polls("agent-1", [2, 3]))
+@example(blob=_REGISTER_1 + _polls("agent-1", [1])[:-1] + b"\r\n"
+         + _REGISTER_1.replace(b'"agent_id"', b'\r"agent_id"'))
+# a run that names an unknown agent after a known one
+@example(blob=_REGISTER_1 + _polls("agent-1", [1]) + _polls("agent-9", [2]))
+# CRLF line ends, which JSON reads as whitespace: every record applies
+@example(blob=(_REGISTER_1 + _polls("agent-1", [1, 2, 3])).replace(
+    b"\n", b"\r\n"))
+def test_recovery_of_poll_runs_matches_reference_at_every_byte(blob):
+    for cut in range(len(blob) + 1):
+        prefix = blob[:cut]
+        assert _outcome(Hub.recover(prefix)) == _reference_recover(prefix)
+
+
+def test_replay_memory_does_not_follow_the_journal():
+    # Replay walks the bytes and builds no line list. Measured on this
+    # journal, a list of its lines peaked at 138 bytes a record, and the
+    # walk peaks under one.
+    n = 200_000
+    hub = _hub()
+    agent_ids = [hub.register_agent(f"implant-{i}", ["a"], now=0)
+                 for i in range(4)]
+    hub.empty_fetches([(agent_ids[i % 4], i) for i in range(n)])
+    blob = _bytes(hub)
+    tracemalloc.start()
+    try:
+        rec = Hub.recover(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rec.records_applied, rec.truncated) == (n + 4, False)
+    assert rec.hub.state_dict() == hub.state_dict()
+    assert peak < 8 * n
 
 
 def test_acked_submissions_survive_any_later_crash():
