@@ -255,10 +255,26 @@ class Simulator:
             return time, handler, args
         return None
 
-    def take(self) -> None:
+    def take(self, time: SimTime | None = None) -> None:
         """Dequeue the call peek() returned and set the clock to its time,
-        as run_until does before it dispatches a call: the caller runs it."""
-        self.clock = heapq.heappop(self._queue)[0]
+        as run_until does before it dispatches a call: the caller runs it.
+
+        Given a time, queue the same call again for it, with the next
+        sequence number, as schedule() right after take() would: one heap
+        operation for both. A time before the taken call's raises
+        SchedulingError and leaves queue and clock as they were.
+        """
+        queue = self._queue
+        if time is None:
+            self.clock = heapq.heappop(queue)[0]
+            return
+        now, _, handler, args = queue[0]
+        if time < now:
+            raise SchedulingError(
+                f"cannot schedule {handler.__qualname__}{args} at t={time}; "
+                f"clock is {now}")
+        heapq.heapreplace(queue, (int(time), next(self._seq), handler, args))
+        self.clock = now
 
     def clear(self) -> None:
         """Forget every queued event, and with them whatever they hold."""

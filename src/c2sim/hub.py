@@ -14,6 +14,14 @@ register, task_issue, fetch, submit, task_close, liveness_mark; _BODY_FIELDS
 names each kind's body fields and their types. The hub issues task_issue
 records itself so that queued-but-unfetched tasks survive replay.
 
+Tasking reads an index of, for each agent, the queued tasks _eligible
+gives it. It is built from the queued tasks on its first read and kept by
+_apply from then on; replay reads none of it, so builds none. A fetch
+returns its agent's set, "does this agent have work" is one lookup, and
+_eligible, the one matching rule, runs only when a task is queued, an
+agent registers, or a grant adds a tag, each time against the tasks or
+agents that change can concern.
+
 The hub writes each journal line once, to `Hub.journal`: a text stream its
 caller opens, owns and closes, or None for a hub that writes no journal. It
 keeps no copy of a line after writing it. Each record is encoded as JSON,
@@ -174,8 +182,9 @@ class Task:
 
 def _eligible(task: Task, agent: AgentRecord) -> bool:
     """The matching rule: a queued task goes to its assignee or, unassigned,
-    to any agent holding every capability it requires. Callers take the task
-    from Hub._queued, which _apply keeps equal to the queued tasks."""
+    to any agent holding every capability it requires. Callers pass queued
+    tasks only: from Hub._queued, which _apply keeps equal to the queued
+    tasks, or from the index _apply keeps beside it."""
     return (task.assigned_to == agent.agent_id
             or (task.assigned_to is None and task.requires <= agent.capabilities))
 
@@ -247,8 +256,21 @@ class Hub:
         self.policy = policy
         self.roster: dict[str, AgentRecord] = {}
         self.tasks: dict[str, Task] = {}
-        # queued tasks in issue order, kept by _apply so replay rebuilds it
+        # queued tasks in issue order, and each one's place in that order,
+        # kept by _apply so replay rebuilds them
         self._queued: dict[str, Task] = {}
+        self._rank: dict[str, int] = {}
+        # The index: per agent id, the queued tasks _eligible gives it, by
+        # task id; per queued task, the agents whose set holds it; per tag,
+        # the unassigned queued tasks requiring it, for the agent a grant
+        # makes eligible. Built from _queued on its first read (_index), so
+        # replay, which reads none of it, pays nothing for it; kept by
+        # _apply from then on.
+        self._work: dict[str, dict[str, Task]] | None = None
+        self._holders: dict[str, list[str]] = {}
+        self._wanting: dict[str, dict[str, Task]] = {}
+        # agent id -> the line of its empty fetch up to the seq's digits
+        self._fetch_heads: dict[str, str] = {}
         self.context = SharedContext()
         self.journal = journal
         self._by_entity: dict[str, str] = {}
@@ -342,6 +364,14 @@ class Hub:
                                 window_ms=body["window_ms"])
             self.roster[agent.agent_id] = agent
             self._by_entity[agent.entity] = agent.agent_id
+            self._fetch_heads[agent.agent_id] = (
+                f'{{"body":{{"agent_id":{_json_str(agent.agent_id)},'
+                '"task_ids":[]},"record_kind":"fetch","seq":')
+            if self._work is not None:
+                self._work[agent.agent_id] = {}
+                for task in self._queued.values():
+                    if _eligible(task, agent):
+                        self._file(task, agent.agent_id)
             return {}
         if kind == "task_issue":
             task = Task(task_id=body["task_id"], objective_ref=body["objective_ref"],
@@ -349,14 +379,23 @@ class Hub:
                         requires=frozenset(body["requires"]),
                         assigned_to=body["assigned_to"], created_at=t,
                         work_model=body["work_model"], meta=dict(body["meta"]))
+            self._rank[task.task_id] = len(self.tasks)
             self.tasks[task.task_id] = task
             self._queued[task.task_id] = task
+            if self._work is not None:
+                self._file_queued(task)
             return {}
         if kind == "fetch":
             agent = self.roster[body["agent_id"]]
             for tid in body["task_ids"]:
-                task = self.tasks[tid]
-                self._queued.pop(tid, None)  # the one way out of the queue
+                task = self._queued.pop(tid)  # the one way out of the queue
+                del self._rank[tid]
+                if self._work is not None:
+                    for holder in self._holders.pop(tid):
+                        del self._work[holder][tid]
+                    if task.assigned_to is None:
+                        for tag in task.requires:
+                            del self._wanting[tag][tid]
                 task.state = TASK_FETCHED
                 task.fetched_at = t
                 # first fetch wins an unassigned task
@@ -387,12 +426,46 @@ class Hub:
             task.closed_at = t
             grant = task.meta.get("grants")
             if grant and task.state == TASK_COMPLETED and task.assigned_to:
-                self.roster[task.assigned_to].capabilities.add(grant)
+                agent = self.roster[task.assigned_to]
+                if grant not in agent.capabilities:
+                    agent.capabilities.add(grant)
+                    # an agent without the tag held no task requiring it
+                    if self._work is not None:
+                        for wanted in self._wanting.get(grant, {}).values():
+                            if _eligible(wanted, agent):
+                                self._file(wanted, agent.agent_id)
             return {}
         if kind == "liveness_mark":
             self.roster[body["agent_id"]].status = body["status"]
             return {}
         raise HubError(f"unknown record kind {kind!r}")
+
+    def _index(self) -> dict[str, dict[str, Task]]:
+        """The per-agent sets of queued tasks, built on the first read by
+        filing each queued task as _apply files a task it queues."""
+        if self._work is None:
+            self._work = {agent_id: {} for agent_id in self.roster}
+            for task in self._queued.values():
+                self._file_queued(task)
+        return self._work
+
+    def _file_queued(self, task: Task) -> None:
+        """File a queued task: under its assignee, or under every agent
+        _eligible gives it and every tag it requires."""
+        self._holders[task.task_id] = []
+        if task.assigned_to is not None:
+            self._file(task, task.assigned_to)
+            return
+        for agent in self.roster.values():
+            if _eligible(task, agent):
+                self._file(task, agent.agent_id)
+        for tag in task.requires:
+            self._wanting.setdefault(tag, {})[task.task_id] = task
+
+    def _file(self, task: Task, agent_id: str) -> None:
+        """Add a queued task to the set of an agent _eligible gives it."""
+        self._work[agent_id][task.task_id] = task
+        self._holders[task.task_id].append(agent_id)
 
     def _touch(self, agent: AgentRecord, t: int) -> None:
         agent.last_contact = t
@@ -427,8 +500,13 @@ class Hub:
         })
 
     def get_tasks(self, agent_id: str, now: int) -> list[Task]:
-        agent = self._require(agent_id)
-        matched = [t for t in self._queued.values() if _eligible(t, agent)]
+        """Fetch, in issue order, every queued task _eligible gives
+        agent_id: its set in the index, which nearly always holds no task
+        or one."""
+        self._require(agent_id)
+        matched = list(self._index()[agent_id].values())
+        if len(matched) > 1:
+            matched.sort(key=lambda t: self._rank[t.task_id])
         self._record(now, "fetch", {
             "agent_id": agent_id, "task_ids": [t.task_id for t in matched],
         })
@@ -440,25 +518,29 @@ class Hub:
         a run in which no agent has work.
 
         Refuses the whole run before writing anything if an agent is unknown
-        or has a queued task _eligible gives it. An empty fetch changes no
-        task, so that check holds for every poll of the run. The lines are
-        the bytes _encode gives, filled into one template: keys in sorted
-        order, the agent id escaped as _encode escapes it, integers written
-        by str(). They are written as one write and one flush per
-        chunk of FETCH_CHUNK records; only then is each record of the chunk
-        applied (_touch), in order. So persist-then-mutate holds for every
-        chunk, and memory for the lines is one chunk's. Replay does not
-        come back through here: it applies each journaled empty fetch by
-        _touch after _check's one rule for it, a known agent, and so accepts
-        an empty fetch from an agent with work, which this refuses.
+        or has a queued task _eligible gives it, a check made once per call
+        from agents_with_work(). An empty fetch changes no task, so that
+        check holds for every poll of the run. The lines are the bytes
+        _encode gives, filled into one template: keys in sorted order, the
+        agent id escaped as _encode escapes it, integers written by str().
+        Each agent's line head is built once, at its registration, so a
+        poll fills in only its seq and time. The lines are written as one
+        write and one flush per chunk of FETCH_CHUNK records; only then is
+        the chunk applied, by touching each of its agents once with its
+        last poll's time, which leaves the state that touching every poll
+        in order leaves. So persist-then-mutate holds for every chunk, and
+        memory for the lines is one chunk's. Replay does not come back through
+        here: it applies each journaled empty fetch by _touch after _check's
+        one rule for it, a known agent, and so accepts an empty fetch from
+        an agent with work, which this refuses.
         """
-        quoted: dict[str, str] = {}  # agent id -> as _encode writes it
-        for agent_id, _ in polls:
-            if agent_id not in quoted:
-                if self.has_work_for(agent_id):
-                    raise TaskStateError(f"{agent_id} has a queued task, so "
-                                         "its fetch is not empty")
-                quoted[agent_id] = _json_str(agent_id)
+        busy, heads = self.agents_with_work(), self._fetch_heads
+        for agent_id in dict(polls):
+            if agent_id not in heads:  # not on the roster
+                self._require(agent_id)
+            if agent_id in busy:
+                raise TaskStateError(f"{agent_id} has a queued task, so "
+                                     "its fetch is not empty")
         roster, touch = self.roster, self._touch
         for lo in range(0, len(polls), FETCH_CHUNK):
             chunk = polls[lo:lo + FETCH_CHUNK]
@@ -466,17 +548,21 @@ class Hub:
             self._seq += len(chunk)
             if self.journal is not None:
                 self.journal.write("".join([
-                    f'{{"body":{{"agent_id":{quoted[a]},"task_ids":[]}},'
-                    f'"record_kind":"fetch","seq":{s!s},"time_ms":{t!s}}}\n'
+                    f'{heads[a]}{s!s},"time_ms":{t!s}}}\n'
                     for s, (a, t) in enumerate(chunk, seq)]))
                 self.journal.flush()
-            for a, t in chunk:
+            for a, t in dict(chunk).items():
                 touch(roster[a], t)
 
     def has_work_for(self, agent_id: str) -> bool:
-        """Whether agent_id's next poll would fetch anything."""
-        agent = self._require(agent_id)
-        return any(_eligible(t, agent) for t in self._queued.values())
+        """Whether agent_id's next poll would fetch anything: one lookup in
+        the index."""
+        self._require(agent_id)
+        return bool(self._index()[agent_id])
+
+    def agents_with_work(self) -> set[str]:
+        """The agents whose next poll would fetch anything."""
+        return {agent_id for agent_id, work in self._index().items() if work}
 
     def submit_intelligence(self, agent_id: str, items: Iterable[IntelItem],
                             now: int) -> SubmitResult:

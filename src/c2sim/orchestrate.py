@@ -217,8 +217,8 @@ class _RunBase:
             found = topology.recon_yield(p.subnet)
         elif p.kind == "probe":
             found = [("host", p.host)]
-            found += [(i.kind, i.name) for i in topology.intel
-                      if i.host == p.host]
+            found += [(i.kind, i.name)
+                      for i in topology.intel_by_host.get(p.host, ())]
         else:
             found = [("misc", f"pivot-result:{task_id}")]
         items = [IntelItem.create(f"intel-{task_id}-{i}", agent_id, kind,
@@ -427,37 +427,36 @@ class _ManualRun(_RunBase):
         the agent executing a task done by the poll's time. Such a poll
         notes the contact, journals an empty fetch and schedules the agent's
         next tick, and changes nothing another poll reads, so the hub's
-        check holds for the whole stretch and is made once per agent. The
-        polls are taken from the queue in its own order and each successor
-        is scheduled as its poll is taken, so every call keeps the time and
-        sequence number the per-poll run gives it. The first call that is
-        not an empty poll stays queued for run_until. The polls go to the
-        hub a chunk at a time, so a stretch holds at most one chunk.
+        work check holds for the whole stretch and is made once, at its
+        start. The polls are taken from the queue in its own order, and
+        each is requeued as its successor tick in the same heap operation,
+        with the sequence number scheduling it then would give: so every
+        call keeps the time and sequence number the per-poll run gives it.
+        The first call that is not an empty poll stays queued for
+        run_until. The polls go to the hub a chunk at a time, so a stretch
+        holds at most one chunk.
         """
-        sim, hub, tick = self.sim, self.hub, self._on_tick
+        sim, hub, tick, ticks = self.sim, self.hub, self._on_tick, self.ticks
+        agent_id_for, contacts = hub.agent_id_for, self.contacts
         executing = self.executing
-        idle: dict[str, str | None] = {}  # entity -> agent id, None if busy
+        busy = hub.agents_with_work()
         polls: list[tuple[str, int]] = []
         while (call := sim.peek()) is not None:
             now, handler, args = call
             if handler != tick:
                 break
             entity = args[0]
-            if entity not in idle:
-                agent_id = hub.agent_id_for(entity)
-                idle[entity] = None if hub.has_work_for(agent_id) else agent_id
-            agent_id = idle[entity]
-            if agent_id is None or (executing is not None
+            agent_id = agent_id_for(entity)
+            if agent_id in busy or (executing is not None
                                     and executing[0] == entity
                                     and executing[2] <= now):
                 break
-            sim.take()
-            self.contacts[entity].append(now)
+            sim.take(next(ticks[entity], None))
+            contacts[entity].append(now)
             polls.append((agent_id, now))
             if len(polls) == FETCH_CHUNK:
                 hub.empty_fetches(polls)
                 polls.clear()
-            self._schedule_tick(entity)
         if polls:
             hub.empty_fetches(polls)
 
@@ -466,10 +465,13 @@ class _ManualRun(_RunBase):
         if p.kind == "pivot":
             self._queue_probes(p.grants)
         else:
-            # operator reads the result and plans around new credentials
-            for edge in self.sc.topology.pivot_edges:
-                if (edge.credential_key in keys
-                        and edge.credential_key not in self.queued_pivots):
+            # operator reads the result and plans around new credentials,
+            # in the order of the edges they open
+            topology = self.sc.topology
+            by_key = topology.pivot_edges_by_key
+            for at in sorted(at for key in keys for at in by_key.get(key, ())):
+                edge = topology.pivot_edges[at]
+                if edge.credential_key not in self.queued_pivots:
                     self.queued_pivots.add(edge.credential_key)
                     self.queue.append(PlannedTask(
                         kind="pivot", subnet=edge.from_subnet,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -83,8 +84,32 @@ class Topology:
     def recon_yield(self, subnet: str) -> list[tuple[str, str]]:
         """(kind, name) pairs a full sweep of the subnet discovers."""
         found = [("host", h) for h in self.hosts(subnet)]
-        found += [(i.kind, i.name) for i in self.intel if i.subnet == subnet]
+        found += [(i.kind, i.name)
+                  for i in self.intel_by_subnet.get(subnet, ())]
         return found
+
+    # Lookups by key, each built once on first use and kept in file order
+
+    @functools.cached_property
+    def intel_by_subnet(self) -> dict[str, list[IntelSpec]]:
+        return _group(self.intel, lambda i: i.subnet)
+
+    @functools.cached_property
+    def intel_by_host(self) -> dict[str, list[IntelSpec]]:
+        return _group(self.intel, lambda i: i.host)
+
+    @functools.cached_property
+    def pivot_edges_by_key(self) -> dict[str, list[int]]:
+        """Credential key -> the positions in pivot_edges of its edges."""
+        return _group(range(len(self.pivot_edges)),
+                      lambda k: self.pivot_edges[k].credential_key)
+
+
+def _group(items, key) -> dict:
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,61 @@ def test_handler_scheduling_into_past_aborts_run():
         sim.run_until(200)
 
 
+def _taken(times, gaps, requeue):
+    """(time, seq, label) of every call a handler at 0 takes from the queue,
+    after labelled calls at times: each of the first len(gaps) it queues
+    again gaps[i] later, by requeue(sim, time); the rest it only takes."""
+    sim = Simulator(seed=1)
+    taken = []
+
+    def driver():
+        while sim.peek() is not None:
+            time, seq, _, (label,) = sim._queue[0]
+            taken.append((time, seq, label))
+            if len(taken) <= len(gaps):
+                requeue(sim, time + gaps[len(taken) - 1])
+            else:
+                sim.take()
+            assert sim.clock == time
+
+    sim.schedule(0, driver)
+    for i, t in enumerate(times):
+        sim.schedule(t, taken.append, i)
+    sim.run_until(10**6)
+    return taken
+
+
+def _take_then_schedule(sim, t):
+    _, _, handler, args = sim._queue[0]
+    sim.take()
+    sim.schedule(t, handler, *args)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(times=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+       gaps=st.lists(st.integers(0, 5), max_size=30))
+def test_take_with_a_time_requeues_as_take_then_schedule(times, gaps):
+    want = _taken(times, gaps, _take_then_schedule)
+    assert _taken(times, gaps, Simulator.take) == want
+    assert len(want) == len(times) + len(gaps)
+
+
+def test_take_before_the_clock_is_rejected_and_changes_nothing():
+    sim = Simulator(seed=1)
+    sim.schedule(5, print, "a")
+    sim.schedule(9, print, "b")
+    sim.run_until(3)
+    queue = list(sim._queue)
+    # before the clock, and before the time of the call it takes
+    for t in (2, 4):
+        with pytest.raises(SchedulingError, match=f"t={t}"):
+            sim.take(t)
+        assert sim._queue == queue and sim.clock == 3
+    sim.take(5)
+    assert sim.clock == 5
+    assert sorted(sim._queue) == [(5, 2, print, ("a",)), (9, 1, print, ("b",))]
+
+
 def test_run_until_backwards_is_rejected():
     sim = Simulator(seed=1)
     sim.run_until(100)

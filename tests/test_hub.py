@@ -828,7 +828,8 @@ def _intel_items(draw):
 @st.composite
 def _bodies(draw, hub):
     """(record kind, body) of a record against hub: each field of its type,
-    naming the hub's agents, entities, tasks and tags or new ones; or, about
+    naming the hub's agents, entities, tasks and tags or new ones, and a
+    task_close naming a fetched task whenever the hub holds one; or, about
     half the time, a body with one field of any type, a field dropped or
     added, or no object at all."""
     def named(known):
@@ -853,7 +854,7 @@ def _bodies(draw, hub):
             named(hub._queued) | tasks, max_size=2)),
         "submit": dict(agent_id=agents,
                        items=st.lists(_intel_items(), max_size=2)),
-        "task_close": dict(task_id=st.sampled_from(fetched) | tasks
+        "task_close": dict(task_id=st.sampled_from(fetched)
                            if fetched else tasks, state=st.sampled_from(
             [TASK_COMPLETED, TASK_FAILED, TASK_QUEUED, "x"])),
         "liveness_mark": dict(agent_id=agents, status=st.sampled_from(
@@ -876,10 +877,29 @@ def _bodies(draw, hub):
     return kind, body
 
 
+@functools.cache
+def _cuts_holding_a_fetched_task(blob: bytes) -> tuple[int, ...]:
+    """The line counts of blob's prefixes that leave some task fetched and
+    not closed: the prefixes after which a task_close can pass _check."""
+    cuts, fetched = [], set()
+    for n, line in enumerate(blob.splitlines(keepends=True), start=1):
+        rec = json.loads(line)
+        if rec["record_kind"] == "fetch":
+            fetched.update(rec["body"]["task_ids"])
+        elif rec["record_kind"] == "task_close":
+            fetched.discard(rec["body"]["task_id"])
+        if fetched:
+            cuts.append(n)
+    assert cuts
+    return tuple(cuts)
+
+
 def test_check_refuses_only_by_hub_error_and_apply_takes_what_it_passes():
     # Replay stops at the first record _check refuses, with the state as it
     # is: that holds only while _check raises nothing but HubError and
-    # _apply never fails on a record _check passed.
+    # _apply never fails on a record _check passed. About half the prefixes
+    # drawn hold a fetched task, which a task_close then names, so that some
+    # task_close passes whatever else the draws follow.
     passed = []
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
@@ -888,8 +908,10 @@ def test_check_refuses_only_by_hub_error_and_apply_takes_what_it_passes():
     def check(data):
         blob = data.draw(st.sampled_from([_run_journal(), _swarm_journal()]))
         lines = blob.splitlines(keepends=True)
-        hub = Hub.recover(b"".join(
-            lines[:data.draw(st.sampled_from(range(len(lines) + 1)))])).hub
+        cut = data.draw(st.sampled_from(range(len(lines) + 1))
+                        | st.sampled_from(_cuts_holding_a_fetched_task(blob)))
+        hub = Hub.recover(b"".join(lines[:cut])).hub
+        hub.agents_with_work()  # builds the task index, which _apply keeps
         kind, body = data.draw(_bodies(hub))
         try:
             hub._check(kind, body)
@@ -1155,8 +1177,28 @@ _OPS = st.lists(st.one_of(
 ), max_size=40)
 
 
+def _assert_index_matches_scan(hub, agents):
+    for aid in agents:
+        assert hub.has_work_for(aid) == bool(_scan(hub, aid))
+    assert hub.agents_with_work() == {a for a in agents if _scan(hub, a)}
+
+
+_A, _B = frozenset("a"), frozenset("b")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ops=_OPS)
+# a grant of a tag the agent holds, which already holds the unassigned task
+# queued under it: filed once, not twice
+@example(ops=[("register", _A), ("issue", 0, frozenset(), "a"), ("poll", 0),
+              ("issue", None, _A, None), ("close", 0, "completed"),
+              ("poll", 0)])
+# a new tag: the grantee gains the unassigned tasks under it that need no
+# other tag, in issue order among its own
+@example(ops=[("register", _A), ("issue", 0, frozenset(), "b"), ("poll", 0),
+              ("issue", None, _B | {"c"}, None), ("issue", None, _B, None),
+              ("issue", 0, _A, None), ("close", 0, "completed"),
+              ("poll", 0)])
 def test_queued_index_matches_full_scan_live_and_replayed(ops):
     hub = _hub()
     agents: list[str] = []
@@ -1184,10 +1226,10 @@ def test_queued_index_matches_full_scan_live_and_replayed(ops):
             else:
                 hub.submit_intelligence(
                     aid, [_intel(f"i-{now}", aid, name=f"h-{op[2]}")], now)
-        for aid in agents:
-            assert hub.has_work_for(aid) == bool(_scan(hub, aid))
+        _assert_index_matches_scan(hub, agents)
     rebuilt = Hub.recover(_bytes(hub)).hub
     assert rebuilt.state_dict() == hub.state_dict()
+    _assert_index_matches_scan(rebuilt, agents)
     now = len(ops) + 1
     for aid in agents:
         assert rebuilt.has_work_for(aid) == hub.has_work_for(aid)

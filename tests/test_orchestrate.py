@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2sim import hub as hub_module
 from c2sim import orchestrate
 from c2sim.cli import main
 from c2sim.engine import Simulator, draw_int
@@ -343,6 +344,25 @@ def test_agent_scaling_speeds_up_parallel_work():
             parse_scenario(_parallel_text(3)).with_seed(seed)
         ).metrics.time_to_objective_ms)
     assert sorted(crew)[1] < sorted(solo)[1]
+
+
+def test_a_swarm_chain_matches_tasks_a_bounded_number_of_times(monkeypatch):
+    # one agent in z0 on a chain of n subnets: each pivot grants one tag,
+    # and the hub's index tests each task against an agent a bounded number
+    # of times, where a scan per fetch tests every queued task (n^2)
+    n = 500
+    text = _chain_text(seed=3, n_subnets=n, hosts=2, caps=[[0]],
+                       interval=60_000, jitter=0.1, horizon=604_800_000,
+                       think=(1_000, 2_000), work=(1_000, 2_000), users=0)
+    sc = parse_scenario(text.replace(f"mode = {MODE_MANUAL}",
+                                     f"mode = {MODE_SWARM}"))
+    calls = []
+    eligible = hub_module._eligible
+    monkeypatch.setattr(hub_module, "_eligible",
+                        lambda *a: calls.append(a) or eligible(*a))
+    run = run_scenario(sc)
+    assert run.metrics.objective_met and run.metrics.pivots_executed == n - 1
+    assert len(calls) <= 8 * n
 
 
 # -- manual runner ---------------------------------------------------------------

@@ -74,6 +74,31 @@ def test_recon_yield_lists_hosts_and_placed_items():
     assert all(kind != "share" for kind, _ in found)
 
 
+def test_topology_lookups_are_the_scans_in_file_order():
+    text = default_scenario_text().replace(
+        "    share crown-jewels @ server_zone/host-2\n",
+        "    share crown-jewels @ server_zone/host-2\n"
+        "    credential cred-user @ dmz/host-1\n"
+        "    share notes @ user_zone/host-0\n").replace(
+        "    cred-server: user_zone -> server_zone\n",
+        "    cred-server: user_zone -> server_zone\n"
+        "    cred-user: dmz -> user_zone\n"
+        "    cred-server: dmz -> server_zone\n")
+    topology = parse_scenario(text).topology
+    intel, edges = topology.intel, topology.pivot_edges
+    assert len(intel) == 4 and len(edges) == 3
+    for subnet in topology.subnets:
+        assert topology.intel_by_subnet.get(subnet, []) == [
+            i for i in intel if i.subnet == subnet]
+        for host in topology.hosts(subnet):
+            assert topology.intel_by_host.get(host, []) == [
+                i for i in intel if i.host == host]
+    assert topology.pivot_edges_by_key == {
+        e.credential_key: [k for k, f in enumerate(edges)
+                           if f.credential_key == e.credential_key]
+        for e in edges}
+
+
 def test_unknown_section_rejected():
     diags = _diags(MINIMAL + "\n[surprise]\nx = 1\n")
     assert any("[surprise]" in d and "unknown section" in d for d in diags)
